@@ -57,7 +57,7 @@ from .permco import (
 from .qrat import QPoly, QRat, format_poly
 from .symfunc import SymFunc
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",

@@ -25,7 +25,7 @@ from .combinat import (
     all_permutations,
     cycle_type,
 )
-from .qrat import QPoly, QRat
+from .qrat import QRat
 from .symfunc import SymFunc
 
 

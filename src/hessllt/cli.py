@@ -139,6 +139,8 @@ def _verify_command(args: argparse.Namespace) -> int:
         raise UsageError("verify needs --h or --n")
     if h is not None and n is not None:
         raise UsageError("pass only one of --h and --n")
+    if n is not None and n < 1:
+        raise UsageError(f"--n must be at least 1, got {n}")
     if args.scope in ("permutohedron", "complete-graph") and h is not None:
         raise UsageError(f"--scope {args.scope} takes --n, not --h")
     if args.format == "latex":

@@ -41,10 +41,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-def is_partition(mu: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(mu, mu[1:])) and all(a > 0 for a in mu)
-
-
 def sort_to_partition(parts: tuple[int, ...]) -> Partition:
     return tuple(sorted((p for p in parts if p > 0), reverse=True))
 
@@ -56,11 +52,6 @@ def z_mu(mu: Partition) -> int:
         m = mu.count(k)
         out *= k ** m * math.factorial(m)
     return out
-
-
-def conjugacy_class_size(mu: Partition) -> int:
-    n = sum(mu)
-    return math.factorial(n) // z_mu(mu)
 
 
 def sgn_of_class(mu: Partition) -> int:

@@ -47,11 +47,10 @@ from .linalg import (
     SMALL_PRIMES,
     SubspaceTracer,
     blocked_rref,
+    certified_integer_nullspace,
     frac_nullspace,
     frac_rref,
     integerize,
-    lift_vector,
-    nullspace_small,
 )
 from .multipoly import (
     MPoly,
@@ -348,56 +347,27 @@ def _x_product_columns(model: GkmModel, prev: GkmSpace) -> np.ndarray:
     return out
 
 
-def _nullity_bound(model: GkmModel, d: int, p: int) -> int:
-    """Mod-p nullity of the constraint matrix: an upper bound for the exact
+def _nullity_bound(C: np.ndarray, p: int) -> int:
+    """Mod-p nullity of a constraint matrix: an upper bound for the exact
     dimension, since the mod-p rank of an integer matrix never exceeds its
     rank over Q."""
-    C = _constraint_matrix(model, d)
     if C.shape[0] == 0:
         return C.shape[1]
     rank, _, _ = blocked_rref(C, p, full=False)
     return C.shape[1] - rank
 
 
-def _lifted_nullspace(model: GkmModel, d: int, k_target: int) -> np.ndarray:
-    """Exact nullspace columns recovered from canonical mod-p nullspaces by
-    CRT and rational reconstruction.
+def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
+    """Exact nullspace columns of the constraint matrix, lifted by
+    certified_integer_nullspace, whose count must meet the nullity bound.
 
-    The canonical form is unit at its own free coordinate and zero at every
-    other free coordinate, so the lifted set is independent over Q by
-    construction; exact congruence verification happens in the caller."""
-    residues: list[np.ndarray] = []
-    moduli: list[int] = []
-    ref_pivots: list[int] | None = None
-    columns: list[list[int]] | None = None
-    C = _constraint_matrix(model, d)
-    for p in SMALL_PRIMES:
-        pivots, free, basis = nullspace_small(C, p)
-        if len(free) != k_target:
-            continue  # unlucky prime: rank dropped mod p
-        if ref_pivots is None:
-            ref_pivots = pivots
-        elif pivots != ref_pivots:
-            continue  # pivot structure must match for CRT to combine residues
-        residues.append(basis)
-        moduli.append(p)
-        if len(moduli) < 2:
-            continue
-        cols = []
-        for j in range(k_target):
-            vec = lift_vector([r[:, j] for r in residues], moduli)
-            if vec is None:
-                break
-            cols.append(integerize(vec))
-        else:
-            columns = cols
-            break
-    if columns is None:
-        raise ArithmeticError("rational reconstruction of the congruence space failed")
-    mat = np.array(columns, dtype=object).T
-    peak = max((max(map(abs, col)) for col in columns), default=0)
-    if peak <= _EXACT_ENTRY_BOUND:
-        mat = mat.astype(np.int64)
+    Entries above _EXACT_ENTRY_BOUND are handed on as Python ints, so that
+    the caller's exact congruence check never runs in int64 near overflow."""
+    mat = certified_integer_nullspace(C)
+    if mat.shape[1] != k_target:
+        raise ArithmeticError("lifted nullspace does not match the congruence nullity bound")
+    if mat.dtype != object and int(np.abs(mat).max()) > _EXACT_ENTRY_BOUND:
+        mat = mat.astype(object)
     return mat
 
 
@@ -426,7 +396,8 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     independent (mod p, or by canonical unit structure).  The two bounds
     must meet, which pins the dimension."""
     p = SMALL_PRIMES[0]
-    k_target = _nullity_bound(model, d, p)
+    C = _constraint_matrix(model, d)
+    k_target = _nullity_bound(C, p)
     route = "products"
     if d == 0:
         comps = _components(model)
@@ -449,7 +420,7 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
         if rank == k_target:
             mat = np.ascontiguousarray(cand[:, pivots])
         else:
-            mat = _lifted_nullspace(model, d, k_target)
+            mat = _lifted_nullspace(C, k_target)
             route = "crt-lift"
     _verify_columns(model, d, mat)
     return GkmSpace(
@@ -475,7 +446,7 @@ def _transported_space(model: GkmModel, d: int) -> GkmSpace:
         gather[iw * M + base] = iw * M + perm_monomial_map(w, d)
     mat = xspace.matrix[gather, :]
     _verify_columns(model, d, mat)
-    k_target = _nullity_bound(model, d, SMALL_PRIMES[0])
+    k_target = _nullity_bound(_constraint_matrix(model, d), SMALL_PRIMES[0])
     if mat.shape[1] != k_target:
         raise ArithmeticError("transported basis does not match the Y-side nullity bound")
     return GkmSpace(model, d, mat, {"route": "xi-transport", "nullity_bound": k_target})
@@ -631,59 +602,6 @@ def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...], action: str) -
         vmap = np.array([vidx[compose(w, sigma)] for w in verts], dtype=np.intp)
         mmap = np.arange(M, dtype=np.intp)
     return (vmap[:, None] * M + mmap[None, :]).ravel()
-
-
-def action_matrix(space: GkmSpace, sigma: tuple[int, ...], action: str) -> list[list[Fraction]]:
-    """Exact matrix of the action on the space's basis: column j holds the
-    coefficients of the image of basis column j.
-
-    Solved on an invertible row submatrix of the basis; the solution is then
-    checked against all coordinates (exactly when small, mod two primes
-    otherwise), so a congruence-violating action cannot slip through."""
-    model = space.model
-    _check_action(model, action)
-    k = space.dim
-    if k == 0:
-        return []
-    if k > 256:
-        raise BudgetExceededError("action matrices are materialized for dim <= 256; use traces instead")
-    src = _ambient_src(model, space.degree, sigma, action)
-    B = space.matrix
-    AB = B[src, :]
-    p = SMALL_PRIMES[0]
-    tracer = space._tracer(p)
-    rows = tracer.rows
-    S = [[Fraction(int(B[r, j])) for j in range(k)] for r in rows]
-    T = [[Fraction(int(AB[r, j])) for j in range(k)] for r in rows]
-    aug = [S[i] + T[i] for i in range(k)]
-    rank, pivots, rref = frac_rref(aug)
-    if pivots[:k] != list(range(k)):
-        raise ArithmeticError("pivot row submatrix became singular over Q")
-    out = [[rref[i][k + j] for j in range(k)] for i in range(k)]
-    if B.shape[0] * k * k <= 4_000_000:
-        for j in range(k):
-            for c in range(B.shape[0]):
-                acc = sum(Fraction(int(B[c, i])) * out[i][j] for i in range(k))
-                if acc != Fraction(int(AB[c, j])):
-                    raise ValueError("action does not preserve the congruence space")
-    else:
-        checked = 0
-        for q in SMALL_PRIMES[:3]:
-            if any(f.denominator % q == 0 for row in out for f in row):
-                continue  # q divides a solution denominator; use the next prime
-            Mq = np.array(
-                [[(f.numerator % q) * pow(f.denominator % q, q - 2, q) % q for f in row]
-                 for row in out],
-                dtype=np.int64,
-            )
-            if np.any((B % q) @ Mq % q != AB % q):
-                raise ValueError("action does not preserve the congruence space")
-            checked += 1
-            if checked == 2:
-                break
-        if checked == 0:
-            raise ArithmeticError("no usable verification prime for the action matrix")
-    return out
 
 
 def ideal_piece(space_d: GkmSpace, space_dminus1: GkmSpace | None, generators: str) -> list[list[int]]:

@@ -277,18 +277,6 @@ def orientations(h: HessenbergFunction):
         yield Orientation(graph, bits)
 
 
-def hrv(theta: Orientation, v: int) -> int:
-    """Highest vertex reachable from v along ascending directed edges."""
-    n = theta.graph.n
-    out: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for a, b in theta.ascending_arcs():
-        out[a].append(b)
-    best = {}
-    for i in range(n, 0, -1):  # ascending arcs go upward, so this is a DAG order
-        best[i] = max([i] + [best[j] for j in out[i]])
-    return best[v]
-
-
 def hrv_blocks(theta: Orientation) -> list[tuple[int, list[int]]]:
     """Blocks of the hrv partition as (hrv value, sorted vertices), ascending."""
     n = theta.graph.n
@@ -307,11 +295,6 @@ def hrv_blocks(theta: Orientation) -> list[tuple[int, list[int]]]:
 def lambda_of(theta: Orientation) -> Partition:
     """Sorted block sizes of the hrv partition."""
     return sort_to_partition(tuple(len(b) for _, b in hrv_blocks(theta)))
-
-
-def composition_of(theta: Orientation) -> tuple[int, ...]:
-    """Block sizes ordered by increasing hrv value."""
-    return tuple(len(b) for _, b in hrv_blocks(theta))
 
 
 def orientation_e_expansion(h: HessenbergFunction) -> SymFunc:

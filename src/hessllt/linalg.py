@@ -12,8 +12,8 @@ Two regimes share one contract:
   When the two bounds meet, the dimension is pinned exactly.
 
 Candidate vectors lifted from mod-p solutions (CRT across several primes
-plus rational reconstruction) are always verified exactly by the caller
-before use, so wrong lifts cannot corrupt results, only delay them.
+plus rational reconstruction) are always verified exactly before use, so
+wrong lifts cannot corrupt results, only delay them.
 
 Traces of a permutation action restricted to an invariant subspace are
 computed by SubspaceTracer: with an exact integer basis B, any left inverse
@@ -27,7 +27,7 @@ The heaviest eliminations use SMALL_PRIMES just under 2**22 through
 blocked_rref, which batches eliminations into float64 matrix products; with
 p < 2**22 a dot product of up to 257 terms, each below p**2, stays under
 2**53, so the floating-point arithmetic is exact integer arithmetic at BLAS
-speed.  PRIMES near 2**31 remain for the int64 per-pivot routines.
+speed.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
-
-PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497)
 
 
 # ---------------------------------------------------------------- Fraction
@@ -85,111 +83,12 @@ def frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction
     return out
 
 
-def frac_solve_columns(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
-    """Coefficients x with sum_j x_j columns[j] = target, or None."""
-    k = len(columns)
-    aug = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
-    rank, pivots, rref = frac_rref(aug)
-    if k in pivots:
-        return None
-    x = [Fraction(0)] * k
-    for row, c in zip(rref, pivots):
-        x[c] = row[k]
-    return x
-
-
-# ------------------------------------------------------------------ mod p
-
-
-def modp_forward_rank(A: np.ndarray, p: int) -> int:
-    """Rank of A mod p by forward elimination (A is consumed)."""
-    A = np.ascontiguousarray(A % p, dtype=np.int64)
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        below = A[r + 1:, c]
-        mask = below != 0
-        if mask.any():
-            block = A[r + 1:][mask]
-            block = (block - np.outer(below[mask], A[r])) % p
-            A[r + 1:][mask] = block
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def modp_rref(A: np.ndarray, p: int) -> tuple[int, list[int], np.ndarray]:
-    """Full reduced row echelon form mod p; returns (rank, pivots, rref)."""
-    A = np.ascontiguousarray(A % p, dtype=np.int64)
-    nrows, ncols = A.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        col_all = A[:, c].copy()
-        col_all[r] = 0
-        mask = col_all != 0
-        if mask.any():
-            A[mask] = (A[mask] - np.outer(col_all[mask], A[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, A
-
-
-def modp_nullspace(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """Canonical mod-p nullspace; returns (pivots, free columns, basis matrix).
-
-    Basis columns are indexed by free columns: unit at the free column and
-    -rref entry at each pivot column, matching frac_nullspace.
-    """
-    ncols = A.shape[1]
-    rank, pivots, rref = modp_rref(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        basis[f, j] = 1
-        for k, c in enumerate(pivots):
-            basis[c, j] = (-rref[k, f]) % p
-    return pivots, free, basis
-
-
-def modp_inverse(S: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod p; raises ArithmeticError if singular."""
-    k = S.shape[0]
-    aug = np.concatenate([S % p, np.eye(k, dtype=np.int64)], axis=1)
-    rank, pivots, rref = modp_rref(aug, p)
-    if pivots != list(range(k)):
-        raise ArithmeticError("matrix is singular mod p")
-    return rref[:k, k:]
-
-
 # ----------------------------------------------------- CRT and lifting
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     """Combine residues; moduli must be coprime."""
-    inv = pow(m1 % m2, m2 - 2, m2)  # PRIMES are prime, m1 not divisible by m2
+    inv = pow(m1 % m2, m2 - 2, m2)  # m2 is prime and does not divide m1
     t = ((r2 - r1) * inv) % m2
     return (r1 + m1 * t) % (m1 * m2), m1 * m2
 
@@ -346,7 +245,11 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
 
 
 def nullspace_small(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
-    """Canonical mod-p nullspace via the blocked engine; mirrors modp_nullspace."""
+    """Canonical mod-p nullspace; returns (pivots, free columns, basis matrix).
+
+    Basis columns are indexed by free columns: unit at the free column and
+    -rref entry at each pivot column, matching frac_nullspace.
+    """
     ncols = A.shape[1]
     rank, pivots, rref = blocked_rref(A, p)
     pivot_set = set(pivots)

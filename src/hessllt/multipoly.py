@@ -17,19 +17,11 @@ MPoly = dict[tuple[int, ...], Fraction]
 def mp_zero() -> MPoly:
     return {}
 
-def mp_const(nvars: int, c) -> MPoly:
-    c = Fraction(c)
-    return {(0,) * nvars: c} if c else {}
-
 def mp_var(nvars: int, i: int) -> MPoly:
     """t_i, 1-based."""
     exp = [0] * nvars
     exp[i - 1] = 1
     return {tuple(exp): Fraction(1)}
-
-def mp_monomial(exp: tuple[int, ...], c=1) -> MPoly:
-    c = Fraction(c)
-    return {tuple(exp): c} if c else {}
 
 def mp_add(a: MPoly, b: MPoly) -> MPoly:
     out = dict(a)
@@ -64,13 +56,6 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
             else:
                 out.pop(key, None)
     return out
-
-def mp_linear(nvars: int, i: int, j: int) -> MPoly:
-    """t_i - t_j."""
-    return mp_add(mp_var(nvars, i), mp_neg(mp_var(nvars, j)))
-
-def mp_degree(a: MPoly) -> int | None:
-    return max((sum(e) for e in a), default=None)
 
 def mp_is_zero(a: MPoly) -> bool:
     return not a

@@ -376,24 +376,3 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def substitute(value: QRat, target: str, k: int | None = None, point: Scalar | None = None) -> QRat | Fraction:
-    """Dispatch substitution by name.
-
-    target is one of 'q_inverse', 'q_plus_one', 'q_power' (needs k) and
-    'rational_point' (needs point, returns a Fraction).
-    """
-    if target == "q_inverse":
-        return value.subs_q_inverse()
-    if target == "q_plus_one":
-        return value.subs_q_plus_one()
-    if target == "q_power":
-        if k is None:
-            raise ValueError("q_power substitution needs k")
-        return value.subs_q_power(k)
-    if target == "rational_point":
-        if point is None:
-            raise ValueError("rational_point substitution needs a point")
-        return value.evaluate(point)
-    raise ValueError(f"unknown substitution target: {target!r}")

@@ -14,7 +14,6 @@ a lock so concurrent callers see a single shared copy.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from fractions import Fraction
 from functools import lru_cache

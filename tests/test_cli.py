@@ -148,6 +148,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", "--scope", "identities", "--h", "2,2", "--n", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_verify_rejects_n_below_one(self, capsys, n):
+        code, out, err = run(capsys, "verify", "--scope", "identities", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+
     def test_verify_rejects_latex(self, capsys):
         code, _, err = run(capsys, "verify", "--scope", "identities", "--h", "2,2", "--format", "latex")
         assert code == 2

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import hessllt.cli
+import hessllt.linalg
+from hessllt import gkm
 from hessllt.characters import frobenius_inverse
 from hessllt.errors import BudgetExceededError
 from hessllt.gkm import (
@@ -88,7 +91,38 @@ class TestDegreePieces:
         cert = space.certificate
         assert cert["nullity_bound"] == 15
         assert cert["exhibited"] == 15
-        assert cert["route"] in ("crt-lift", "products-and-rank", "components", "exact")
+        assert cert["route"] == "crt-lift"
+
+    def test_corrupted_lift_is_caught(self, monkeypatch, capsys):
+        real = hessllt.linalg.lift_vector
+
+        def corrupted(residues, moduli):
+            vec = real(residues, moduli)
+            if vec is not None:
+                vec[0] += 1
+            return vec
+
+        monkeypatch.setattr(hessllt.linalg, "lift_vector", corrupted)
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        with pytest.raises(ArithmeticError):
+            degree_piece(GkmModel(H("2,3,4,4"), "X"), 1)
+        assert hessllt.cli.main(["verify", "--scope", "gkm", "--h", "2,3,4,4"]) == 1
+        assert "computation failed" in capsys.readouterr().err
+
+    def test_crt_lift_builds_constraint_matrix_once(self, monkeypatch):
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        mx = GkmModel(H("2,3,4,4"), "X")
+        degree_piece(mx, 0)
+        calls = []
+        real = gkm._constraint_matrix
+
+        def counting(model, d):
+            calls.append(d)
+            return real(model, d)
+
+        monkeypatch.setattr(gkm, "_constraint_matrix", counting)
+        assert degree_piece(mx, 1).certificate["route"] == "crt-lift"
+        assert calls == [1]
 
 
 class TestEquivariantClasses:
