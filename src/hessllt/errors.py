@@ -7,3 +7,7 @@ class BudgetExceededError(ValueError):
 
 class PoleError(ZeroDivisionError):
     """A rational function was evaluated at a pole of its reduced form."""
+
+
+class VerificationError(ArithmeticError):
+    """A built-in self-check of a computed result failed."""

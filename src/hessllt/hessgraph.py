@@ -9,9 +9,12 @@ sums over colorings kappa: [n] -> colors live here:
 * llt(h): the unicellular LLT polynomial, the same sum over all colorings.
 
 Both are symmetric, which is asserted on the raw exponent-vector weights
-before any monomial coefficient is read off.  Colorings are enumerated with
-n colors, which is enough in degree n, using exact integer numpy counting;
-a pure Python path is kept as an independent oracle for small n.
+before any monomial coefficient is read off.  All n^n colorings with n
+colors, which is enough in degree n, are enumerated with exact integer numpy
+counting: each coloring becomes one int64 key, its content vector read as a
+radix-(n+1) number times (|h| + 1) plus its ascents, and one 1-D sort with
+counts groups them.  A pure Python path is kept as an independent oracle for
+small n.
 
 Orientations of G_h carry the ascent statistic asc(theta) (number of edges
 directed from the smaller to the larger endpoint) and the highest reachable
@@ -30,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import Partition, sort_to_partition
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .qrat import QPoly, QRat
 from .symfunc import SymFunc
 
@@ -131,7 +134,15 @@ def _coloring_weights(h: HessenbergFunction):
     """Exact q-weight tables over all n^n colorings with n colors.
 
     Returns (weights_all, weights_proper), each mapping an exponent vector
-    (color multiplicity tuple of length n) to {asc: count}.
+    (color multiplicity tuple of length n) to {asc: count}, in lexicographic
+    order of exponent vectors.
+
+    Each coloring is grouped by one int64 key.  Its content is read as a
+    number in radix n + 1 with color 0 as the most significant digit: every
+    position adds (n+1)^(n-1-color), and a digit never exceeds n, so no
+    carry occurs and numeric order is lexicographic order of exponent
+    vectors.  The key is content * (|h| + 1) + asc, and a 1-D sort with
+    counts groups the colorings.
     """
     n = h.n
     if n > COLORING_BUDGET:
@@ -148,21 +159,24 @@ def _coloring_weights(h: HessenbergFunction):
         ca, cb = arr[:, a - 1], arr[:, b - 1]
         asc += ca < cb
         proper &= ca != cb
-    counts = np.zeros((total, n), dtype=np.int8)
-    rows = np.arange(total)
+    radix = n + 1
+    place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    content = np.zeros(total, dtype=np.int64)
     for pos in range(n):
-        counts[rows, arr[:, pos]] += 1
+        content += place[arr[:, pos]]
+    stride = h.size() + 1
+    key = content * stride + asc
 
-    def group(mask):
-        keyed = np.column_stack([counts[mask].astype(np.int32), asc[mask][:, None]])
-        uniq, mult = np.unique(keyed, axis=0, return_counts=True)
+    def group(keys):
+        uniq, mult = np.unique(keys, return_counts=True)
+        contents, ascs = np.divmod(uniq, stride)
+        exps = contents[:, None] // place % radix
         out: dict[tuple[int, ...], dict[int, int]] = {}
-        for row, m in zip(uniq, mult):
-            exp = tuple(int(x) for x in row[:-1])
-            out.setdefault(exp, {})[int(row[-1])] = int(m)
+        for exp, a, m in zip(map(tuple, exps.tolist()), ascs.tolist(), mult.tolist()):
+            out.setdefault(exp, {})[a] = m
         return out
 
-    return group(slice(None)), group(proper)
+    return group(key), group(key[proper])
 
 
 def _assert_symmetric(weights: dict[tuple[int, ...], dict[int, int]], n: int) -> None:
@@ -175,7 +189,7 @@ def _assert_symmetric(weights: dict[tuple[int, ...], dict[int, int]], n: int) ->
         reference = weights[members[0]]
         for exp in orbit:
             if weights.get(exp, {}) != reference:
-                raise AssertionError(f"coloring sum is not symmetric at shape {shape}")
+                raise VerificationError(f"coloring sum is not symmetric at shape {shape}")
 
 
 def _weights_to_symfunc(weights, n: int) -> SymFunc:

@@ -3,7 +3,6 @@
 import pytest
 
 from hessllt.characters import (
-    ClassFunction,
     frobenius_char,
     frobenius_inverse,
     graded_dimension,
@@ -16,10 +15,9 @@ from hessllt.characters import (
     sym_ext_defining_series,
     trivial_character,
 )
-from hessllt.combinat import partitions_of, subsets_of_interval
+from hessllt.combinat import subsets_of_interval
 from hessllt.qrat import QRat
 from hessllt.symfunc import (
-    SymFunc,
     complete_homogeneous,
     elementary,
     power_sum,

@@ -12,7 +12,6 @@ from hessllt.errors import BudgetExceededError
 from hessllt.gkm import (
     EquivariantClass,
     GkmModel,
-    GkmSpace,
     betti_numbers,
     degree_piece,
     equivariant_palindromicity_check,
@@ -25,7 +24,7 @@ from hessllt.gkm import (
     xi_transport,
 )
 from hessllt.hessgraph import HessenbergFunction, csf, llt
-from hessllt.qrat import QPoly, QRat
+from hessllt.qrat import QRat
 from hessllt.combinat import all_permutations
 
 H = HessenbergFunction.parse

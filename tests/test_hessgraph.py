@@ -1,13 +1,18 @@
 """Unit interval graphs, coloring expansions, orientations, and identities."""
 
+import itertools
+
 import pytest
 
-from hessllt.errors import BudgetExceededError
+from hessllt import cli, hessgraph
+from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.hessgraph import (
     HessenbergFunction,
+    asc_coloring,
     coloring_expansion_bruteforce,
     csf,
     hessenberg_all,
+    is_proper,
     lambda_of,
     llt,
     orientation_e_expansion,
@@ -15,7 +20,7 @@ from hessllt.hessgraph import (
     verify_identities,
 )
 from hessllt.qrat import QPoly, QRat
-from hessllt.symfunc import SymFunc, elementary, power_sum
+from hessllt.symfunc import elementary, power_sum
 
 H = HessenbergFunction.parse
 
@@ -89,6 +94,52 @@ class TestExpansions:
         for h in hessenberg_all(3):
             f = llt(h).subs_coeffs(lambda c: QRat.of(c.evaluate(1)))
             assert f == power_sum((1, 1, 1))
+
+
+def _tally_colorings(h):
+    """(weights_all, weights_proper) by a pure Python pass over every coloring."""
+    n, graph = h.n, h.graph()
+    weights_all, weights_proper = {}, {}
+    for kappa in itertools.product(range(n), repeat=n):
+        exp = tuple(kappa.count(c) for c in range(n))
+        a = asc_coloring(kappa, graph)
+        tables = [weights_all] + ([weights_proper] if is_proper(kappa, graph) else [])
+        for table in tables:
+            by_asc = table.setdefault(exp, {})
+            by_asc[a] = by_asc.get(a, 0) + 1
+    return weights_all, weights_proper
+
+
+class TestColoringKernel:
+    @pytest.mark.parametrize(
+        "h",
+        [h for n in (1, 2, 3, 4) for h in hessenberg_all(n)] + [H("2,3,4,5,5"), H("5,5,5,5,5")],
+        ids=repr,
+    )
+    def test_full_tables_match_python_tally(self, h):
+        # every exponent vector, dominant or not, in both tables
+        assert hessgraph._coloring_weights(h) == _tally_colorings(h)
+
+    @pytest.fixture
+    def fresh_coloring_cache(self):
+        hessgraph._coloring_symfuncs.cache_clear()
+        yield
+        hessgraph._coloring_symfuncs.cache_clear()
+
+    def test_asymmetric_weights_fail_verification(self, monkeypatch, capsys, fresh_coloring_cache):
+        kernel = hessgraph._coloring_weights
+
+        def corrupted(h):
+            weights_all, weights_proper = kernel(h)
+            by_asc = weights_all[(0, 1, 2)]
+            by_asc[min(by_asc)] += 1
+            return weights_all, weights_proper
+
+        monkeypatch.setattr(hessgraph, "_coloring_weights", corrupted)
+        with pytest.raises(VerificationError):
+            llt(H("2,3,3"))
+        assert cli.main(["llt", "--h", "2,3,3", "--basis", "e"]) == 1
+        assert "computation failed" in capsys.readouterr().err
 
 
 class TestOrientations:

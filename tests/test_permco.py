@@ -1,7 +1,5 @@
 """Permutohedron face modules, coinvariant algebras, and closed forms."""
 
-from fractions import Fraction
-
 import pytest
 
 from hessllt.characters import (

@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from hessllt.qrat import QPoly, QRat
 from hessllt.symfunc import (
     SymFunc,
