@@ -15,7 +15,6 @@ from hessllt import (
     localization_pushforward,
 )
 from hessllt.gkm import localization_equivariance_check
-from hessllt.multipoly import mp_is_zero
 
 def show(poly):
     if not poly:

@@ -9,7 +9,6 @@ full graph -- tying polytope combinatorics to the LLT expansion.
 """
 
 from hessllt import (
-    HessenbergFunction,
     PermutohedronFace,
     f_vector,
     face_and_h_series,

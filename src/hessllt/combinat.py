@@ -132,6 +132,16 @@ def second_representative(mu: Partition) -> Permutation | None:
     return None
 
 
+def class_representatives(mu: Partition) -> list[Permutation]:
+    """class_representative(mu), followed by second_representative(mu) when
+    the class has one: the elements on which class-function checks run."""
+    reps = [class_representative(mu)]
+    second = second_representative(mu)
+    if second is not None:
+        reps.append(second)
+    return reps
+
+
 def subsets_of_interval(n: int) -> tuple[tuple[int, ...], ...]:
     """All subsets I of [n-1] as sorted tuples, enumerated by size then lex."""
     ground = range(1, n)

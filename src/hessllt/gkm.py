@@ -14,11 +14,13 @@ classes t_i or the tautological classes x_i, the vertexwise change of
 variables xi that identifies the two flavors, and the localization
 pushforward to a polynomial in t.
 
-Exactness strategy: small ranks are solved directly over Fraction; large
-ranks (n = 4) combine exhibited exact solution columns with a mod-p nullity
-bound so that dimensions are pinned by two one-sided certificates, and
-traces are extracted with SubspaceTracer.  Every basis column is verified
-against every edge congruence in exact integer arithmetic before use.
+Exactness strategy: every degree piece, at every n, is pinned by two
+one-sided certificates: a mod-p nullity bound from above, and exhibited
+exact solution columns that are independent mod p from below (products with
+the previous degree, or a CRT-lifted nullspace in flavor X; the xi-transport
+of the flavor-X basis in flavor Y).  Traces are extracted with
+SubspaceTracer.  Every basis column is verified against every edge
+congruence in exact integer arithmetic before use.
 """
 
 from __future__ import annotations
@@ -33,24 +35,21 @@ import numpy as np
 from .characters import ClassFunction, frobenius_char, palindromicity_check
 from .combinat import (
     all_permutations,
-    class_representative,
+    class_representatives,
     compose,
     cycle_type,
     inverse,
     partitions_of,
-    second_representative,
     transposition,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, VerificationError
 from .hessgraph import HessenbergFunction, csf, llt
 from .linalg import (
     SMALL_PRIMES,
     SubspaceTracer,
     blocked_rref,
     certified_integer_nullspace,
-    frac_nullspace,
     frac_rref,
-    integerize,
 )
 from .multipoly import (
     MPoly,
@@ -280,24 +279,6 @@ def _check_degree_budget(model: GkmModel, d: int) -> None:
         )
 
 
-def _components(model: GkmModel) -> list[list[int]]:
-    """Connected components of the moment graph, as vertex index lists."""
-    parent = list(range(len(model.vertices)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for iu, iv, _, _ in model.edges:
-        parent[find(iu)] = find(iv)
-    groups: dict[int, list[int]] = {}
-    for v in range(len(parent)):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
-
-
 def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
     """Columns of the classes x^a = x_1^{a_1}..x_n^{a_n} with a_i <= n - i
     and |a| = d; each takes the value t^{w(a)} at vertex w, so the column is
@@ -371,57 +352,30 @@ def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
     return mat
 
 
-def _exact_space(model: GkmModel, d: int) -> GkmSpace:
-    """Direct Fraction nullspace of the congruences (small ranks)."""
-    C = _constraint_matrix(model, d)
-    ncols = C.shape[1]
-    rows = [[Fraction(int(x)) for x in row] for row in C] if C.shape[0] else []
-    basis = frac_nullspace(rows, ncols)
-    cols = [integerize(v) for v in basis]
-    mat = (
-        np.array(cols, dtype=np.int64).T
-        if cols
-        else np.zeros((ncols, 0), dtype=np.int64)
-    )
-    _verify_columns(model, d, mat)
-    return GkmSpace(model, d, mat, {"route": "exact-nullspace"})
-
-
 def _certified_space(model: GkmModel, d: int) -> GkmSpace:
-    """Certified construction for flavor X at n = 4.
+    """Certified construction for flavor X.
 
     Upper bound: mod-p nullity of the constraint matrix.  Lower bound:
-    exhibited columns (products of the previous degree by t_i, staircase
-    classes x^a, or CRT-lifted nullspace vectors), verified exactly and
-    independent (mod p, or by canonical unit structure).  The two bounds
-    must meet, which pins the dimension."""
+    exhibited columns, verified exactly and independent mod p: the products
+    t_i * f of the previous degree's basis with the staircase classes x^a
+    (at d = 0 just the unit class), or, when those fall short of the bound,
+    the CRT-lifted nullspace, independent by its canonical unit structure.
+    The two bounds must meet, which pins the dimension."""
     p = SMALL_PRIMES[0]
     C = _constraint_matrix(model, d)
     k_target = _nullity_bound(C, p)
-    route = "products"
-    if d == 0:
-        comps = _components(model)
-        M = len(monomials(model.n, 0))
-        mat = np.zeros((len(model.vertices) * M, len(comps)), dtype=np.int64)
-        for j, comp in enumerate(comps):
-            mat[np.array(comp), j] = 1
-        if mat.shape[1] != k_target:
-            raise ArithmeticError("component count disagrees with the congruence nullity")
-        route = "components"
+    cand = _staircase_columns(model, d)
+    if d:
+        cand = np.concatenate([_t_product_columns(model, degree_piece(model, d - 1)), cand], axis=1)
+    rank, pivots, _ = blocked_rref(cand, p, full=False)
+    if rank > k_target:
+        raise ArithmeticError("independent solutions exceed the congruence nullity")
+    if rank == k_target:
+        mat = np.ascontiguousarray(cand[:, pivots])
+        route = "products"
     else:
-        prev = degree_piece(model, d - 1)
-        cand = _t_product_columns(model, prev)
-        stair = _staircase_columns(model, d)
-        if stair.shape[1]:
-            cand = np.concatenate([cand, stair], axis=1)
-        rank, pivots, _ = blocked_rref(cand, p, full=False)
-        if rank > k_target:
-            raise ArithmeticError("independent solutions exceed the congruence nullity")
-        if rank == k_target:
-            mat = np.ascontiguousarray(cand[:, pivots])
-        else:
-            mat = _lifted_nullspace(C, k_target)
-            route = "crt-lift"
+        mat = _lifted_nullspace(C, k_target)
+        route = "crt-lift"
     _verify_columns(model, d, mat)
     return GkmSpace(
         model,
@@ -459,9 +413,7 @@ def degree_piece(model: GkmModel, d: int) -> GkmSpace:
     with _space_lock:
         if key in _space_cache:
             return _space_cache[key]
-    if model.n <= 3:
-        space = _exact_space(model, d)
-    elif model.flavor == "X":
+    if model.flavor == "X":
         space = _certified_space(model, d)
     else:
         space = _transported_space(model, d)
@@ -678,12 +630,8 @@ def quotient_graded_character(
     permuted = generators == "t_vars" and action == "dot"
     values: dict[tuple[int, ...], QRat] = {}
     for mu in partitions_of(n):
-        reps = [class_representative(mu)]
-        second = second_representative(mu)
-        if second is not None:
-            reps.append(second)
         per_rep: list[list[int]] = []
-        for sigma in reps:
+        for sigma in class_representatives(mu):
             ext = _exterior_generator_traces(sigma, permuted)
             space_tr = [spaces[d].trace(sigma, action) for d in range(max_d + 1)]
             qtr = [
@@ -743,12 +691,8 @@ def quotient_character_bruteforce(
 
     values: dict[tuple[int, ...], QRat] = {}
     for mu in partitions_of(n):
-        reps = [class_representative(mu)]
-        second = second_representative(mu)
-        if second is not None:
-            reps.append(second)
         per_rep: list[list[Fraction]] = []
-        for sigma in reps:
+        for sigma in class_representatives(mu):
             coeffs: list[Fraction] = []
             for d in range(max_d + 1):
                 src = _ambient_src(model, d, sigma, action)
@@ -845,7 +789,7 @@ def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
             for i in range(j + 1, n + 1):
                 num = mp_divide_linear(num, i, j)
     except ValueError as exc:
-        raise ValueError(
+        raise VerificationError(
             "localization sum is not a polynomial; the assignment violates the congruences"
         ) from exc
     return num
@@ -951,7 +895,7 @@ def gkm_report(h: HessenbergFunction) -> dict:
             f = EquivariantClass.from_column(model_x, d, space.matrix[:, j], verify=False)
             try:
                 result = localization_pushforward(model_x, f)
-            except ValueError:
+            except VerificationError:
                 loc_ok = False
                 break
             deg = None if mp_is_zero(result) else max(sum(e) for e in result)

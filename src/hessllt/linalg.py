@@ -2,7 +2,9 @@
 
 Two regimes share one contract:
 
-* small systems are solved directly over Fraction (frac_rref and friends);
+* frac_rref reduces small matrices directly over Fraction; it inverts the
+  symmetric-function basis tables and serves as the exact oracle of the
+  brute-force quotient characters and the tests;
 * large systems run Gaussian elimination mod a word-sized prime in numpy,
   and every consumer converts the mod-p output back into an exact statement
   through one of two rigorous one-sided certificates: the rank of an integer
@@ -64,23 +66,6 @@ def frac_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fra
         if r == nrows:
             break
     return r, pivots, mat
-
-
-def frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Canonical nullspace basis (one vector per free column, unit there)."""
-    if not rows:
-        rows = [[Fraction(0)] * ncols]
-    rank, pivots, rref = frac_rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    out = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -rref[k][f]
-        out.append(v)
-    return out
 
 
 # ----------------------------------------------------- CRT and lifting
@@ -151,10 +136,13 @@ SMALL_PRIMES = (4194301, 4194287, 4194277, 4194271, 4194247, 4194217, 4194199, 4
 _PANEL = 256  # (_PANEL + 1) * (SMALL_PRIMES[0] - 1) ** 2 < 2 ** 53
 
 
-def _fmod(a: np.ndarray, p: int) -> np.ndarray:
-    """Exact mod for integer-valued float64 arrays (int64 mod is ~30x faster
-    than float64 fmod); valid while every entry has magnitude below 2**53."""
-    return (a.astype(np.int64) % p).astype(np.float64)
+def _reduce(a: np.ndarray, p: int) -> None:
+    """Exact in-place mod for a view of an integer-valued float64 array
+    (int64 mod is ~30x faster than float64 fmod, and one int64 copy is the
+    only temporary); valid while every entry has magnitude below 2**53."""
+    r = a.astype(np.int64)
+    r %= p
+    a[...] = r
 
 
 def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[int], np.ndarray]:
@@ -186,7 +174,7 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
         invs: list[int] = []
         p0 = r
         for c in range(c0, c1):
-            A[r:, c] = _fmod(A[r:, c], p)
+            _reduce(A[r:, c], p)
             nz = np.nonzero(A[r:, c])[0]
             if nz.size == 0:
                 continue
@@ -196,7 +184,10 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
                 for lcol in lcols:
                     lcol[[r, pr]] = lcol[[pr, r]]
             inv = pow(int(A[r, c]), p - 2, p)
-            A[r, c:c1] = _fmod(_fmod(A[r, c:c1], p) * inv, p)
+            row = A[r, c:c1]
+            _reduce(row, p)
+            row *= inv
+            _reduce(row, p)
             mult = np.zeros(nrows)
             mult[r + 1:] = A[r + 1:, c]
             if mult.any():
@@ -207,7 +198,7 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
             r += 1
             if r == nrows:
                 break
-        A[:, c0:c1] = _fmod(A[:, c0:c1], p)
+        _reduce(A[:, c0:c1], p)
         if lcols and c1 < ncols:
             # Replay the panel's eliminations on the trailing columns: first
             # bring the pivot rows to final form in order, then clear every
@@ -218,11 +209,13 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
             for j in range(k):
                 rj = p0 + j
                 if j:
-                    T[rj] = _fmod(T[rj] - L[rj, :j] @ T[p0:rj], p)
-                T[rj] = _fmod(T[rj] * invs[j], p)
+                    T[rj] -= L[rj, :j] @ T[p0:rj]
+                    _reduce(T[rj], p)
+                T[rj] *= invs[j]
+                _reduce(T[rj], p)
             L[p0:p0 + k, :] = 0.0
             T -= L @ T[p0:p0 + k]
-            T[...] = _fmod(T, p)
+            _reduce(T, p)
         c0 = c1
     rank = r
     if full and rank:
@@ -230,16 +223,17 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
         while b > 0:
             a = max(0, b - _PANEL)
             for j in range(b - 1, a, -1):
-                A[j, :] = _fmod(A[j, :], p)
-                coef = _fmod(A[a:j, pivots[j]], p)
+                _reduce(A[j], p)
+                coef = A[a:j, pivots[j]]
+                _reduce(coef, p)
                 if coef.any():
                     A[a:j, :] -= np.outer(coef, A[j, :])
-            A[a:b, :] = _fmod(A[a:b, :], p)
+            _reduce(A[a:b], p)
             if a > 0:
                 C = A[:a, pivots[a:b]]
                 if C.any():
                     A[:a, :] -= C @ A[a:b, :]
-                    A[:a, :] = _fmod(A[:a, :], p)
+                    _reduce(A[:a], p)
             b = a
     return rank, pivots, A
 
@@ -248,7 +242,7 @@ def nullspace_small(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.nda
     """Canonical mod-p nullspace; returns (pivots, free columns, basis matrix).
 
     Basis columns are indexed by free columns: unit at the free column and
-    -rref entry at each pivot column, matching frac_nullspace.
+    -rref entry at each pivot column, zero at the other free columns.
     """
     ncols = A.shape[1]
     rank, pivots, rref = blocked_rref(A, p)

@@ -40,11 +40,10 @@ from .characters import (
 )
 from .combinat import (
     all_permutations,
-    class_representative,
+    class_representatives,
     inverse,
     partition_from_subset,
     partitions_of,
-    second_representative,
     subsets_of_interval,
     young_subgroup_order,
 )
@@ -188,11 +187,7 @@ def face_module_character(n: int, i: int) -> ClassFunction:
             orbit = orbit + induced_young(I, n, "trivial")
     group = faces(n)[i]
     for mu in partitions_of(n):
-        reps = [class_representative(mu)]
-        second = second_representative(mu)
-        if second is not None:
-            reps.append(second)
-        for sigma in reps:
+        for sigma in class_representatives(mu):
             count = sum(1 for face in group if face.is_fixed_by(sigma))
             if QRat.of(count) != orbit(mu):
                 raise ArithmeticError(
@@ -366,13 +361,7 @@ def coinvariant_graded_character(n: int) -> ClassFunction:
             f"coinvariant characters support 1 <= n <= {COINVARIANT_BUDGET}, got n = {n}"
         )
     top = n * (n - 1) // 2
-    class_reps: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for mu in partitions_of(n):
-        reps = [class_representative(mu)]
-        second = second_representative(mu)
-        if second is not None:
-            reps.append(second)
-        class_reps[mu] = reps
+    class_reps = {mu: class_representatives(mu) for mu in partitions_of(n)}
     per_class: dict[tuple[int, ...], list[list[int]]] = {
         mu: [[] for _ in reps] for mu, reps in class_reps.items()
     }

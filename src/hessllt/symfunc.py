@@ -25,6 +25,7 @@ from .combinat import (
     z_mu,
 )
 from .errors import BudgetExceededError
+from .linalg import frac_rref
 from .qrat import QPoly, QRat
 
 TABLE_BUDGET = 8
@@ -155,20 +156,14 @@ class _Tables:
 
 
 def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse by Gauss-Jordan elimination."""
+    """Exact inverse: the right half of the reduced row echelon form of [mat | I]."""
     size = len(mat)
-    work = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(size)]
-            for i, row in enumerate(mat)]
-    for col in range(size):
-        pivot = next(r for r in range(col, size) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Fraction(1) / work[col][col]
-        work[col] = [c * inv for c in work[col]]
-        for r in range(size):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [row[size:] for row in work]
+    _, pivots, rref = frac_rref(
+        [row + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(mat)]
+    )
+    if pivots != list(range(size)):
+        raise ArithmeticError("transition matrix is singular")
+    return [row[size:] for row in rref]
 
 
 _TABLE_CACHE: dict[int, _Tables] = {}

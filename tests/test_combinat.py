@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hessllt.combinat import (
     all_permutations,
     class_representative,
+    class_representatives,
     compose,
     composition_from_subset,
     cycle_type,
@@ -98,6 +99,13 @@ class TestPartitionsAndClasses:
                 else:
                     assert w2 != class_representative(mu)
                     assert cycle_type(w2) == mu
+
+    def test_class_representatives(self):
+        for n in range(1, 6):
+            for mu in partitions_of(n):
+                second = second_representative(mu)
+                expected = [class_representative(mu)] + ([second] if second else [])
+                assert class_representatives(mu) == expected
 
     def test_sgn_of_class(self):
         assert sgn_of_class((1, 1, 1)) == 1

@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hessllt.cli
 import hessllt.linalg
 from hessllt import gkm
 from hessllt.characters import frobenius_inverse
-from hessllt.errors import BudgetExceededError
+from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.gkm import (
     EquivariantClass,
     GkmModel,
@@ -23,7 +24,8 @@ from hessllt.gkm import (
     quotient_graded_character,
     xi_transport,
 )
-from hessllt.hessgraph import HessenbergFunction, csf, llt
+from hessllt.hessgraph import HessenbergFunction, csf, hessenberg_all, llt
+from hessllt.linalg import frac_rref
 from hessllt.qrat import QRat
 from hessllt.combinat import all_permutations
 
@@ -122,6 +124,34 @@ class TestDegreePieces:
         monkeypatch.setattr(gkm, "_constraint_matrix", counting)
         assert degree_piece(mx, 1).certificate["route"] == "crt-lift"
         assert calls == [1]
+
+
+class TestSmallPiecesAgainstFraction:
+    """At n <= 3 every degree piece is checked against an exact Fraction
+    elimination of its constraint matrix."""
+
+    def test_every_piece_matches_its_fraction_nullity(self, monkeypatch):
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        routes = set()
+        for n in (1, 2, 3):
+            for h in hessenberg_all(n):
+                for flavor in ("X", "Y"):
+                    model = GkmModel(h, flavor)
+                    for d in range(h.size() + 2):
+                        space = degree_piece(model, d)
+                        routes.add(space.certificate["route"])
+                        C = gkm._constraint_matrix(model, d)
+                        rows = [[Fraction(int(x)) for x in row] for row in C]
+                        rank = frac_rref(rows)[0] if rows else 0
+                        assert space.dim == C.shape[1] - rank, (h, flavor, d)
+                        B = space.matrix.astype(object)
+                        assert not np.any(C.astype(object) @ B), (h, flavor, d)
+                        cols = [[Fraction(int(x)) for x in col] for col in B.T]
+                        assert frac_rref(cols)[0] == space.dim, (h, flavor, d)
+        assert {"crt-lift", "xi-transport"} <= routes
+        edgeless = degree_piece(GkmModel(H("1,2,3"), "X"), 0)
+        assert edgeless.dim == 6
+        assert edgeless.certificate["route"] == "crt-lift"
 
 
 class TestEquivariantClasses:
@@ -301,6 +331,18 @@ class TestLocalization:
             for col in space.basis:
                 f = EquivariantClass.from_column(mx, d, col, verify=False)
                 localization_pushforward(mx, f)  # must not raise
+
+    def test_failed_division_fails_the_report(self, monkeypatch):
+        def refuse(a, i, j):
+            raise ValueError("polynomial is not divisible by the linear form")
+
+        monkeypatch.setattr(gkm, "mp_divide_linear", refuse)
+        mx, _ = models("2,2")
+        with pytest.raises(VerificationError):
+            localization_pushforward(mx, EquivariantClass.x_class(mx, 1))
+        checks = {c["name"]: c["passed"] for c in gkm_report(H("2,2"))["checks"]}
+        assert checks["localization-integrality-and-equivariance"] is False
+        assert hessllt.cli.main(["verify", "--scope", "gkm", "--h", "2,2"]) == 1
 
     def test_equivariance(self):
         mx, _ = models("2,3,3")

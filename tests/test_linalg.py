@@ -14,7 +14,6 @@ from hessllt.linalg import (
     blocked_rref,
     certified_integer_nullspace,
     crt_pair,
-    frac_nullspace,
     frac_rref,
     integerize,
     lift_vector,
@@ -46,12 +45,6 @@ class TestFractionRoutines:
         assert pivots == [0, 1]
         assert rref[0] == [Fraction(1), Fraction(0)]
         assert rref[1] == [Fraction(0), Fraction(1)]
-
-    def test_frac_nullspace(self):
-        basis = frac_nullspace(F([[1, 1, 1]]), 3)
-        assert len(basis) == 2
-        for v in basis:
-            assert sum(v) == 0
 
 
 class TestBlockedEngine:
