@@ -15,17 +15,21 @@ from fractions import Fraction
 
 from .combinat import (
     Partition,
+    all_permutations,
     class_representative,
-    composition_from_subset,
+    class_representatives,
+    compose,
+    cycle_type,
+    inverse,
     partitions_of,
     partition_from_subset,
     sgn_of_class,
     young_subgroup_contains,
+    young_subgroup_order,
     z_mu,
-    all_permutations,
-    cycle_type,
 )
-from .qrat import QRat
+from .errors import VerificationError
+from .qrat import QPoly, QRat
 from .symfunc import SymFunc
 
 
@@ -105,6 +109,23 @@ class ClassFunction:
         }
 
 
+def graded_class_function(n: int, series) -> ClassFunction:
+    """The class function whose value on cycle type mu is the q-polynomial
+    with coefficient list series(sigma), evaluated on every representative
+    sigma of class_representatives(mu); representatives that disagree raise
+    VerificationError."""
+    values: dict[Partition, QRat] = {}
+    for mu in partitions_of(n):
+        first, *others = [series(sigma) for sigma in class_representatives(mu)]
+        for other in others:
+            if other != first:
+                raise VerificationError(
+                    f"class representatives of cycle type {mu} disagree: {first} vs {other}"
+                )
+        values[mu] = QRat(QPoly(first))
+    return ClassFunction(n, values)
+
+
 def frobenius_char(chi: ClassFunction) -> SymFunc:
     """ch(chi) = sum_mu chi(mu) p_mu / z_mu."""
     out = {mu: v * Fraction(1, z_mu(mu)) for mu, v in chi.values.items()}
@@ -147,12 +168,8 @@ def induced_young(I: tuple[int, ...], n: int, rep: str = "trivial") -> ClassFunc
 def induced_young_bruteforce(I: tuple[int, ...], n: int, rep: str = "trivial") -> ClassFunction:
     """Independent oracle: element-wise induced character by coset sums,
     chi^(G)(g) = (1/|S_I|) #{x in S_n : x^-1 g x in S_I} (times sign for rep='sign')."""
-    order = 1
-    for b in composition_from_subset(I, n):
-        order *= math.factorial(b)
+    order = young_subgroup_order(I, n)
     group = all_permutations(n)
-    from .combinat import compose, inverse
-
     values: dict[Partition, QRat] = {}
     for mu in partitions_of(n):
         g = class_representative(mu)
@@ -175,26 +192,6 @@ def polynomial_algebra_series(n: int) -> ClassFunction:
         acc = QRat.one()
         for k in mu:
             acc = acc / (QRat.one() - QRat.q() ** k)
-        values[mu] = acc
-    return ClassFunction(n, values)
-
-
-def sym_ext_defining_series(n: int, kind: str) -> ClassFunction:
-    """Graded traces on the symmetric or (sign-alternating) exterior algebra
-    of the defining representation.
-
-    kind='symmetric' gives prod 1/(1 - q^k); kind='exterior_signed' gives the
-    plethystic inverse prod (1 - q^k), i.e. R(Lambda V; -q).
-    """
-    if kind == "symmetric":
-        return polynomial_algebra_series(n)
-    if kind != "exterior_signed":
-        raise ValueError(f"kind must be 'symmetric' or 'exterior_signed', got {kind!r}")
-    values = {}
-    for mu in partitions_of(n):
-        acc = QRat.one()
-        for k in mu:
-            acc = acc * (QRat.one() - QRat.q() ** k)
         values[mu] = acc
     return ClassFunction(n, values)
 

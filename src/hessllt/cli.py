@@ -23,9 +23,8 @@ from .hessgraph import (
     verify_identities,
 )
 from .permco import complete_graph_agreement, permco_report
-from .symfunc import SymFunc
+from .symfunc import BASES, SymFunc
 
-BASES = ("m", "e", "h", "p", "s")
 SCOPES = ("identities", "gkm", "permutohedron", "complete-graph", "all")
 
 

@@ -18,9 +18,11 @@ Exactness strategy: every degree piece, at every n, is pinned by two
 one-sided certificates: a mod-p nullity bound from above, and exhibited
 exact solution columns that are independent mod p from below (products with
 the previous degree, or a CRT-lifted nullspace in flavor X; the xi-transport
-of the flavor-X basis in flavor Y).  Traces are extracted with
-SubspaceTracer.  Every basis column is verified against every edge
-congruence in exact integer arithmetic before use.
+of the flavor-X basis in flavor Y).  Every basis column is verified against
+every edge congruence in exact integer arithmetic before use.  Each piece
+keeps one SubspaceTracer, which picks its prime once and never retries, and
+characters.graded_class_function assembles the traces into quotient
+characters, checking that class representatives agree.
 """
 
 from __future__ import annotations
@@ -32,14 +34,12 @@ from math import comb, factorial
 
 import numpy as np
 
-from .characters import ClassFunction, frobenius_char, palindromicity_check
+from .characters import ClassFunction, frobenius_char, graded_class_function, palindromicity_check
 from .combinat import (
     all_permutations,
-    class_representatives,
     compose,
     cycle_type,
     inverse,
-    partitions_of,
     transposition,
 )
 from .errors import BudgetExceededError, VerificationError
@@ -68,7 +68,7 @@ from .multipoly import (
     mp_var,
     mp_zero,
 )
-from .qrat import QPoly, QRat
+from .qrat import QRat
 
 GKM_N_BUDGET = 4
 GKM_DEGREE_SLACK = 3  # degree pieces available up to |h| + slack
@@ -232,7 +232,7 @@ class GkmSpace:
         self.matrix = matrix
         self.dim = matrix.shape[1]
         self.certificate = certificate
-        self._tracers: dict[int, SubspaceTracer] = {}
+        self._tracer: SubspaceTracer | None = None
         self._lock = threading.Lock()
 
     @property
@@ -240,23 +240,14 @@ class GkmSpace:
         """Basis columns as exact integer vectors."""
         return [list(map(int, self.matrix[:, j])) for j in range(self.dim)]
 
-    def _tracer(self, p: int) -> SubspaceTracer:
-        with self._lock:
-            if p not in self._tracers:
-                self._tracers[p] = SubspaceTracer(self.matrix.T, p)
-            return self._tracers[p]
-
     def trace(self, sigma: tuple[int, ...], action: str) -> int:
         """Exact trace of the action of sigma on this piece."""
         _check_action(self.model, action)
         src = _ambient_src(self.model, self.degree, sigma, action)
-        err: Exception | None = None
-        for p in SMALL_PRIMES[:4]:
-            try:
-                return self._tracer(p).trace(src)
-            except ArithmeticError as exc:  # unlucky prime; certify with the next
-                err = exc
-        raise ArithmeticError(f"trace failed at every prime: {err}")
+        with self._lock:
+            if self._tracer is None:
+                self._tracer = SubspaceTracer(self.matrix.T)
+        return self._tracer.trace(src)
 
     def __repr__(self) -> str:
         return (
@@ -628,32 +619,20 @@ def quotient_graded_character(
     _check_degree_budget(model, max_d)
     spaces = [degree_piece(model, d) for d in range(max_d + 1)]
     permuted = generators == "t_vars" and action == "dot"
-    values: dict[tuple[int, ...], QRat] = {}
-    for mu in partitions_of(n):
-        per_rep: list[list[int]] = []
-        for sigma in class_representatives(mu):
-            ext = _exterior_generator_traces(sigma, permuted)
-            space_tr = [spaces[d].trace(sigma, action) for d in range(max_d + 1)]
-            qtr = [
-                sum(
-                    (-1) ** k * ext[k] * space_tr[d - k]
-                    for k in range(min(n, d) + 1)
-                )
-                for d in range(max_d + 1)
-            ]
-            per_rep.append(qtr)
-        if len(per_rep) == 2 and per_rep[0] != per_rep[1]:
-            raise ArithmeticError(
-                f"class representatives of cycle type {mu} disagree: "
-                f"{per_rep[0]} vs {per_rep[1]} (action convention bug)"
-            )
+
+    def series(sigma: tuple[int, ...]) -> list[int]:
+        ext = _exterior_generator_traces(sigma, permuted)
+        space_tr = [space.trace(sigma, action) for space in spaces]
+        qtr = [
+            sum((-1) ** k * ext[k] * space_tr[d - k] for k in range(min(n, d) + 1))
+            for d in range(max_d + 1)
+        ]
         for d in range(size + 1, max_d + 1):
-            if per_rep[0][d] != 0:
-                raise ArithmeticError(
-                    f"quotient does not vanish at degree {d} > |h| = {size}"
-                )
-        values[mu] = QRat(QPoly(per_rep[0]))
-    return ClassFunction(n, values)
+            if qtr[d]:
+                raise VerificationError(f"quotient does not vanish at degree {d} > |h| = {size}")
+        return qtr
+
+    return graded_class_function(n, series)
 
 
 def quotient_character_bruteforce(
@@ -674,45 +653,36 @@ def quotient_character_bruteforce(
     _check_degree_budget(model, max_d)
     spaces = [degree_piece(model, d) for d in range(max_d + 1)]
 
-    def echelon_basis(columns: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    def echelon_basis(columns: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
         if not columns:
             return [], []
-        rank, pivots, rref = frac_rref(columns)
-        return [row for row in rref[:rank]], pivots
+        rank, pivots, rref = frac_rref([[Fraction(x) for x in col] for col in columns])
+        return rref[:rank], pivots
 
-    def subspace_trace(basis_rows, pivots, src) -> Fraction:
+    # echelon bases of each piece and of its ideal subspace, per degree
+    bases = [
+        (
+            echelon_basis(spaces[d].basis),
+            echelon_basis(ideal_piece(spaces[d], spaces[d - 1], generators) if d else []),
+        )
+        for d in range(max_d + 1)
+    ]
+
+    def subspace_trace(echelon, src) -> Fraction:
         # Echelon rows have a unit at their pivot coordinate and zeros at
         # the other pivots, so the trace is the sum of pivot coordinates of
         # the transported rows.
-        total = Fraction(0)
-        for row, pc in zip(basis_rows, pivots):
-            total += row[src[pc]]
-        return total
+        rows, pivots = echelon
+        return sum((row[src[pc]] for row, pc in zip(rows, pivots)), Fraction(0))
 
-    values: dict[tuple[int, ...], QRat] = {}
-    for mu in partitions_of(n):
-        per_rep: list[list[Fraction]] = []
-        for sigma in class_representatives(mu):
-            coeffs: list[Fraction] = []
-            for d in range(max_d + 1):
-                src = _ambient_src(model, d, sigma, action)
-                rows_d = [
-                    [Fraction(int(x)) for x in spaces[d].matrix[:, j]]
-                    for j in range(spaces[d].dim)
-                ]
-                basis_d, piv_d = echelon_basis(rows_d)
-                tr_space = subspace_trace(basis_d, piv_d, src)
-                prev = spaces[d - 1] if d >= 1 else None
-                ideal_cols = ideal_piece(spaces[d], prev, generators) if d >= 1 else []
-                rows_i = [[Fraction(x) for x in col] for col in ideal_cols]
-                basis_i, piv_i = echelon_basis(rows_i)
-                tr_ideal = subspace_trace(basis_i, piv_i, src)
-                coeffs.append(tr_space - tr_ideal)
-            per_rep.append(coeffs)
-        if len(per_rep) == 2 and per_rep[0] != per_rep[1]:
-            raise ArithmeticError(f"class representatives of cycle type {mu} disagree")
-        values[mu] = QRat(QPoly(per_rep[0]))
-    return ClassFunction(n, values)
+    def series(sigma: tuple[int, ...]) -> list[Fraction]:
+        coeffs: list[Fraction] = []
+        for d, (piece, ideal) in enumerate(bases):
+            src = _ambient_src(model, d, sigma, action)
+            coeffs.append(subspace_trace(piece, src) - subspace_trace(ideal, src))
+        return coeffs
+
+    return graded_class_function(n, series)
 
 
 # ------------------------------------------------------------ xi transport

@@ -192,17 +192,20 @@ def _assert_symmetric(weights: dict[tuple[int, ...], dict[int, int]], n: int) ->
                 raise VerificationError(f"coloring sum is not symmetric at shape {shape}")
 
 
+def _tally_poly(by_asc: dict[int, int]) -> QPoly:
+    """The q-polynomial sum of count * q^asc over an {asc: count} tally."""
+    coeffs = [0] * (max(by_asc, default=-1) + 1)
+    for a, m in by_asc.items():
+        coeffs[a] = m
+    return QPoly(coeffs)
+
+
 def _weights_to_symfunc(weights, n: int) -> SymFunc:
     table: dict[Partition, QPoly] = {}
     for exp, by_asc in weights.items():
         if list(exp) != sorted(exp, reverse=True):
             continue
-        lam = tuple(x for x in exp if x > 0)
-        size = max(by_asc) + 1 if by_asc else 0
-        coeffs = [0] * size
-        for a, m in by_asc.items():
-            coeffs[a] = m
-        table[lam] = QPoly(coeffs)
+        table[tuple(x for x in exp if x > 0)] = _tally_poly(by_asc)
     return SymFunc.from_q_table("m", n, table)
 
 
@@ -240,20 +243,12 @@ def coloring_expansion_bruteforce(h: HessenbergFunction, proper_only: bool) -> S
         a = asc_coloring(kappa, graph)
         table.setdefault(lam, {})
         table[lam][a] = table[lam].get(a, 0) + 1
-    multiplicity = {}
-    for lam in table:
-        # each monomial orbit member was counted; divide by the orbit size
-        exp = lam + (0,) * (n - len(lam))
-        orbit = len(set(itertools.permutations(exp)))
-        multiplicity[lam] = orbit
     qtable = {}
     for lam, by_asc in table.items():
-        size = max(by_asc) + 1
-        coeffs = [0] * size
-        for a, m in by_asc.items():
-            assert m % multiplicity[lam] == 0
-            coeffs[a] = m // multiplicity[lam]
-        qtable[lam] = QPoly(coeffs)
+        # each monomial orbit member was counted; divide by the orbit size
+        orbit = len(set(itertools.permutations(lam + (0,) * (n - len(lam)))))
+        assert all(m % orbit == 0 for m in by_asc.values())
+        qtable[lam] = _tally_poly({a: m // orbit for a, m in by_asc.items()})
     return SymFunc.from_q_table("m", n, qtable)
 
 
@@ -319,12 +314,7 @@ def orientation_e_expansion(h: HessenbergFunction) -> SymFunc:
         a = theta.asc()
         table.setdefault(lam, {})
         table[lam][a] = table[lam].get(a, 0) + 1
-    qtable = {}
-    for lam, by_asc in table.items():
-        coeffs = [0] * (max(by_asc) + 1)
-        for a, m in by_asc.items():
-            coeffs[a] = m
-        qtable[lam] = QPoly(coeffs)
+    qtable = {lam: _tally_poly(by_asc) for lam, by_asc in table.items()}
     return SymFunc.from_q_table("e", h.n, qtable)
 
 

@@ -23,7 +23,10 @@ P of B gives the action matrix P sigma(B); choosing P from a k x k row
 submatrix invertible mod p makes the matrix p-integral, and the trace is an
 ordinary integer of absolute value at most dim (eigenvalues of a
 finite-order operator are roots of unity), so its symmetric residue mod the
-prime is exact.
+prime is exact.  The tracer picks that prime once, at construction (the
+first of SMALL_PRIMES[:4] at which the basis is independent), and a trace
+never retries: a residue beyond the bound can only mean the span is not
+invariant.
 
 The heaviest eliminations use SMALL_PRIMES just under 2**22 through
 blocked_rref, which batches eliminations into float64 matrix products; with
@@ -328,30 +331,39 @@ class SubspaceTracer:
     """Exact traces of coordinate-permutation actions on an invariant span.
 
     columns: exact integer basis of the subspace (each a list of ints over
-    the ambient coordinates).  The constructor certifies independence mod p
-    (hence over Q) and prepares a p-integral left inverse from an invertible
-    row submatrix.  trace(src) returns the exact integer trace of the action
-    f -> f o src on the span, valid whenever the span is invariant under
-    that action; src is the ambient index array with (sigma f)[c] = f[src[c]].
+    the ambient coordinates).  The constructor takes the first prime p of
+    SMALL_PRIMES[:4] at which the columns are independent mod p (hence over
+    Q), and prepares a p-integral left inverse from a row submatrix
+    invertible mod p; it raises if no such prime exists.  trace(src)
+    returns the exact integer trace of the action f -> f o src on the span,
+    valid whenever the span is invariant under that action; src is the
+    ambient index array with (sigma f)[c] = f[src[c]].
+
+    Once the pivot block is invertible mod p, the symmetric residue is the
+    exact trace of any invariant span, at any such p.  A residue beyond the
+    dimension bound therefore means the span is not invariant, and trace
+    raises rather than retrying: another prime could only hide that.
     """
 
-    def __init__(self, columns, p: int = SMALL_PRIMES[0]):
-        if len(columns) == 0:
-            self.k = 0
-            self.p = p
-            return
+    def __init__(self, columns):
         self.k = len(columns)
-        self.p = p
+        if self.k == 0:
+            return
         if isinstance(columns, np.ndarray) and columns.dtype != object:
             B = columns.T
         else:
             B = np.array(columns, dtype=object).T
-        self.Bp = np.ascontiguousarray((B % p).astype(np.float64))
-        rank, pivots, _ = blocked_rref(self.Bp.T, p, full=False)
-        if rank < self.k:
-            raise ArithmeticError("basis columns are not independent mod p")
+        for p in SMALL_PRIMES[:4]:
+            Bp = np.ascontiguousarray((B % p).astype(np.float64))
+            rank, pivots, _ = blocked_rref(Bp.T, p, full=False)
+            if rank == self.k:
+                break
+        else:
+            raise ArithmeticError("basis columns are not independent mod any tracer prime")
+        self.p = p
+        self.Bp = Bp
         self.rows = np.array(pivots, dtype=np.intp)
-        self.Sinv = inverse_small(self.Bp[self.rows, :], p).astype(np.float64)
+        self.Sinv = inverse_small(Bp[self.rows, :], p).astype(np.float64)
 
     def trace(self, src: np.ndarray) -> int:
         if self.k == 0:
@@ -361,5 +373,5 @@ class SubspaceTracer:
         if t > self.p // 2:
             t -= self.p
         if abs(t) > self.k:
-            raise ArithmeticError("trace bound violated; retry with another prime")
+            raise ArithmeticError("trace bound violated: the span is not invariant")
         return t

@@ -13,7 +13,10 @@ The coinvariant algebra is the quotient of the polynomial ring in
 t_1..t_n by the elementary symmetric polynomials.  Its graded character
 is computed by exact trace differences: the trace on the degree-d
 quotient equals the trace on the orthogonal complement of the ideal's
-degree-d piece, whose basis is a certified integer nullspace.  Closed
+degree-d piece, whose basis is a certified integer nullspace (the
+identity in degree 0, where the ideal is empty).  One SubspaceTracer per
+degree traces every class representative, and
+characters.graded_class_function assembles the class function.  Closed
 forms (alternating sums of induced characters), the q = 1 regular
 degeneration, palindromicity, Gaussian-binomial sums, and an
 orientation-counting agreement on complete graphs tie the same objects
@@ -32,6 +35,7 @@ from .characters import (
     ClassFunction,
     frobenius_char,
     frobenius_inverse,
+    graded_class_function,
     graded_dimension,
     induced_young,
     palindromicity_check,
@@ -40,7 +44,6 @@ from .characters import (
 )
 from .combinat import (
     all_permutations,
-    class_representatives,
     inverse,
     partition_from_subset,
     partitions_of,
@@ -173,8 +176,8 @@ def face_module_character(n: int, i: int) -> ClassFunction:
 
     Computed by the orbit formula — one induced trivial character per subset
     I of [n-1] with n - 1 - i elements — and cross-checked against literal
-    fixed-face counting on every class (two representatives where the class
-    has them); a mismatch raises."""
+    fixed-face counting, assembled by graded_class_function (two
+    representatives where the class has them); a mismatch raises."""
     if not 1 <= n <= FACE_MODULE_BUDGET:
         raise BudgetExceededError(
             f"face modules support 1 <= n <= {FACE_MODULE_BUDGET}, got n = {n}"
@@ -186,14 +189,12 @@ def face_module_character(n: int, i: int) -> ClassFunction:
         if len(I) == n - 1 - i:
             orbit = orbit + induced_young(I, n, "trivial")
     group = faces(n)[i]
-    for mu in partitions_of(n):
-        for sigma in class_representatives(mu):
-            count = sum(1 for face in group if face.is_fixed_by(sigma))
-            if QRat.of(count) != orbit(mu):
-                raise ArithmeticError(
-                    f"fixed-face count {count} disagrees with the orbit formula "
-                    f"{orbit(mu)} on class {mu} (dimension {i})"
-                )
+    fixed = graded_class_function(n, lambda sigma: [sum(f.is_fixed_by(sigma) for f in group)])
+    if fixed != orbit:
+        raise ArithmeticError(
+            f"fixed-face counts disagree with the orbit formula in dimension {i}: "
+            f"{_first_discrepancy(fixed, orbit)}"
+        )
     return orbit
 
 
@@ -332,19 +333,6 @@ def _ideal_span_columns(n: int, d: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _complement_traces(V: np.ndarray, srcs: list[np.ndarray]) -> list[int]:
-    """Exact traces of coordinate permutations on the span of V's columns,
-    with prime retry."""
-    err: Exception | None = None
-    for p in SMALL_PRIMES[:4]:
-        try:
-            tracer = SubspaceTracer(V.T, p)
-            return [tracer.trace(src) for src in srcs]
-        except ArithmeticError as exc:
-            err = exc
-    raise ArithmeticError(f"subspace traces failed at every prime: {err}")
-
-
 def coinvariant_graded_character(n: int) -> ClassFunction:
     """Graded character of the coinvariant algebra, by exact trace
     differences.
@@ -353,47 +341,28 @@ def coinvariant_graded_character(n: int) -> ClassFunction:
     ideal piece inside the degree-d polynomials (the complement is invariant
     because permutations act by orthogonal coordinate permutations on the
     monomial basis); the complement is a certified integer nullspace of the
-    transposed span matrix.  Each class is evaluated at two representatives
-    where available, and the piece one degree above the top is certified to
-    vanish."""
+    transposed span matrix, traced by one SubspaceTracer per degree.  Each
+    class is evaluated at two representatives where available, and the piece
+    one degree above the top is certified to vanish."""
     if not 1 <= n <= COINVARIANT_BUDGET:
         raise BudgetExceededError(
             f"coinvariant characters support 1 <= n <= {COINVARIANT_BUDGET}, got n = {n}"
         )
     top = n * (n - 1) // 2
-    class_reps = {mu: class_representatives(mu) for mu in partitions_of(n)}
-    per_class: dict[tuple[int, ...], list[list[int]]] = {
-        mu: [[] for _ in reps] for mu, reps in class_reps.items()
-    }
-    for d in range(top + 1):
-        A = _ideal_span_columns(n, d)
-        M = A.shape[0]
-        srcs = {
-            mu: [perm_monomial_map(inverse(sigma), d) for sigma in reps]
-            for mu, reps in class_reps.items()
-        }
-        if A.shape[1] == 0:
-            for mu, reps in class_reps.items():
-                for r, src in enumerate(srcs[mu]):
-                    per_class[mu][r].append(int((src == np.arange(M)).sum()))
-            continue
-        V = certified_integer_nullspace(A.T)
-        for mu in class_reps:
-            traces = _complement_traces(V, srcs[mu])
-            for r, t in enumerate(traces):
-                per_class[mu][r].append(t)
+    tracers = [
+        SubspaceTracer(certified_integer_nullspace(_ideal_span_columns(n, d).T).T)
+        for d in range(top + 1)
+    ]
     above = _ideal_span_columns(n, top + 1)
     rank, _, _ = blocked_rref(above.T, SMALL_PRIMES[0], full=False)
     if rank != above.shape[0]:
         raise ArithmeticError("the coinvariant quotient does not vanish above the top degree")
-    values: dict[tuple[int, ...], QRat] = {}
-    for mu, rows in per_class.items():
-        if len(rows) == 2 and rows[0] != rows[1]:
-            raise ArithmeticError(
-                f"class representatives of cycle type {mu} disagree: {rows[0]} vs {rows[1]}"
-            )
-        values[mu] = QRat(QPoly(rows[0]))
-    return ClassFunction(n, values)
+
+    def series(sigma: tuple[int, ...]) -> list[int]:
+        tau = inverse(sigma)
+        return [tracer.trace(perm_monomial_map(tau, d)) for d, tracer in enumerate(tracers)]
+
+    return graded_class_function(n, series)
 
 
 def q_factorial(n: int) -> QPoly:

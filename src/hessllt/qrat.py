@@ -16,6 +16,7 @@ power of q.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -349,16 +350,9 @@ class QRat:
         """
         if self.is_zero():
             return "(0)/(1)"
-        dens = [c.denominator for c in self.num.coeffs + self.den.coeffs]
-        lcm = 1
-        for d in dens:
-            g = _gcd(lcm, d)
-            lcm = lcm // g * d
-        nums = [c * lcm for c in self.num.coeffs + self.den.coeffs]
-        g = 0
-        for c in nums:
-            g = _gcd(g, abs(c.numerator))
-        scale = Fraction(lcm, g if g else 1)
+        coeffs = self.num.coeffs + self.den.coeffs
+        lcm = math.lcm(*(c.denominator for c in coeffs))
+        scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in coeffs)))
         num = self.num.scale(scale)
         den = self.den.scale(scale)
         if den.leading() < 0:
@@ -370,9 +364,3 @@ class QRat:
 
     def __repr__(self) -> str:
         return f"QRat{self.to_string()}"
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -1,10 +1,12 @@
-"""The functions the traced benchmark run wraps must exist under their names."""
+"""The functions the traced benchmark run wraps must exist under their names,
+and a benchmark workload run in-process must reproduce its stored digest."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
-import hessllt.cli  # noqa: F401  (loads every module the targets name)
+import hessllt.cli  # loads every module the targets name
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -19,3 +21,13 @@ def test_every_trace_target_is_defined_by_its_owner(monkeypatch):
         if cls:
             owner = owner.__dict__[cls]
         assert t.attr in owner.__dict__, f"{t.span}: {t.owner} has no {t.attr}"
+
+
+def test_gkm_workload_report_matches_its_digest(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    code = hessllt.cli.main(list(run.WORKLOADS["gkm-n4"].argv))
+    stdout = capsys.readouterr().out.encode()
+    expected = json.loads((PERFBENCH / "digests.json").read_text())["gkm-n4"]
+    assert code == expected["exit_code"]
+    assert run.report_digest(stdout, code) == expected["sha256"]

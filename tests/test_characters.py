@@ -4,6 +4,7 @@ import pytest
 
 from hessllt.characters import (
     frobenius_char,
+    graded_class_function,
     frobenius_inverse,
     graded_dimension,
     induced_young,
@@ -12,10 +13,10 @@ from hessllt.characters import (
     polynomial_algebra_series,
     regular_character,
     sign_character,
-    sym_ext_defining_series,
     trivial_character,
 )
 from hessllt.combinat import subsets_of_interval
+from hessllt.errors import VerificationError
 from hessllt.qrat import QRat
 from hessllt.symfunc import (
     complete_homogeneous,
@@ -96,16 +97,17 @@ class TestGradedSeries:
         assert R((1, 1)) == QRat.one() / ((QRat.one() - QRat.q()) ** 2)
         assert R((2,)) == QRat.one() / (QRat.one() - QRat.q() ** 2)
 
-    def test_sym_ext_series_are_reciprocal(self):
-        for n in (2, 3, 4):
-            sym = sym_ext_defining_series(n, "symmetric")
-            ext = sym_ext_defining_series(n, "exterior_signed")
-            prod = sym * ext
-            assert prod == trivial_character(n)
+    def test_graded_class_function_values(self):
+        # 1 + (fixed points) q: the trivial plus the defining character
+        chi = graded_class_function(3, lambda sigma: [1, sum(sigma[i] == i + 1 for i in range(3))])
+        assert chi((1, 1, 1)) == QRat.one() + QRat.q() * 3
+        assert chi((2, 1)) == QRat.one() + QRat.q()
+        assert chi((3,)) == QRat.one()
 
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValueError):
-            sym_ext_defining_series(3, "tensor")
+    def test_graded_class_function_rejects_disagreeing_representatives(self):
+        # the first letter's image is not a class function
+        with pytest.raises(VerificationError, match="disagree"):
+            graded_class_function(3, lambda sigma: [sigma[0]])
 
     def test_graded_dimension(self):
         assert graded_dimension(regular_character(3)) == QRat.of(6)

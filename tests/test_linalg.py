@@ -162,3 +162,16 @@ class TestSubspaceTracer:
 
     def test_empty_basis(self):
         assert SubspaceTracer([]).trace(np.array([0, 1])) == 0
+
+    def test_picks_the_first_prime_with_independent_columns(self):
+        # the columns are dependent mod SMALL_PRIMES[0] only
+        tracer = SubspaceTracer([[1, 0], [0, SMALL_PRIMES[0]]])
+        assert tracer.p == SMALL_PRIMES[1]
+        assert tracer.trace(np.array([0, 1])) == 2
+        assert tracer.trace(np.array([1, 0])) == 0
+
+    def test_non_invariant_span_raises(self):
+        # the span of (1, 2) is not invariant under the swap; the would-be
+        # trace reads 2, beyond the dimension bound 1
+        with pytest.raises(ArithmeticError, match="not invariant"):
+            SubspaceTracer([[1, 2]]).trace(np.array([1, 0]))

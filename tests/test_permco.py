@@ -1,12 +1,21 @@
 """Permutohedron face modules, coinvariant algebras, and closed forms."""
 
+import json
+
 import pytest
 
+import hessllt.characters
+import hessllt.cli
+from hessllt import permco
 from hessllt.characters import (
+    ClassFunction,
     regular_character,
     trivial_character,
 )
-from hessllt.errors import BudgetExceededError
+from hessllt.combinat import identity_perm
+from hessllt.errors import BudgetExceededError, VerificationError
+from hessllt.gkm import GkmModel, quotient_graded_character
+from hessllt.hessgraph import HessenbergFunction
 from hessllt.permco import (
     PermutohedronFace,
     coinvariant_closed_form_check,
@@ -230,3 +239,69 @@ class TestReport:
         names = [c["name"] for c in rep["checks"]]
         assert "coinvariant-moment-graph-cross-check" not in names
         assert "complete-graph-agreement" not in names
+
+
+def verify_permutohedron(capsys, n):
+    """Exit code and {check name: passed} of `verify --scope permutohedron`."""
+    code = hessllt.cli.main(["verify", "--scope", "permutohedron", "--n", str(n)])
+    out, err = capsys.readouterr()
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]} if out else {}
+    return code, checks, err
+
+
+class TestRepresentativeAgreement:
+    def test_disagreeing_representatives_fail(self, monkeypatch, capsys):
+        # the identity as second representative of every two-element class
+        real = hessllt.characters.class_representatives
+
+        def patched(mu):
+            reps = real(mu)
+            return reps[:1] + [identity_perm(sum(mu))] if len(reps) == 2 else reps
+
+        monkeypatch.setattr(hessllt.characters, "class_representatives", patched)
+        with pytest.raises(VerificationError, match="disagree"):
+            coinvariant_graded_character(3)
+        model = GkmModel(HessenbergFunction((2, 2, 3)), "X")
+        with pytest.raises(VerificationError, match="disagree"):
+            quotient_graded_character(model, "dot", "t_vars")
+        code, _, err = verify_permutohedron(capsys, 3)
+        assert code == 1
+        assert "computation failed" in err
+
+
+class TestFaultInjection:
+    """Corrupting one route of a dual-route check fails the report."""
+
+    def test_perturbed_coinvariant_character(self, monkeypatch, capsys):
+        real = permco.coinvariant_graded_character
+
+        def perturbed(n):
+            values = dict(real(n).values)
+            values[(n,)] = values[(n,)] + QRat.q()
+            return ClassFunction(n, values)
+
+        monkeypatch.setattr(permco, "coinvariant_graded_character", perturbed)
+        code, checks, _ = verify_permutohedron(capsys, 4)
+        assert code == 1
+        assert checks["n=4: coinvariant-closed-forms"] is False
+
+    def test_missing_face_breaks_the_orbit_count(self, monkeypatch, capsys):
+        real = permco.faces
+
+        def one_vertex_short(n):
+            by_dim = real(n)
+            return (by_dim[0][1:],) + by_dim[1:]
+
+        monkeypatch.setattr(permco, "faces", one_vertex_short)
+        with pytest.raises(ArithmeticError, match="orbit formula"):
+            face_module_character(4, 0)
+        code, _, err = verify_permutohedron(capsys, 4)
+        assert code == 1
+        assert "computation failed" in err
+
+    def test_llt_of_the_wrong_h(self, monkeypatch, capsys):
+        real = permco.llt
+        monkeypatch.setattr(permco, "llt", lambda h: real(HessenbergFunction((h.n,) * h.n)))
+        code, checks, _ = verify_permutohedron(capsys, 4)
+        assert code == 1
+        assert checks["n=4: face-module-twin-law"] is False
