@@ -20,7 +20,9 @@ exact solution columns that are independent mod p from below (products with
 the previous degree, or a CRT-lifted nullspace in flavor X; the xi-transport
 of the flavor-X basis in flavor Y).  Every basis column is verified against
 every edge congruence in exact integer arithmetic before use.  Each piece
-keeps one SubspaceTracer, which picks its prime once and never retries, and
+keeps one SubspaceTracer: the reduced echelon form of its basis mod the
+first prime at which the basis is independent, from which every trace is a
+sum at the permuted pivots, exact without retrying.
 characters.graded_class_function assembles the traces into quotient
 characters, checking that class representatives agree.
 """
@@ -286,36 +288,21 @@ def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
     return out
 
 
-def _t_product_columns(model: GkmModel, prev: GkmSpace) -> np.ndarray:
-    """Columns t_i * f for every basis column f of the previous degree."""
+def _product_columns(model: GkmModel, prev: GkmSpace, generators: str) -> np.ndarray:
+    """Columns g_i * f for every generator g_i and every basis column f of the
+    previous degree, block i holding g_i times every previous column.  At
+    vertex w, g_i multiplies the value by t_i for "t_vars" and by t_{w(i)}
+    for "x_classes"."""
     n = model.n
     d = prev.degree + 1
     M = len(monomials(n, d))
-    nverts = len(model.vertices)
     B = prev.matrix
     K = B.shape[1]
-    out = np.zeros((nverts * M, n * K), dtype=B.dtype)
+    out = np.zeros((len(model.vertices) * M, n * K), dtype=B.dtype)
     for i in range(1, n + 1):
-        shift = _mono_shift_map(n, d, i)
-        rows = (np.arange(nverts)[:, None] * M + shift[None, :]).ravel()
+        var = [i if generators == "t_vars" else w[i - 1] for w in model.vertices]
+        rows = np.concatenate([iw * M + _mono_shift_map(n, d, v) for iw, v in enumerate(var)])
         out[rows, (i - 1) * K:i * K] = B
-    return out
-
-
-def _x_product_columns(model: GkmModel, prev: GkmSpace) -> np.ndarray:
-    """Columns x_i * f, where x_i multiplies the value at vertex w by t_{w(i)}."""
-    n = model.n
-    d = prev.degree + 1
-    M = len(monomials(n, d))
-    M1 = len(monomials(n, d - 1))
-    nverts = len(model.vertices)
-    B = prev.matrix
-    K = B.shape[1]
-    out = np.zeros((nverts * M, n * K), dtype=B.dtype)
-    for i in range(1, n + 1):
-        for iw, w in enumerate(model.vertices):
-            shift = _mono_shift_map(n, d, w[i - 1])
-            out[iw * M + shift, (i - 1) * K:i * K] = B[iw * M1:(iw + 1) * M1, :]
     return out
 
 
@@ -323,8 +310,6 @@ def _nullity_bound(C: np.ndarray, p: int) -> int:
     """Mod-p nullity of a constraint matrix: an upper bound for the exact
     dimension, since the mod-p rank of an integer matrix never exceeds its
     rank over Q."""
-    if C.shape[0] == 0:
-        return C.shape[1]
     rank, _, _ = blocked_rref(C, p, full=False)
     return C.shape[1] - rank
 
@@ -357,7 +342,8 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     k_target = _nullity_bound(C, p)
     cand = _staircase_columns(model, d)
     if d:
-        cand = np.concatenate([_t_product_columns(model, degree_piece(model, d - 1)), cand], axis=1)
+        prods = _product_columns(model, degree_piece(model, d - 1), "t_vars")
+        cand = np.concatenate([prods, cand], axis=1)
     rank, pivots, _ = blocked_rref(cand, p, full=False)
     if rank > k_target:
         raise ArithmeticError("independent solutions exceed the congruence nullity")
@@ -561,8 +547,7 @@ def ideal_piece(space_d: GkmSpace, space_dminus1: GkmSpace | None, generators: s
         raise ValueError("pieces belong to different models")
     if generators == "x_classes" and model.flavor != "X":
         raise ValueError("x classes generate an ideal of flavor X only")
-    build = _t_product_columns if generators == "t_vars" else _x_product_columns
-    prod = build(model, space_dminus1)
+    prod = _product_columns(model, space_dminus1, generators)
     return [list(map(int, prod[:, j])) for j in range(prod.shape[1])]
 
 

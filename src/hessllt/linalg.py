@@ -18,13 +18,13 @@ plus rational reconstruction) are always verified exactly before use, so
 wrong lifts cannot corrupt results, only delay them.
 
 Traces of a permutation action restricted to an invariant subspace are
-computed by SubspaceTracer: with an exact integer basis B, any left inverse
-P of B gives the action matrix P sigma(B); choosing P from a k x k row
-submatrix invertible mod p makes the matrix p-integral, and the trace is an
-ordinary integer of absolute value at most dim (eigenvalues of a
-finite-order operator are roots of unity), so its symmetric residue mod the
-prime is exact.  The tracer picks that prime once, at construction (the
-first of SMALL_PRIMES[:4] at which the basis is independent), and a trace
+computed by SubspaceTracer from the reduced row echelon form R mod p of a
+basis B whose pivot rows S are invertible mod p: R = S^-T B^T, so the sum
+of R at the permuted pivots is the trace of the p-integral action matrix
+S^-1 B[src[pivots]] mod p.  That trace is an integer of absolute value at
+most dim (eigenvalues of a finite-order operator are roots of unity), so
+its symmetric residue is exact.  The tracer picks its prime once, the
+first of SMALL_PRIMES[:4] at which the basis is independent, and a trace
 never retries: a residue beyond the bound can only mean the span is not
 invariant.
 
@@ -166,7 +166,9 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
     """
     if (_PANEL + 1) * (p - 1) ** 2 >= 2 ** 53:
         raise ValueError("prime too large for exact float64 panels")
-    A = np.ascontiguousarray(np.asarray(A) % p, dtype=np.float64)
+    if not isinstance(A, np.ndarray):
+        A = np.array(A, dtype=object)  # NumPy may read ints past 2**63 as float64
+    A = np.ascontiguousarray(A % p, dtype=np.float64)
     nrows, ncols = A.shape
     pivots: list[int] = []
     r = 0
@@ -259,16 +261,6 @@ def nullspace_small(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.nda
     return pivots, free, basis
 
 
-def inverse_small(S: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix mod a small prime via the blocked engine."""
-    k = S.shape[0]
-    aug = np.concatenate([np.asarray(S, dtype=np.float64) % p, np.eye(k)], axis=1)
-    rank, pivots, rref = blocked_rref(aug, p)
-    if pivots != list(range(k)):
-        raise ArithmeticError("matrix is singular mod p")
-    return rref[:k, k:].astype(np.int64)
-
-
 def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
     """Exact rational nullspace of an integer matrix, certified on both sides.
 
@@ -330,46 +322,41 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
 class SubspaceTracer:
     """Exact traces of coordinate-permutation actions on an invariant span.
 
-    columns: exact integer basis of the subspace (each a list of ints over
-    the ambient coordinates).  The constructor takes the first prime p of
+    columns: exact integer basis of the subspace, one row of ints over the
+    ambient coordinates per basis vector (nested lists, or an integer or
+    object array).  The constructor takes the first prime p of
     SMALL_PRIMES[:4] at which the columns are independent mod p (hence over
-    Q), and prepares a p-integral left inverse from a row submatrix
-    invertible mod p; it raises if no such prime exists.  trace(src)
-    returns the exact integer trace of the action f -> f o src on the span,
-    valid whenever the span is invariant under that action; src is the
-    ambient index array with (sigma f)[c] = f[src[c]].
+    Q) and keeps their reduced row echelon form R and its pivots; it raises
+    if no such prime exists.  trace(src) returns the exact integer trace of
+    the action f -> f o src on the span, valid whenever the span is
+    invariant; src is the ambient index array with (sigma f)[c] = f[src[c]].
 
-    Once the pivot block is invertible mod p, the symmetric residue is the
-    exact trace of any invariant span, at any such p.  A residue beyond the
-    dimension bound therefore means the span is not invariant, and trace
-    raises rather than retrying: another prime could only hide that.
+    Exactness: with B the basis as columns and S = B[pivots] invertible mod
+    p, R = S^-T B^T mod p.  The action matrix over Q is S^-1 B[src[pivots]],
+    which is p-integral, and its trace is sum_j R[j, src[pivots[j]]] mod p.
+    Its absolute value is at most k, so the symmetric residue is exact, and
+    a residue beyond k means the span is not invariant: trace raises rather
+    than retrying, since another prime could only hide that.
     """
 
     def __init__(self, columns):
         self.k = len(columns)
         if self.k == 0:
             return
-        if isinstance(columns, np.ndarray) and columns.dtype != object:
-            B = columns.T
-        else:
-            B = np.array(columns, dtype=object).T
         for p in SMALL_PRIMES[:4]:
-            Bp = np.ascontiguousarray((B % p).astype(np.float64))
-            rank, pivots, _ = blocked_rref(Bp.T, p, full=False)
+            rank, pivots, R = blocked_rref(columns, p)
             if rank == self.k:
                 break
         else:
             raise ArithmeticError("basis columns are not independent mod any tracer prime")
         self.p = p
-        self.Bp = Bp
-        self.rows = np.array(pivots, dtype=np.intp)
-        self.Sinv = inverse_small(Bp[self.rows, :], p).astype(np.float64)
+        self.pivots = np.array(pivots, dtype=np.intp)
+        self.R = R
 
     def trace(self, src: np.ndarray) -> int:
         if self.k == 0:
             return 0
-        C = self.Bp[np.asarray(src)[self.rows], :]
-        t = int(((self.Sinv.T * C) % self.p).sum() % self.p)
+        t = int(self.R[np.arange(self.k), np.asarray(src)[self.pivots]].sum()) % self.p
         if t > self.p // 2:
             t -= self.p
         if abs(t) > self.k:

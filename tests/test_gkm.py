@@ -265,6 +265,23 @@ class TestQuotientCharacters:
                 brute = quotient_character_bruteforce(model, action, gens)
                 assert koszul == brute, (text, action, gens)
 
+    def test_perturbed_exterior_traces_break_koszul_against_bruteforce(self, monkeypatch):
+        # shows that test_koszul_equals_bruteforce can fail: one exterior
+        # trace off by one changes every Koszul character it enters
+        exterior = gkm._exterior_generator_traces
+
+        def off_by_one(sigma, permuted):
+            coeffs = exterior(sigma, permuted)
+            coeffs[1] += 1
+            return coeffs
+
+        mx, my = models("2,3,3")
+        combos = ((mx, "dot", "t_vars"), (mx, "dot", "x_classes"), (my, "dagger", "t_vars"))
+        brute = [quotient_character_bruteforce(*combo) for combo in combos]
+        monkeypatch.setattr(gkm, "_exterior_generator_traces", off_by_one)
+        for combo, expected in zip(combos, brute):
+            assert quotient_graded_character(*combo) != expected, combo[1:]
+
     def test_vanishing_beyond_top_degree(self):
         mx, _ = models("2,3,3")
         size = mx.h.size()

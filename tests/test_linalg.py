@@ -1,5 +1,6 @@
 """Exact rational linear algebra and the certified small-prime engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -68,6 +69,13 @@ class TestBlockedEngine:
         exact_rank, _, _ = frac_rref(F(A.tolist()))
         rank, _, _ = blocked_rref(A % P, P)
         assert rank == exact_rank
+
+    def test_list_entries_past_int64_stay_exact(self):
+        # NumPy reads this list as float64, where 2**63 + 5 rounds to 2**63
+        big = 2**63 + 5
+        rank, pivots, R = blocked_rref([[big, 1]], P)
+        assert (rank, pivots) == (1, [0])
+        assert int(R[0, 1]) == pow(big % P, -1, P)
 
     def test_nullspace_small_canonical(self):
         rng = random.Random(3)
@@ -175,3 +183,49 @@ class TestSubspaceTracer:
         # trace reads 2, beyond the dimension bound 1
         with pytest.raises(ArithmeticError, match="not invariant"):
             SubspaceTracer([[1, 2]]).trace(np.array([1, 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+            )
+        )
+    )
+    def test_traces_match_the_fraction_pivot_sum(self, perm_and_vector):
+        # The orbit of v under the coordinate permutation spans an invariant
+        # subspace, and its first `rank` orbit vectors are a basis of it.
+        perm, v = perm_and_vector
+        src = np.array(perm)
+        orbit = [v]
+        for _ in range(len(v) - 1):
+            orbit.append([orbit[-1][c] for c in src])
+        rank, _, _ = frac_rref(F(orbit))
+        basis = orbit[:rank]
+        tracer = SubspaceTracer(basis)
+        _, pivots, rref = frac_rref(F(basis))
+        power = np.arange(len(v))
+        for _ in range(len(v) + 1):
+            exact = sum((rref[j][power[pc]] for j, pc in enumerate(pivots)), Fraction(0))
+            assert tracer.trace(power) == exact
+            power = power[src]
+
+    def test_huge_entries_trace_like_their_small_equivalent(self):
+        # the sum-zero vectors of Q^4 are invariant under every permutation,
+        # and the huge rows span them too (a triangular change of basis)
+        small = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1]]
+        big = [
+            [2**70 * a + b for a, b in zip(small[0], small[1])],
+            [b + 2**70 * c for b, c in zip(small[1], small[2])],
+            [2**70 * c for c in small[2]],
+        ]
+        tracers = [
+            SubspaceTracer(small),
+            SubspaceTracer(big),
+            SubspaceTracer(np.array(big, dtype=object)),
+        ]
+        for sigma in itertools.permutations(range(4)):
+            src = np.array(sigma)
+            fixed = sum(i == c for i, c in enumerate(sigma))
+            assert [t.trace(src) for t in tracers] == [fixed - 1] * 3
