@@ -11,7 +11,24 @@ form:
 
 Equality and hashing are therefore structural.  Laurent behavior needs no
 separate type: substituting q -> 1/q returns a QRat whose denominator is a
-power of q.
+power of q.  A float is refused with TypeError (0.1 would enter as
+3602879701896397/36028797018963968).  The public constructors QPoly(...) and
+QRat(num, den) convert every coefficient and cancel by a full Euclid gcd.
+The arithmetic skips that work where its inputs guarantee canonical form:
+
+- QPoly results are built from Fractions without re-wrapping them, and
+  QPoly.gcd returns 1 at once when either operand is a nonzero constant.
+- -x, x * c (c an int or Fraction) and x ** k: unit multiples and powers of a
+  coprime pair are coprime; for k < 0 den is only made monic.
+- subs_q_power, subs_q_shift: q -> q^k and q -> q + c are injective ring
+  maps, so u*num + v*den = 1 survives them, and leading coefficients stay.
+- subs_q_inverse: reversal to d = max(deg num, deg den) keeps num, den
+  coprime (a common irreducible f != q reverses to a common factor, and the
+  side of degree d gets a nonzero constant term); den is only made monic.
+- a/b + c/b = (a + c)/b needs one gcd against b and no product of dens.
+- a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
+  g2 = gcd(c, b) (Henrici) cancels every common factor, and b/g2 and d/g1
+  stay monic.  Division multiplies by d/c.
 """
 
 from __future__ import annotations
@@ -32,13 +49,26 @@ def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def _exact(c: Scalar) -> Fraction:
+    if isinstance(c, float):  # numpy.floating subclasses float
+        raise TypeError(f"float {c!r} in exact arithmetic; pass an int or Fraction")
+    return Fraction(c)
+
+
+def _poly(coeffs: list[Fraction]) -> QPoly:
+    """QPoly from a list of Fractions: strips trailing zeros, no conversion."""
+    p = QPoly.__new__(QPoly)
+    p.coeffs = _strip(coeffs)
+    return p
+
+
 class QPoly:
     """Dense univariate polynomial in q over Fraction."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs: tuple[Fraction, ...] = _strip([Fraction(c) for c in coeffs])
+        self.coeffs: tuple[Fraction, ...] = _strip([_exact(c) for c in coeffs])
 
     @staticmethod
     def zero() -> QPoly:
@@ -46,7 +76,7 @@ class QPoly:
 
     @staticmethod
     def one() -> QPoly:
-        return QPoly([1])
+        return _poly([Fraction(1)])
 
     @staticmethod
     def q() -> QPoly:
@@ -82,10 +112,10 @@ class QPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return QPoly(out)
+        return _poly(out)
 
     def __neg__(self) -> QPoly:
-        return QPoly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other: QPoly) -> QPoly:
         return self + (-other)
@@ -99,11 +129,11 @@ class QPoly:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[i + j] += a * b
-        return QPoly(out)
+        return _poly(out)
 
     def scale(self, c: Scalar) -> QPoly:
-        c = Fraction(c)
-        return QPoly([a * c for a in self.coeffs])
+        c = _exact(c)
+        return _poly([a * c for a in self.coeffs])
 
     def __pow__(self, k: int) -> QPoly:
         if k < 0:
@@ -129,23 +159,25 @@ class QPoly:
                 quot[i - dd] = c
                 for j, b in enumerate(other.coeffs):
                     rem[i - dd + j] -= c * b
-        return QPoly(quot), QPoly(rem)
+        return _poly(quot), _poly(rem)
 
     def monic(self) -> QPoly:
         if self.is_zero():
             return self
         lead = self.leading()
-        return QPoly([c / lead for c in self.coeffs])
+        return _poly([c / lead for c in self.coeffs])
 
     def gcd(self, other: QPoly) -> QPoly:
         """Monic greatest common divisor."""
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            return QPoly.one()  # a nonzero constant divides everything
         a, b = self, other
         while not b.is_zero():
             a, b = b, a.divmod(b)[1]
         return a.monic()
 
     def evaluate(self, point: Scalar) -> Fraction:
-        point = Fraction(point)
+        point = _exact(point)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * point + c
@@ -158,14 +190,14 @@ class QPoly:
         out = [Fraction(0)] * (k * len(self.coeffs) or 1)
         for i, c in enumerate(self.coeffs):
             out[k * i] = c
-        return QPoly(out)
+        return _poly(out)
 
     def compose_shift(self, c: Scalar) -> QPoly:
         """Substitute q -> q + c."""
-        shift = QPoly([Fraction(c), Fraction(1)])
+        shift = _poly([_exact(c), Fraction(1)])
         acc = QPoly()
         for a in reversed(self.coeffs):
-            acc = acc * shift + QPoly([a])
+            acc = acc * shift + _poly([a])
         return acc
 
     def reversed_to(self, deg: int) -> QPoly:
@@ -177,7 +209,7 @@ class QPoly:
         out = [Fraction(0)] * (deg + 1)
         for i, c in enumerate(self.coeffs):
             out[deg - i] = c
-        return QPoly(out)
+        return _poly(out)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -211,6 +243,11 @@ def format_poly(p: QPoly) -> str:
     return " ".join(parts)
 
 
+def _exquo(p: QPoly, g: QPoly) -> QPoly:
+    """p / g for a monic divisor g of p."""
+    return p if len(g.coeffs) == 1 else p.divmod(g)[0]
+
+
 class QRat:
     """Reduced quotient of two QPoly values with monic denominator."""
 
@@ -227,14 +264,24 @@ class QRat:
             self.num, self.den = QPoly(), QPoly.one()
             return
         g = num.gcd(den)
-        if g.degree:
-            num = num.divmod(g)[0]
-            den = den.divmod(g)[0]
+        num, den = _exquo(num, g), _exquo(den, g)
         lead = den.leading()
         if lead != 1:
             num = num.scale(Fraction(1) / lead)
             den = den.scale(Fraction(1) / lead)
         self.num, self.den = num, den
+
+    @staticmethod
+    def _coprime(num: QPoly, den: QPoly) -> QRat:
+        """num/den with gcd(num, den) = 1 known: only makes den monic."""
+        lead = den.coeffs[-1]
+        if not num.coeffs:
+            den = QPoly.one()
+        elif lead != 1:
+            num, den = num.scale(1 / lead), den.scale(1 / lead)
+        r = QRat.__new__(QRat)
+        r.num, r.den = num, den
+        return r
 
     @staticmethod
     def zero() -> QRat:
@@ -254,13 +301,13 @@ class QRat:
             return value
         if isinstance(value, QPoly):
             return QRat(value)
-        return QRat((Fraction(value),))
+        return QRat((value,))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == QPoly.one()
+        return self.den.coeffs == (1,)
 
     def as_poly(self) -> QPoly:
         if not self.is_polynomial():
@@ -269,12 +316,14 @@ class QRat:
 
     def __add__(self, other: RatLike) -> QRat:
         o = QRat.of(other)
+        if o.den == self.den:
+            return QRat(self.num + o.num, self.den)
         return QRat(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> QRat:
-        return QRat(-self.num, self.den)
+        return QRat._coprime(-self.num, self.den)
 
     def __sub__(self, other: RatLike) -> QRat:
         return self + (-QRat.of(other))
@@ -283,8 +332,13 @@ class QRat:
         return QRat.of(other) + (-self)
 
     def __mul__(self, other: RatLike) -> QRat:
+        if isinstance(other, (int, Fraction)):
+            return QRat._coprime(self.num.scale(other), self.den)
         o = QRat.of(other)
-        return QRat(self.num * o.num, self.den * o.den)
+        g1, g2 = self.num.gcd(o.den), o.num.gcd(self.den)
+        return QRat._coprime(
+            _exquo(self.num, g1) * _exquo(o.num, g2), _exquo(self.den, g2) * _exquo(o.den, g1)
+        )
 
     __rmul__ = __mul__
 
@@ -292,7 +346,7 @@ class QRat:
         o = QRat.of(other)
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return QRat(self.num * o.den, self.den * o.num)
+        return self * QRat._coprime(o.den, o.num)
 
     def __rtruediv__(self, other: RatLike) -> QRat:
         return QRat.of(other) / self
@@ -301,23 +355,23 @@ class QRat:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return QRat(self.den, self.num) ** (-k)
-        return QRat(self.num ** k, self.den ** k)
+            return QRat._coprime(self.den, self.num) ** (-k)
+        return QRat._coprime(self.num ** k, self.den ** k)
 
     def subs_q_inverse(self) -> QRat:
         """Substitute q -> 1/q."""
         if self.is_zero():
             return self
         d = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
-        return QRat(self.num.reversed_to(d), self.den.reversed_to(d))
+        return QRat._coprime(self.num.reversed_to(d), self.den.reversed_to(d))
 
     def subs_q_power(self, k: int) -> QRat:
         """Substitute q -> q^k, k >= 1."""
-        return QRat(self.num.compose_power(k), self.den.compose_power(k))
+        return QRat._coprime(self.num.compose_power(k), self.den.compose_power(k))
 
     def subs_q_shift(self, c: Scalar) -> QRat:
         """Substitute q -> q + c."""
-        return QRat(self.num.compose_shift(c), self.den.compose_shift(c))
+        return QRat._coprime(self.num.compose_shift(c), self.den.compose_shift(c))
 
     def subs_q_plus_one(self) -> QRat:
         return self.subs_q_shift(1)

@@ -1,10 +1,13 @@
 """The functions the traced benchmark run wraps must exist under their names,
-and a benchmark workload run in-process must reproduce its stored digest."""
+and each benchmark workload fast enough for the suite, run in-process, must
+reproduce its stored digest."""
 
 import importlib
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 import hessllt.cli  # loads every module the targets name
 
@@ -23,11 +26,12 @@ def test_every_trace_target_is_defined_by_its_owner(monkeypatch):
         assert t.attr in owner.__dict__, f"{t.span}: {t.owner} has no {t.attr}"
 
 
-def test_gkm_workload_report_matches_its_digest(monkeypatch, capsys):
+@pytest.mark.parametrize("workload", ["gkm-n4", "identities-n5", "llt-n7"])
+def test_gkm_workload_report_matches_its_digest(monkeypatch, capsys, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     run = importlib.import_module("run")
-    code = hessllt.cli.main(list(run.WORKLOADS["gkm-n4"].argv))
+    code = hessllt.cli.main(list(run.WORKLOADS[workload].argv))
     stdout = capsys.readouterr().out.encode()
-    expected = json.loads((PERFBENCH / "digests.json").read_text())["gkm-n4"]
+    expected = json.loads((PERFBENCH / "digests.json").read_text())[workload]
     assert code == expected["exit_code"]
     assert run.report_digest(stdout, code) == expected["sha256"]

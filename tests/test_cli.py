@@ -7,6 +7,7 @@ import pytest
 
 from hessllt.cli import main
 from hessllt.hessgraph import HessenbergFunction, IdentityCheck, llt
+from hessllt.qrat import QPoly
 
 TIMING = re.compile(r'"timing_seconds": [-+0-9.eE]+')
 
@@ -124,6 +125,16 @@ class TestVerifyCommand:
         code, obj, _ = run_json(capsys, "verify", "--scope", "identities", "--h", "2,2")
         assert code == 1
         assert obj["passed"] is False
+
+    def test_uncancelled_qrat_fails_carlson_mellit(self, capsys, monkeypatch):
+        # With a gcd that never cancels, QRat values leave canonical form, and
+        # the structural equality of SymFunc must then report the identity false.
+        monkeypatch.setattr(QPoly, "gcd", lambda self, other: QPoly.one())
+        code, obj, _ = run_json(capsys, "verify", "--scope", "identities", "--n", "3")
+        assert code == 1
+        verdicts = {c["name"]: c["passed"] for c in obj["checks"]}
+        relation = [v for name, v in verdicts.items() if name.endswith("carlson-mellit relation")]
+        assert relation and not any(relation)
 
 
 class TestExitCodes:

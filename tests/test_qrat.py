@@ -1,9 +1,11 @@
 """Exact univariate polynomial and rational-function arithmetic."""
 
 from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessllt import QPoly, QRat, format_poly
@@ -21,6 +23,42 @@ small_poly = st.lists(
 ).map(QPoly)
 
 nonzero_poly = small_poly.filter(lambda p: not p.is_zero())
+
+# Products of (1 - q^k), (q - 1), (q + 1), q and q^2 + 1, so that operands
+# share denominator factors and the gcd-free paths of QRat have work to do.
+_FACTORS = [P(1, -1), P(1, 0, -1), P(1, 0, 0, -1), P(-1, 1), P(1, 1), P(0, 1), P(1, 0, 1)]
+factor_product = st.lists(st.sampled_from(_FACTORS), max_size=3).map(
+    lambda fs: reduce(QPoly.__mul__, fs, QPoly.one())
+)
+factored_num = st.builds(QPoly.__mul__, small_poly, factor_product)
+factored_den = st.builds(
+    QPoly.scale, factor_product, st.sampled_from([1, -1, 2, Fraction(-3, 2)])
+)
+factored_rat = st.builds(QRat, factored_num, factored_den)
+
+
+@st.composite
+def rat_pairs(draw):
+    """Two QRat values; about half the time the second reuses the first's den."""
+    x = draw(factored_rat)
+    den = x.den if draw(st.booleans()) else draw(factored_den)
+    return x, QRat(draw(factored_num), den)
+
+
+def euclid_gcd(a: QPoly, b: QPoly) -> QPoly:
+    """Monic gcd by the plain Euclid loop, with no shortcut for constants."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def assert_matches_reference(r: QRat, num: QPoly, den: QPoly) -> None:
+    """r is structurally QRat(num, den), canonical, and Fraction throughout."""
+    ref = QRat(num, den)
+    assert (r.num.coeffs, r.den.coeffs) == (ref.num.coeffs, ref.den.coeffs)
+    assert euclid_gcd(r.num, r.den) == QPoly.one()
+    assert r.den.leading() == 1
+    assert all(type(c) is Fraction for c in r.num.coeffs + r.den.coeffs)
 
 
 class TestQPoly:
@@ -59,6 +97,21 @@ class TestQPoly:
     def test_gcd_is_monic(self):
         g = (P(-1, 1) * P(2, 2)).gcd(P(-1, 1) * P(3, 3, 3))
         assert g == P(-1, 1)
+
+    def test_gcd_with_a_constant_is_one(self):
+        assert P(1, 2, 1).gcd(P(3)) == QPoly.one()
+        assert P(Fraction(-1, 2)).gcd(P(0, 0, 5)) == QPoly.one()
+        assert P(7).gcd(P(2)) == QPoly.one()
+
+    def test_gcd_with_zero_is_the_monic_other(self):
+        assert P(2, 4).gcd(QPoly.zero()) == P(Fraction(1, 2), 1)
+        assert QPoly.zero().gcd(P(0, 3)) == P(0, 1)
+        assert QPoly.zero().gcd(P(-4)) == QPoly.one()
+        assert QPoly.zero().gcd(QPoly.zero()) == QPoly.zero()
+
+    def test_gcd_of_nonconstants(self):
+        assert P(1, 1).gcd(P(-1, 1)) == QPoly.one()
+        assert (P(1, 0, -1) * P(0, 2)).gcd(P(0, 0, 3) * P(1, 0, 0, -1)) == P(0, -1, 1)
 
     def test_evaluate(self):
         assert P(1, 2, 1).evaluate(Fraction(1, 2)) == Fraction(9, 4)
@@ -179,3 +232,66 @@ class TestQRat:
     def test_q_inverse_is_involution(self, a, b):
         x = QRat(a, b)
         assert x.subs_q_inverse().subs_q_inverse() == x
+
+
+class TestFastPathsMatchReference:
+    """Every gcd-free route agrees with the public constructor QRat(num, den)."""
+
+    @given(rat_pairs())
+    @example((QRat(P(1), P(1, -1)), QRat(P(0, 1), P(1, -1))))  # shared denominator
+    @example((QRat(P(1, 0, -1), P(0, 1)), QRat(P(0, 0, 1), P(1, -1))))  # cross-cancellation
+    @settings(max_examples=80, deadline=None)
+    def test_field_operations(self, pair):
+        x, y = pair
+        a, b, c, d = x.num, x.den, y.num, y.den
+        assert_matches_reference(x + y, a * d + c * b, b * d)
+        assert_matches_reference(x - y, a * d - c * b, b * d)
+        assert_matches_reference(x * y, a * c, b * d)
+        if not y.is_zero():
+            assert_matches_reference(x / y, a * d, b * c)
+
+    @given(factored_rat, st.integers(min_value=-3, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_powers(self, x, k):
+        if x.is_zero() and k < 0:
+            return
+        num, den = (x.num, x.den) if k >= 0 else (x.den, x.num)
+        assert_matches_reference(x**k, num ** abs(k), den ** abs(k))
+
+    @given(factored_rat, st.sampled_from([0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 7)]))
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_multiplication(self, x, c):
+        assert_matches_reference(x * c, x.num.scale(c), x.den)
+        assert_matches_reference(c * x, x.num.scale(c), x.den)
+
+    @given(
+        factored_rat, st.integers(min_value=1, max_value=3), st.integers(min_value=-3, max_value=3)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_substitutions(self, x, k, c):
+        a, b = x.num, x.den
+        assert_matches_reference(x.subs_q_power(k), a.compose_power(k), b.compose_power(k))
+        assert_matches_reference(x.subs_q_shift(c), a.compose_shift(c), b.compose_shift(c))
+        if not x.is_zero():
+            d = max(len(a.coeffs), len(b.coeffs)) - 1
+            assert_matches_reference(x.subs_q_inverse(), a.reversed_to(d), b.reversed_to(d))
+
+
+class TestNoFloats:
+    """A float would enter exact arithmetic as a binary fraction, so it is refused."""
+
+    def test_qpoly_rejects_a_float_coefficient(self):
+        with pytest.raises(TypeError):
+            QPoly([1, 0.5])
+
+    def test_of_rejects_floats(self):
+        with pytest.raises(TypeError):
+            QRat.of(0.1)
+        with pytest.raises(TypeError):
+            QRat.of(np.float64(0.5))
+
+    def test_scalar_multiplication_rejects_a_float(self):
+        with pytest.raises(TypeError):
+            QRat.q() * 0.5
+        with pytest.raises(TypeError):
+            0.5 * QRat.q()
