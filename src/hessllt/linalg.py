@@ -29,16 +29,20 @@ never retries: a residue beyond the bound can only mean the span is not
 invariant.
 
 The heaviest eliminations use SMALL_PRIMES just under 2**22 through
-blocked_rref, which batches eliminations into float64 matrix products; with
-p < 2**22 a dot product of up to 257 terms, each below p**2, stays under
-2**53, so the floating-point arithmetic is exact integer arithmetic at BLAS
-speed.
+blocked_rref, which runs almost all of its arithmetic as float64 matrix
+products.  Every product, whether a rank-one update inside a leaf of _LEAF
+columns (at most _LEAF of them accumulate before a reduction), a triangular
+inverse of at most _PANEL rows or its application, or a row chunk of a
+trailing update, has inner dimension at most _PANEL = 256 and operands
+reduced below p, and is reduced before it is read again.  With p < 2**22 no
+value reaches 257 * p**2 < 2**53, so the floating-point arithmetic is exact
+integer arithmetic at BLAS speed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -75,7 +79,7 @@ def frac_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fra
 
 
 def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine residues; moduli must be coprime."""
+    """Combine residues (ints, or object arrays entrywise); moduli must be coprime."""
     inv = pow(m1 % m2, m2 - 2, m2)  # m2 is prime and does not divide m1
     t = ((r2 - r1) * inv) % m2
     return (r1 + m1 * t) % (m1 * m2), m1 * m2
@@ -101,34 +105,34 @@ def rational_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def lift_vector(residues: list[np.ndarray], moduli: list[int]) -> list[Fraction] | None:
-    """CRT-combine per-prime residue vectors and rationally reconstruct each entry."""
-    n = len(residues[0])
-    out: list[Fraction] = []
-    for i in range(n):
-        r, m = int(residues[0][i]), moduli[0]
-        for vec, p in zip(residues[1:], moduli[1:]):
-            r, m = crt_pair(r, m, int(vec[i]), p)
-        f = rational_reconstruct(r, m)
+def lift_vector(residues: list[np.ndarray], moduli: list[int]) -> list[int | Fraction] | None:
+    """CRT-combine per-prime residue vectors and rationally reconstruct each entry.
+
+    An entry whose symmetric residue s has |s| <= isqrt(m/2) reconstructs
+    to the integer s (reconstruction within that bound is unique), so those
+    entries come out of one NumPy step as ints; only the others go through
+    rational_reconstruct."""
+    r, m = residues[0], moduli[0]
+    if len(moduli) > 1:
+        r = r.astype(object)  # the combined residues outgrow int64
+    for vec, p in zip(residues[1:], moduli[1:]):
+        r, m = crt_pair(r, m, vec, p)
+    s = np.where(r > m // 2, r - m, r)
+    out = s.tolist()
+    for i in np.flatnonzero(np.abs(s) > isqrt(m // 2)):
+        f = rational_reconstruct(int(r[i]), m)
         if f is None:
             return None
-        out.append(f)
+        out[i] = f
     return out
 
 
-def integerize(vec: list[Fraction]) -> list[int]:
+def integerize(vec: list[int | Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers (positive leading sign kept)."""
-    lcm = 1
-    for f in vec:
-        d = f.denominator
-        lcm = lcm // gcd(lcm, d) * d
-    ints = [int(f * lcm) for f in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den = lcm(*(f.denominator for f in vec))
+    ints = [int(f * den) for f in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
 
 
 # ------------------------------------------------- blocked small-prime GE
@@ -137,127 +141,166 @@ def integerize(vec: list[Fraction]) -> list[int]:
 SMALL_PRIMES = (4194301, 4194287, 4194277, 4194271, 4194247, 4194217, 4194199, 4194191, 4194187, 4194181)
 
 _PANEL = 256  # (_PANEL + 1) * (SMALL_PRIMES[0] - 1) ** 2 < 2 ** 53
+_LEAF = 32  # columns pivoted one at a time before their panel is updated by products
+_CHUNK = 1 << 18  # entries per row chunk of the full-height temporaries
 
 
-def _reduce(a: np.ndarray, p: int) -> None:
-    """Exact in-place mod for a view of an integer-valued float64 array
-    (int64 mod is ~30x faster than float64 fmod, and one int64 copy is the
-    only temporary); valid while every entry has magnitude below 2**53."""
-    r = a.astype(np.int64)
-    r %= p
-    a[...] = r
+def _chunks(a: np.ndarray):
+    """Slices of about _CHUNK entries along the first axis of a."""
+    step = max(1, _CHUNK * len(a) // max(a.size, 1))
+    return (slice(i, i + step) for i in range(0, len(a), step))
+
+
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """Exact in-place mod for an integer-valued float64 array (or a view),
+    valid while every entry has magnitude below 2**53; returns a.  int64
+    mod is ~30x faster than float64 fmod, and the int64 copy is taken one
+    row chunk at a time."""
+    for s in _chunks(a):
+        r = a[s].astype(np.int64)
+        r %= p
+        a[s] = r
+    return a
+
+
+def _sub_product(T: np.ndarray, L: np.ndarray, X: np.ndarray, p: int) -> None:
+    """T -= L @ X, reduced mod p, one row chunk at a time."""
+    for s in _chunks(T):
+        T[s] -= L[s] @ X
+        _reduce(T[s], p)
+
+
+def _unit_lower_inverse(S: np.ndarray, p: int) -> np.ndarray:
+    """Inverse mod p of I + (strict lower part of S), S reduced: forward
+    substitution up to _LEAF rows, then the 2 x 2 block formula."""
+    k = len(S)
+    W = np.eye(k)
+    if k <= _LEAF:
+        for j in range(1, k):
+            W[j, :j] = -(S[j, :j] @ W[:j, :j]) % p
+        return W
+    h = k // 2
+    W[:h, :h] = _unit_lower_inverse(S[:h, :h], p)
+    W[h:, h:] = _unit_lower_inverse(S[h:, h:], p)
+    W[h:, :h] = _reduce(-(W[h:, h:] @ _reduce(S[h:, :h] @ W[:h, :h], p)), p)
+    return W
+
+
+def _replay(T: np.ndarray, L: np.ndarray, invs: list[int], q: int, p: int) -> None:
+    """Apply recorded eliminations to the reduced column block T in place.
+
+    Pivot j sat in row q + j, was scaled by invs[j] and left the multiplier
+    column L[:, j] (zero down to its own row).  The pivot rows become X =
+    (I + D L_strict)^-1 D T[q:q+k] with D = diag(invs), which is the
+    sequential recurrence X_j = invs[j] (T_j - sum_{i<j} L[q+j, i] X_i) in
+    one product, and the rows below lose L @ X."""
+    k = len(invs)
+    if not k or not T.shape[1]:
+        return
+    D = np.array(invs, dtype=np.float64)
+    W = _reduce(_unit_lower_inverse(_reduce(L[q:q + k] * D[:, None], p), p) * D, p)
+    T[q:q + k] = _reduce(W @ T[q:q + k], p)
+    _sub_product(T[q + k:], L[q + k:], T[q:q + k], p)
+
+
+def _back_substitute(U: np.ndarray, F: np.ndarray, p: int) -> None:
+    """F <- U^-1 F mod p in place, for U unit upper triangular and F
+    reduced: blocks of _PANEL rows from the bottom, each block applying the
+    inverse of its diagonal block and then clearing the rows above."""
+    b = len(U)
+    while b > 0:
+        a = max(0, b - _PANEL)
+        F[a:b] = _reduce(_unit_lower_inverse(U[a:b, a:b].T, p).T @ F[a:b], p)
+        _sub_product(F[:a], U[:a, a:b], F[a:b], p)
+        b = a
 
 
 def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[int], np.ndarray]:
-    """Gaussian elimination mod a sub-2**22 prime, grouped into BLAS-3 panels.
+    """Gaussian elimination mod a sub-2**22 prime, grouped into BLAS-3 blocks.
 
-    Entries live as integer-valued float64.  Every product is below p**2 <
-    2**44 and at most _PANEL + 1 products are ever accumulated into one
-    value, so all intermediates stay below 2**53 and the floating-point
-    arithmetic is exact integer arithmetic.  Reduction mod p is lazy: only
-    values about to be read (pivot column, pivot row, finished blocks) are
-    reduced, everything else accumulates until its panel completes.  Within
-    a panel of columns, pivots are processed one at a time, recording
-    full-height multiplier columns and row swaps; the columns right of the
-    panel then receive all of the panel's eliminations as one replay over
-    the pivot rows plus a single matrix product.  Returns (rank, pivots,
-    matrix): the reduced row echelon form when full is True, the forward
-    elimination otherwise.
+    Entries live as integer-valued float64.  Columns go in panels of _PANEL
+    split into leaves of _LEAF.  Inside a leaf, pivots are taken one at a
+    time (the first nonzero row, swapped up) with a rank-one update of the
+    leaf's columns only, recording full-height multiplier columns; when the
+    leaf ends the rest of its panel, and when the panel ends the trailing
+    columns, receive those eliminations by _replay.  Exactness: every
+    product has inner dimension at most _PANEL (a leaf's rank-one updates
+    count at most _LEAF) and operands reduced below p, so no value reaches
+    (_PANEL + 1) * p**2 < 2**53.  Returns (rank, pivots, matrix), reduced
+    mod p: the reduced row echelon form when full is True (back-substituted
+    by _back_substitute), the forward elimination otherwise.
     """
     if (_PANEL + 1) * (p - 1) ** 2 >= 2 ** 53:
         raise ValueError("prime too large for exact float64 panels")
     if not isinstance(A, np.ndarray):
         A = np.array(A, dtype=object)  # NumPy may read ints past 2**63 as float64
-    A = np.ascontiguousarray(A % p, dtype=np.float64)
     nrows, ncols = A.shape
+    A, given = np.empty((nrows, ncols)), A
+    for s in _chunks(A):
+        A[s] = given[s] % p  # exact in int64 or object arithmetic, then float64
     pivots: list[int] = []
     r = 0
-    c0 = 0
-    while c0 < ncols and r < nrows:
+    for c0 in range(0, ncols, _PANEL):
         c1 = min(c0 + _PANEL, ncols)
-        lcols: list[np.ndarray] = []
-        invs: list[int] = []
         p0 = r
-        for c in range(c0, c1):
-            _reduce(A[r:, c], p)
-            nz = np.nonzero(A[r:, c])[0]
-            if nz.size == 0:
-                continue
-            pr = r + int(nz[0])
-            if pr != r:
-                A[[r, pr]] = A[[pr, r]]
-                for lcol in lcols:
-                    lcol[[r, pr]] = lcol[[pr, r]]
-            inv = pow(int(A[r, c]), p - 2, p)
-            row = A[r, c:c1]
-            _reduce(row, p)
-            row *= inv
-            _reduce(row, p)
-            mult = np.zeros(nrows)
-            mult[r + 1:] = A[r + 1:, c]
-            if mult.any():
-                A[r + 1:, c:c1] -= np.outer(mult[r + 1:], A[r, c:c1])
-            lcols.append(mult)
-            invs.append(inv)
-            pivots.append(c)
-            r += 1
+        L = np.zeros((nrows, c1 - c0))
+        invs: list[int] = []
+        for l0 in range(c0, c1, _LEAF):
             if r == nrows:
                 break
-        _reduce(A[:, c0:c1], p)
-        if lcols and c1 < ncols:
-            # Replay the panel's eliminations on the trailing columns: first
-            # bring the pivot rows to final form in order, then clear every
-            # other row with one exact GEMM.
-            T = A[:, c1:]
-            k = len(lcols)
-            L = np.stack(lcols, axis=1)
-            for j in range(k):
-                rj = p0 + j
-                if j:
-                    T[rj] -= L[rj, :j] @ T[p0:rj]
-                    _reduce(T[rj], p)
-                T[rj] *= invs[j]
-                _reduce(T[rj], p)
-            L[p0:p0 + k, :] = 0.0
-            T -= L @ T[p0:p0 + k]
-            _reduce(T, p)
-        c0 = c1
-    rank = r
-    if full and rank:
-        b = rank
-        while b > 0:
-            a = max(0, b - _PANEL)
-            for j in range(b - 1, a, -1):
-                _reduce(A[j], p)
-                coef = A[a:j, pivots[j]]
-                _reduce(coef, p)
-                if coef.any():
-                    A[a:j, :] -= np.outer(coef, A[j, :])
-            _reduce(A[a:b], p)
-            if a > 0:
-                C = A[:a, pivots[a:b]]
-                if C.any():
-                    A[:a, :] -= C @ A[a:b, :]
-                    _reduce(A[:a], p)
-            b = a
-    return rank, pivots, A
+            l1 = min(l0 + _LEAF, c1)
+            q = r
+            for c in range(l0, l1):
+                _reduce(A[r:, c], p)
+                nz = np.flatnonzero(A[r:, c])
+                if nz.size == 0:
+                    continue
+                pr = r + int(nz[0])
+                if pr != r:
+                    A[[r, pr]] = A[[pr, r]]
+                    L[[r, pr]] = L[[pr, r]]
+                inv = pow(int(A[r, c]), p - 2, p)
+                row = _reduce(A[r, c:l1], p)
+                row *= inv
+                _reduce(row, p)
+                mult = L[r + 1:, r - p0]
+                mult[:] = A[r + 1:, c]
+                if mult.any():
+                    A[r + 1:, c:l1] -= np.outer(mult, row)
+                invs.append(inv)
+                pivots.append(c)
+                r += 1
+                if r == nrows:
+                    break
+            _reduce(A[q:, l0:l1], p)
+            _replay(A[:, l1:c1], L[:, q - p0:r - p0], invs[q - p0:], q, p)
+        _replay(A[:, c1:], L[:, :r - p0], invs, p0, p)
+        if r == nrows:
+            break
+    if full and r:
+        _back_substitute(A[:r, pivots], A[:r], p)
+    return r, pivots, A
 
 
 def nullspace_small(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.ndarray]:
     """Canonical mod-p nullspace; returns (pivots, free columns, basis matrix).
 
     Basis columns are indexed by free columns: unit at the free column and
-    -rref entry at each pivot column, zero at the other free columns.
+    -rref entry at each pivot column, zero at the other free columns.  Only
+    the free columns of the forward elimination are back-substituted: no
+    later pivot row touches an earlier pivot column, so the pivot block
+    and the coefficients above it never change.
     """
     ncols = A.shape[1]
-    rank, pivots, rref = blocked_rref(A, p)
+    rank, pivots, E = blocked_rref(A, p, full=False)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    for j, f in enumerate(free):
-        basis[f, j] = 1
+    basis[free, range(len(free))] = 1
     if pivots and free:
-        basis[pivots, :] = ((-rref[:rank][:, free]) % p).astype(np.int64)
+        F = E[:rank, free]
+        _back_substitute(E[:rank, pivots], F, p)
+        basis[pivots, :] = ((-F) % p).astype(np.int64)
     return pivots, free, basis
 
 
@@ -269,9 +312,11 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
     the returned columns are exactly verified nullspace vectors that are
     independent over Q because each canonical column is nonzero at its own
     free coordinate and zero at the others.  The bounds therefore meet and
-    the dimension is pinned.  Entries are CRT-combined across SMALL_PRIMES
-    until rational reconstruction succeeds; a reconstruction or verification
-    failure restarts from the next prime (an unlucky prime dropped the rank).
+    the dimension is pinned, so the verified columns are the canonical
+    basis whatever the number of primes behind them.  Reconstruction is
+    tried from the first prime on; a failure adds a prime, except that a
+    verification failure with two or more primes restarts from the next
+    prime (an unlucky prime dropped the rank).
     """
     A = np.asarray(A)
     ncols = A.shape[1]
@@ -293,8 +338,6 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
                 continue
             residues.append(basis)
             moduli.append(p)
-            if len(moduli) < 2:
-                continue
             cols: list[list[int]] = []
             for j in range(nullity):
                 vec = lift_vector([r[:, j] for r in residues], moduli)
@@ -303,16 +346,17 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
                 cols.append(integerize(vec))
             else:
                 V = np.array(cols, dtype=object).T
-                peak = max(max(abs(x) for x in col) for col in cols)
+                peak = int(np.abs(V).max())
                 row_l1 = int(np.abs(A).sum(axis=1).max())
-                if peak * row_l1 * 1 < 2**62 and peak < 2**62:
+                if peak * row_l1 < 2**62 and peak < 2**62:
                     V = V.astype(np.int64)
                     ok = not np.any(A @ V)
                 else:
                     ok = not np.any(A.astype(object) @ V)
                 if ok:
                     return V
-                break  # a vector failed exact verification: unlucky reference prime
+                if len(moduli) > 1:
+                    break  # a vector failed exact verification: unlucky reference prime
     raise ArithmeticError("nullspace reconstruction failed at every prime")
 
 

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hessllt.linalg as linalg
 from hessllt.linalg import (
     SMALL_PRIMES,
     SubspaceTracer,
@@ -21,6 +22,7 @@ from hessllt.linalg import (
     nullspace_small,
     rational_reconstruct,
 )
+from hessllt.permco import coinvariant_closed_form_check
 
 P = SMALL_PRIMES[0]
 
@@ -37,6 +39,38 @@ def random_int_matrix(rng, m, n, lo=-9, hi=9, rank_deficit=0):
         c = rng.randint(-3, 3)
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
     return np.array(A, dtype=np.int64)
+
+
+def gauss_jordan_mod_p(A, p, full=True):
+    """Oracle: one pivot at a time over int64 mod p, taking the first nonzero
+    row at or below the current one, as blocked_rref does."""
+    M = np.array(A, dtype=np.int64) % p
+    nrows, ncols = M.shape
+    pivots, r = [], 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.flatnonzero(M[r:, c])
+        if not nz.size:
+            continue
+        pr = r + int(nz[0])
+        M[[r, pr]] = M[[pr, r]]
+        M[r] = M[r] * pow(int(M[r, c]), -1, p) % p
+        others = [i for i in range(0 if full else r + 1, nrows) if i != r]
+        M[others] = (M[others] - np.outer(M[others, c], M[r])) % p
+        pivots.append(c)
+        r += 1
+    return r, pivots, M
+
+
+def residue_matrix(rng, m, n, rank, p=P):
+    """m x n matrix of rank at most `rank` with entries spread over [0, p)."""
+    X = rng.integers(0, p, size=(m, rank), dtype=np.int64)
+    Y = rng.integers(0, p, size=(rank, n), dtype=np.int64)
+    out = np.zeros((m, n), dtype=np.int64)
+    for k in range(rank):  # one outer product at a time stays inside int64
+        out = (out + np.outer(X[:, k], Y[k]) % p) % p
+    return out
 
 
 class TestFractionRoutines:
@@ -76,6 +110,53 @@ class TestBlockedEngine:
         rank, pivots, R = blocked_rref([[big, 1]], P)
         assert (rank, pivots) == (1, [0])
         assert int(R[0, 1]) == pow(big % P, -1, P)
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            ((70, 90), 45),  # two leaves of pivots
+            ((300, 290), 270),  # more than a panel of pivots
+            ((600, 70), 50),  # tall
+            ((50, 600), 45),  # wide
+            ((140, 140), 120),  # square
+            ((40, 100), 40),  # r == nrows in the middle of the second leaf
+        ],
+    )
+    def test_matches_the_per_pivot_oracle(self, shape, rank):
+        rng = np.random.default_rng(sum(shape) + rank)
+        A = residue_matrix(rng, *shape, rank)
+        A[:, rng.choice(shape[1], size=5, replace=False)] = 0  # zero columns
+        A[:3, :10] = 0  # leading zeros force a swap at the first pivot
+        for full in (True, False):
+            rank_b, pivots_b, R = blocked_rref(A, P, full)
+            rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
+            assert (rank_b, pivots_b) == (rank_o, pivots_o)
+            assert rank <= rank_b <= rank + 3  # the three edited rows may add rank
+            assert np.array_equal(R.astype(np.int64), M)
+            assert R.min() >= 0 and R.max() < P
+
+    def test_swaps_inside_a_leaf(self):
+        # rows carrying a pivot sit below rows that vanish on its column, so
+        # every pivot of the first leaf takes a row swap
+        rng = np.random.default_rng(5)
+        A = np.triu(rng.integers(1, 9, size=(48, 48)))[::-1]
+        A = np.concatenate([A, rng.integers(0, 9, size=(48, 30))], axis=1)
+        for full in (True, False):
+            rank_b, pivots_b, R = blocked_rref(A, P, full)
+            rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
+            assert (rank_b, pivots_b) == (rank_o, pivots_o) == (48, list(range(48)))
+            assert np.array_equal(R.astype(np.int64), M)
+
+    def test_nullspace_small_is_the_rref_nullspace(self):
+        rng = np.random.default_rng(9)
+        A = residue_matrix(rng, 80, 120, 60)
+        pivots, free, basis = nullspace_small(A, P)
+        rank, rref_pivots, R = blocked_rref(A, P)
+        assert pivots == rref_pivots and len(free) == 120 - rank
+        assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
+        expected = (-R[:rank][:, free].astype(np.int64)) % P
+        assert np.array_equal(basis[pivots], expected)
+        assert not np.any((A.astype(object) @ basis.astype(object)) % P)
 
     def test_nullspace_small_canonical(self):
         rng = random.Random(3)
@@ -117,6 +198,45 @@ class TestReconstruction:
             )
         assert lift_vector(residues, list(SMALL_PRIMES[:2])) == xs
 
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(
+                    st.one_of(
+                        st.integers(-3000, 3000),
+                        st.integers(-(10**13), 10**13),
+                        st.fractions(max_denominator=40).filter(lambda f: abs(f) < 200),
+                    ),
+                    min_size=1,
+                    max_size=12,
+                ),
+            )
+        )
+    )
+    @example((1, [1448, -1448, 1449, -1449]))
+    @example((2, [2965813, -2965813, 2965814, -2965814]))  # isqrt(p0 * p1 // 2) = 2965813
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_lift_matches_the_scalar_route(self, case):
+        k, xs = case
+        moduli = list(SMALL_PRIMES[:k])
+        residues = [
+            np.array([Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in xs],
+                     dtype=np.int64)
+            for p in moduli
+        ]
+        expected = []
+        for i in range(len(xs)):
+            r, m = int(residues[0][i]), moduli[0]
+            for vec, p in zip(residues[1:], moduli[1:]):
+                r, m = crt_pair(r, m, int(vec[i]), p)
+            expected.append(rational_reconstruct(r, m))
+        fast = lift_vector(residues, moduli)
+        if None in expected:
+            assert fast is None
+        else:
+            assert fast == expected
+
     def test_integerize(self):
         assert integerize([Fraction(1, 3), Fraction(-5, 2), Fraction(4)]) == [2, -15, 24]
         assert integerize([Fraction(0), Fraction(2, 7)]) == [0, 1]
@@ -145,6 +265,68 @@ class TestCertifiedNullspace:
     def test_zero_rows(self):
         V = certified_integer_nullspace(np.zeros((0, 3), dtype=np.int64))
         assert V.shape == (3, 3)
+
+
+class TestLiftPaths:
+    """Each prime count of certified_integer_nullspace occurs and gives the
+    exact kernel."""
+
+    @staticmethod
+    def primes_used(monkeypatch):
+        used = []
+        real = linalg.nullspace_small
+
+        def recording(A, p):
+            used.append(p)
+            return real(A, p)
+
+        monkeypatch.setattr(linalg, "nullspace_small", recording)
+        return used
+
+    def test_small_kernel_takes_one_prime(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[1, 0, -1448], [0, 1, 7]]))
+        assert V.tolist() == [[1448], [-7], [1]]
+        assert used == [SMALL_PRIMES[0]]
+
+    def test_kernel_past_the_one_prime_bound_takes_two(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[1, -3000]]))
+        assert V.tolist() == [[3000], [1]]
+        assert used == list(SMALL_PRIMES[:2])
+
+    def test_rank_drop_at_the_reference_prime_restarts(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0], 0], [0, 1]]))
+        assert V.shape == (2, 0)
+        # the one-prime lift (1, 0) fails verification, so a prime is added;
+        # no other prime shares the reference pivots, so the run restarts
+        assert used == [*SMALL_PRIMES, SMALL_PRIMES[1]]
+
+
+class TestEngineFaults:
+    """A trailing product that skips a row is caught by exact verification."""
+
+    @pytest.fixture
+    def skipping_gemm(self, monkeypatch):
+        real = linalg._sub_product
+
+        def skip_last_row(T, L, X, p):
+            real(T[:-1], L[:-1], X, p)
+
+        monkeypatch.setattr(linalg, "_sub_product", skip_last_row)
+
+    def test_certified_nullspace_raises(self, skipping_gemm):
+        A = random_int_matrix(random.Random(4), 40, 80, rank_deficit=6)
+        with pytest.raises(ArithmeticError):
+            certified_integer_nullspace(A)
+
+    def test_coinvariant_closed_forms_fail(self, skipping_gemm):
+        try:
+            report = coinvariant_closed_form_check(4)
+        except ArithmeticError:
+            return
+        assert not report["all_passed"]
 
 
 class TestSubspaceTracer:
