@@ -30,13 +30,18 @@ invariant.
 
 The heaviest eliminations use SMALL_PRIMES just under 2**22 through
 blocked_rref, which runs almost all of its arithmetic as float64 matrix
-products.  Every product, whether a rank-one update inside a leaf of _LEAF
-columns (at most _LEAF of them accumulate before a reduction), a triangular
-inverse of at most _PANEL rows or its application, or a row chunk of a
-trailing update, has inner dimension at most _PANEL = 256 and operands
-reduced below p, and is reduced before it is read again.  With p < 2**22 no
-value reaches 257 * p**2 < 2**53, so the floating-point arithmetic is exact
-integer arithmetic at BLAS speed.
+products and keeps every entry of its matrix reduced below p between
+steps.  Every product, whether a rank-one update of the leaf rows that
+carry a multiplier, a triangular inverse of at most _PANEL rows or its
+application, or a row chunk of a trailing update, has inner dimension at
+most _PANEL = 256 and operands reduced below p, and is reduced before it is
+read again.  With p < 2**22 no value reaches 257 * p**2 < 2**53, so the
+floating-point arithmetic is exact integer arithmetic at BLAS speed, and
+_reduce, a multiply by 1/p with a truncated quotient, is exact on all of
+it.  The work follows the nonzeros: a pivot updates only the rows with a
+nonzero multiplier, and a trailing product only the rows whose multipliers
+are not all zero, which for the sparse 0/1 coinvariant matrices is a small
+part.
 """
 
 from __future__ import annotations
@@ -145,29 +150,47 @@ _LEAF = 32  # columns pivoted one at a time before their panel is updated by pro
 _CHUNK = 1 << 18  # entries per row chunk of the full-height temporaries
 
 
-def _chunks(a: np.ndarray):
-    """Slices of about _CHUNK entries along the first axis of a."""
-    step = max(1, _CHUNK * len(a) // max(a.size, 1))
-    return (slice(i, i + step) for i in range(0, len(a), step))
+def _chunks(nrows: int, width: int):
+    """Slices of about _CHUNK entries over nrows rows of the given width."""
+    step = max(1, _CHUNK // max(width, 1))
+    return (slice(i, i + step) for i in range(0, nrows, step))
 
 
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
-    """Exact in-place mod for an integer-valued float64 array (or a view),
-    valid while every entry has magnitude below 2**53; returns a.  int64
-    mod is ~30x faster than float64 fmod, and the int64 copy is taken one
-    row chunk at a time."""
-    for s in _chunks(a):
-        r = a[s].astype(np.int64)
-        r %= p
-        a[s] = r
+    """Exact in-place mod p for an integer-valued float64 array (or a view)
+    whose entries b satisfy |b| < 2**53; returns a.
+
+    b -= trunc(b * (1/p)) * p, one row chunk at a time.  Let x = |b| / p
+    and m = floor(x).  fl(1/p) is within a factor 1 +- 2**-53 of 1/p, so
+    |b| * fl(1/p) is within |b| / (p 2**53) < 1 / p of x, hence not below m
+    unless p divides b; rounding the product moves it by at most as much
+    again and never across the float m.  So the truncated quotient f has
+    magnitude m, or m - 1 when p divides b, or m + 1 when p divides |b| + 1.
+    Hence |f p| <= |b| + 1 <= 2**53, f p and b - f p are float64 integers,
+    and b - f p lies in [-p, p]: adding p to the negative entries and taking
+    p from those at or above p lands every entry in [0, p).  (A floor in
+    place of trunc would let |f p| reach |b| + p, past 2**53 for b near
+    -2**53.)"""
+    inv = 1.0 / p
+    for s in _chunks(len(a), a.size // max(len(a), 1)):
+        b = a[s]
+        f = b * inv
+        np.trunc(f, out=f)
+        f *= p
+        b -= f
+        np.add(b, p, out=b, where=b < 0)
+        np.subtract(b, p, out=b, where=b >= p)
     return a
 
 
 def _sub_product(T: np.ndarray, L: np.ndarray, X: np.ndarray, p: int) -> None:
-    """T -= L @ X, reduced mod p, one row chunk at a time."""
-    for s in _chunks(T):
-        T[s] -= L[s] @ X
-        _reduce(T[s], p)
+    """T -= L @ X, reduced mod p, for T, L and X reduced and L at most
+    _PANEL columns wide.  Only the rows of T where L has a nonzero entry
+    change, so only those are gathered, in row chunks, and written back."""
+    rows = np.flatnonzero(L.any(axis=1))
+    for s in _chunks(len(rows), T.shape[1]):
+        idx = rows[s]
+        T[idx] = _reduce(T[idx] - L[idx] @ X, p)
 
 
 def _unit_lower_inverse(S: np.ndarray, p: int) -> np.ndarray:
@@ -218,17 +241,23 @@ def _back_substitute(U: np.ndarray, F: np.ndarray, p: int) -> None:
 def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[int], np.ndarray]:
     """Gaussian elimination mod a sub-2**22 prime, grouped into BLAS-3 blocks.
 
-    Entries live as integer-valued float64.  Columns go in panels of _PANEL
-    split into leaves of _LEAF.  Inside a leaf, pivots are taken one at a
-    time (the first nonzero row, swapped up) with a rank-one update of the
-    leaf's columns only, recording full-height multiplier columns; when the
-    leaf ends the rest of its panel, and when the panel ends the trailing
-    columns, receive those eliminations by _replay.  Exactness: every
-    product has inner dimension at most _PANEL (a leaf's rank-one updates
-    count at most _LEAF) and operands reduced below p, so no value reaches
-    (_PANEL + 1) * p**2 < 2**53.  Returns (rank, pivots, matrix), reduced
-    mod p: the reduced row echelon form when full is True (back-substituted
-    by _back_substitute), the forward elimination otherwise.
+    Entries live as integer-valued float64, and every entry stays reduced
+    below p between steps: the entry reduction leaves it so, and each
+    update below is reduced as it is written.  Columns go in panels of
+    _PANEL split into leaves of _LEAF.  Inside a leaf, pivots are taken one
+    at a time: the first nonzero row is swapped up, its leaf row is scaled
+    by the inverse pivot (a product below p**2, reduced at once), and the
+    other nonzero rows of the column, the only rows with a nonzero
+    multiplier, lose a multiple of it in the leaf's columns and are reduced
+    at once; their multipliers are recorded in full-height columns.  When
+    the leaf ends the rest of its panel, and when the panel ends the
+    trailing columns, receive those eliminations by _replay, whose products
+    gather only the rows with a multiplier.  Exactness: every product has
+    inner dimension at most _PANEL and operands reduced below p, so no value
+    reaches (_PANEL + 1) * p**2 < 2**53, within _reduce's range.  Returns
+    (rank, pivots, matrix), reduced mod p: the reduced row echelon form when
+    full is True (back-substituted by _back_substitute), the forward
+    elimination otherwise.
     """
     if (_PANEL + 1) * (p - 1) ** 2 >= 2 ** 53:
         raise ValueError("prime too large for exact float64 panels")
@@ -236,7 +265,7 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
         A = np.array(A, dtype=object)  # NumPy may read ints past 2**63 as float64
     nrows, ncols = A.shape
     A, given = np.empty((nrows, ncols)), A
-    for s in _chunks(A):
+    for s in _chunks(nrows, ncols):
         A[s] = given[s] % p  # exact in int64 or object arithmetic, then float64
     pivots: list[int] = []
     r = 0
@@ -251,7 +280,6 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
             l1 = min(l0 + _LEAF, c1)
             q = r
             for c in range(l0, l1):
-                _reduce(A[r:, c], p)
                 nz = np.flatnonzero(A[r:, c])
                 if nz.size == 0:
                     continue
@@ -260,19 +288,18 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
                     A[[r, pr]] = A[[pr, r]]
                     L[[r, pr]] = L[[pr, r]]
                 inv = pow(int(A[r, c]), p - 2, p)
-                row = _reduce(A[r, c:l1], p)
-                row *= inv
-                _reduce(row, p)
-                mult = L[r + 1:, r - p0]
-                mult[:] = A[r + 1:, c]
-                if mult.any():
-                    A[r + 1:, c:l1] -= np.outer(mult, row)
+                row = A[r, c:l1]
+                np.remainder(row * inv, p, out=row)
+                rows = r + nz[1:]  # the swap moved the first nonzero to row r only
+                if rows.size:
+                    mult = A[rows, c]
+                    L[rows, r - p0] = mult
+                    A[rows, c:l1] = _reduce(A[rows, c:l1] - np.outer(mult, row), p)
                 invs.append(inv)
                 pivots.append(c)
                 r += 1
                 if r == nrows:
                     break
-            _reduce(A[q:, l0:l1], p)
             _replay(A[:, l1:c1], L[:, q - p0:r - p0], invs[q - p0:], q, p)
         _replay(A[:, c1:], L[:, :r - p0], invs, p0, p)
         if r == nrows:
@@ -314,50 +341,60 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
     free coordinate and zero at the others.  The bounds therefore meet and
     the dimension is pinned, so the verified columns are the canonical
     basis whatever the number of primes behind them.  Reconstruction is
-    tried from the first prime on; a failure adds a prime, except that a
-    verification failure with two or more primes restarts from the next
-    prime (an unlucky prime dropped the rank).
+    tried from the reference prime on; a failure adds a prime, except that a
+    verification failure with two or more primes restarts from the prime
+    after the reference (an unlucky reference prime dropped the rank).  A
+    later prime whose rank exceeds the reference's proves that at once, so
+    it becomes the reference with its elimination reused; a prime of lower
+    or equal rank with other pivots is skipped.
     """
     A = np.asarray(A)
     ncols = A.shape[1]
     if A.shape[0] == 0 or ncols == 0:
         return np.eye(ncols, dtype=np.int64)
-    for start in range(len(SMALL_PRIMES) - 1):
-        residues: list[np.ndarray] = []
-        moduli: list[int] = []
-        ref_pivots: list[int] | None = None
-        nullity = -1
-        for p in SMALL_PRIMES[start:]:
-            pivots, free, basis = nullspace_small(A, p)
-            if ref_pivots is None:
-                ref_pivots, nullity = pivots, len(free)
-                if nullity == 0:
-                    # rank_p = ncols forces rank_Q = ncols: the nullspace is 0
-                    return np.zeros((ncols, 0), dtype=np.int64)
-            elif pivots != ref_pivots:
+    residues: list[np.ndarray] = []
+    moduli: list[int] = []
+    start = i = 0  # SMALL_PRIMES[start] is the reference prime
+    while True:
+        if i == len(SMALL_PRIMES):
+            # this reference has no prime left: the prime after it is the next
+            start += 1
+            if start == len(SMALL_PRIMES):
+                raise ArithmeticError("nullspace reconstruction failed at every prime")
+            i, residues, moduli = start, [], []
+        p = SMALL_PRIMES[i]
+        i += 1
+        pivots, free, basis = nullspace_small(A, p)
+        if moduli and pivots != ref_pivots:
+            if len(pivots) <= len(ref_pivots):
                 continue
-            residues.append(basis)
-            moduli.append(p)
-            cols: list[list[int]] = []
-            for j in range(nullity):
-                vec = lift_vector([r[:, j] for r in residues], moduli)
-                if vec is None:
-                    break
-                cols.append(integerize(vec))
+            residues, moduli = [], []  # more rank than the reference: it dropped rank
+        if not moduli:
+            start, ref_pivots, nullity = i - 1, pivots, len(free)
+            if nullity == 0:
+                # rank_p = ncols forces rank_Q = ncols: the nullspace is 0
+                return np.zeros((ncols, 0), dtype=np.int64)
+        residues.append(basis)
+        moduli.append(p)
+        cols: list[list[int]] = []
+        for j in range(nullity):
+            vec = lift_vector([r[:, j] for r in residues], moduli)
+            if vec is None:
+                break
+            cols.append(integerize(vec))
+        else:
+            V = np.array(cols, dtype=object).T
+            peak = int(np.abs(V).max())
+            row_l1 = int(np.abs(A).sum(axis=1).max())
+            if peak * row_l1 < 2**62 and peak < 2**62:
+                V = V.astype(np.int64)
+                ok = not np.any(A @ V)
             else:
-                V = np.array(cols, dtype=object).T
-                peak = int(np.abs(V).max())
-                row_l1 = int(np.abs(A).sum(axis=1).max())
-                if peak * row_l1 < 2**62 and peak < 2**62:
-                    V = V.astype(np.int64)
-                    ok = not np.any(A @ V)
-                else:
-                    ok = not np.any(A.astype(object) @ V)
-                if ok:
-                    return V
-                if len(moduli) > 1:
-                    break  # a vector failed exact verification: unlucky reference prime
-    raise ArithmeticError("nullspace reconstruction failed at every prime")
+                ok = not np.any(A.astype(object) @ V)
+            if ok:
+                return V
+            if len(moduli) > 1:
+                i = len(SMALL_PRIMES)  # a vector failed exact verification: unlucky reference prime
 
 
 # --------------------------------------------------------------- tracing

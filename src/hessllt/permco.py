@@ -54,7 +54,7 @@ from .errors import BudgetExceededError
 from .gkm import GkmModel, perm_monomial_map, quotient_graded_character
 from .hessgraph import HessenbergFunction, lambda_of, llt, orientations
 from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
-from .multipoly import monomial_index, monomials
+from .multipoly import monomials
 from .qrat import QPoly, QRat, format_poly
 from .symfunc import SymFunc
 
@@ -308,27 +308,29 @@ def _face_module_twin_check(n: int, F: ClassFunction, H: ClassFunction) -> dict:
 # ------------------------------------------------------------ coinvariants
 
 
-@lru_cache(maxsize=None)
-def _elementary_exponents(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    out = []
-    for S in combinations(range(n), k):
-        e = [0] * n
-        for s in S:
-            e[s] = 1
-        out.append(tuple(e))
-    return tuple(out)
-
-
 def _ideal_span_columns(n: int, d: int) -> np.ndarray:
     """Spanning columns of the degree-d piece of the ideal (e_1, ..., e_n):
     one column e_k * m per 1 <= k <= min(n, d) and monomial m of degree
-    d - k.  All coefficients are 0 or 1, in int64 (int8 overflows % p)."""
-    idx = monomial_index(n, d)
-    gens = [(k, m) for k in range(1, min(n, d) + 1) for m in monomials(n, d - k)]
-    out = np.zeros((len(monomials(n, d)), len(gens)), dtype=np.int64)
-    for j, (k, m) in enumerate(gens):
-        for e in _elementary_exponents(n, k):
-            out[idx[tuple(a + b for a, b in zip(m, e))], j] = 1
+    d - k.  All coefficients are 0 or 1, in int64 (int8 overflows % p).
+
+    Each exponent vector of degree at most d is read as a base-(d + 1)
+    number, first variable most significant.  No digit exceeds d, so the
+    key of m + e is key(m) + key(e) and descending lex order is descending
+    key order: one searchsorted against the keys of monomials(n, d) places
+    every row."""
+    radix = (d + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+    def keys(deg: int) -> np.ndarray:
+        return np.array(monomials(n, deg), dtype=np.int64).reshape(-1, n) @ radix
+
+    ascending = -keys(d)
+    gens = [keys(d - k) for k in range(1, min(n, d) + 1)]
+    out = np.zeros((len(ascending), sum(map(len, gens))), dtype=np.int64)
+    j = 0
+    for k, m in enumerate(gens, 1):
+        e = [radix[list(S)].sum() for S in combinations(range(n), k)]
+        out[np.searchsorted(ascending, -(m[:, None] + e)), np.arange(j, j + len(m))[:, None]] = 1
+        j += len(m)
     return out
 
 
@@ -342,7 +344,11 @@ def coinvariant_graded_character(n: int) -> ClassFunction:
     monomial basis); the complement is a certified integer nullspace of the
     transposed span matrix, traced by one SubspaceTracer per degree.  Each
     class is evaluated at two representatives where available, and the piece
-    one degree above the top is certified to vanish."""
+    one degree above the top is certified to vanish: the span matrix there
+    has full row rank mod p, hence over Q.  That rank is taken on the wide
+    span matrix itself (one row per monomial, fewer rows than columns), so
+    the elimination runs over the monomial rows and stops once every row
+    holds a pivot."""
     if not 1 <= n <= COINVARIANT_BUDGET:
         raise BudgetExceededError(
             f"coinvariant characters support 1 <= n <= {COINVARIANT_BUDGET}, got n = {n}"
@@ -353,8 +359,8 @@ def coinvariant_graded_character(n: int) -> ClassFunction:
         for d in range(top + 1)
     ]
     above = _ideal_span_columns(n, top + 1)
-    rank, _, _ = blocked_rref(above.T, SMALL_PRIMES[0], full=False)
-    if rank != above.shape[0]:
+    rank, _, _ = blocked_rref(above, SMALL_PRIMES[0], full=False)
+    if rank != len(above):
         raise ArithmeticError("the coinvariant quotient does not vanish above the top degree")
 
     def series(sigma: tuple[int, ...]) -> list[int]:

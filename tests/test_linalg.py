@@ -22,7 +22,7 @@ from hessllt.linalg import (
     nullspace_small,
     rational_reconstruct,
 )
-from hessllt.permco import coinvariant_closed_form_check
+from hessllt.permco import _ideal_span_columns, coinvariant_closed_form_check
 
 P = SMALL_PRIMES[0]
 
@@ -172,6 +172,138 @@ class TestBlockedEngine:
         assert not np.any((A @ basis) % P)
 
 
+class TestReduce:
+    """_reduce against Python's % on the values where a floating-point
+    quotient is closest to going wrong."""
+
+    @staticmethod
+    def edge_values(p):
+        top = 2**53 - 1
+        vals = {0, 1, -1, p, -p, p - 1, 1 - p, top, -top}
+        for k in (1, 2, 3, 1000, 2**52 // p, 2**52 // p + 1, top // p - 1, top // p):
+            for d in (-1, 0, 1):
+                vals.update((k * p + d, -(k * p + d)))
+        return sorted(v for v in vals if abs(v) <= top)
+
+    @pytest.mark.parametrize("p", [*SMALL_PRIMES, 2, 3, 7, 107])
+    def test_edge_values_match_python_mod(self, p):
+        vals = self.edge_values(p)
+        got = linalg._reduce(np.array(vals, dtype=np.float64), p)
+        assert [int(x) for x in got] == [v % p for v in vals]
+
+    def test_views_and_copies(self):
+        rng = np.random.default_rng(2)
+        ints = rng.integers(-(2**53) + 1, 2**53, size=(2100, 130))  # two row chunks
+        edge = self.edge_values(P)
+        ints[0, :len(edge)] = edge
+        ints[1:, 0] = rng.choice(edge, size=len(ints) - 1)
+        expected = np.array([[v % P for v in row] for row in ints.tolist()], dtype=np.float64)
+        base = ints.astype(np.float64)  # exact: every entry is below 2**53
+
+        a = base.copy()
+        assert linalg._reduce(a, P) is a
+        assert np.array_equal(a, expected)
+
+        a = base.copy()
+        view = a[1::2, 3::7]
+        linalg._reduce(view, P)
+        assert np.array_equal(view, expected[1::2, 3::7])
+        untouched = np.ones(a.shape, dtype=bool)
+        untouched[1::2, 3::7] = False
+        assert np.array_equal(a[untouched], base[untouched])
+
+        a = base.copy()
+        linalg._reduce(a[:, 0], P)  # a strided column
+        assert np.array_equal(a[:, 0], expected[:, 0])
+        assert np.array_equal(a[:, 1:], base[:, 1:])
+
+        a = base.copy()
+        linalg._reduce(a.T, P)
+        assert np.array_equal(a, expected)
+
+        rows = [5, 0, 2099, 7]
+        gathered = base[rows, 2:60]
+        linalg._reduce(gathered, P)
+        assert np.array_equal(gathered, expected[rows, 2:60])
+
+
+def sparse_matrix(rng, m, n, signed, density=0.02):
+    """0/1 (or 0/+-1) matrix with at least 95% zeros and no zero row."""
+    A = (rng.random((m, n)) < density).astype(np.int64)
+    A[np.arange(m), rng.integers(0, n, size=m)] = 1
+    if signed:
+        A *= rng.choice([-1, 1], size=(m, n))
+    assert (A == 0).mean() >= 0.95
+    return A
+
+
+def assert_matches_the_oracle(A):
+    for full in (True, False):
+        rank_b, pivots_b, R = blocked_rref(A, P, full)
+        rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
+        assert (rank_b, pivots_b) == (rank_o, pivots_o)
+        assert np.array_equal(R.astype(np.int64), M)
+    pivots, free, basis = nullspace_small(A, P)
+    rank, _, M = gauss_jordan_mod_p(A, P)
+    assert pivots == pivots_o and len(free) == A.shape[1] - rank
+    assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
+    assert np.array_equal(basis[pivots], (-M[:rank][:, free]) % P)
+
+
+class TestSparsePaths:
+    """The row-skipping leaf and products against the per-pivot oracle on
+    matrices shaped like the coinvariant and constraint matrices."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("shape", [(600, 300), (200, 700), (300, 300)])
+    def test_random_sparse(self, shape, signed):
+        rng = np.random.default_rng(sum(shape) + signed)
+        assert_matches_the_oracle(sparse_matrix(rng, *shape, signed))
+
+    def test_multipliers_all_zero_and_swaps_into_zero_multiplier_rows(self):
+        A = np.zeros((6, 5), dtype=np.int64)
+        A[0, 0] = 1  # pivot with no multiplier below it
+        A[3, 1] = A[5, 1] = 1  # swap 1 <-> 3: the row moved down has multiplier 0
+        A[4, 2] = -1  # swap 2 <-> 4, no multiplier at all
+        A[1, 3] = A[2, 3] = A[5, 3] = 1
+        A[:, 4] = [0, 1, 0, 1, 1, -1]
+        assert_matches_the_oracle(A)
+        assert_matches_the_oracle(A.T)
+
+    def test_products_with_no_multiplier_rows(self):
+        # a permuted identity: every multiplier block is zero, so the replays
+        # gather no rows and the rref is the identity
+        rng = np.random.default_rng(3)
+        A = np.eye(300, dtype=np.int64)[rng.permutation(300)]
+        assert_matches_the_oracle(A)
+        assert_matches_the_oracle(np.concatenate([A, sparse_matrix(rng, 300, 40, True)], axis=1))
+
+    @pytest.mark.parametrize("nonzero_rows", ["none", "some", "all"])
+    def test_sub_product_against_the_dense_update(self, nonzero_rows):
+        rng = np.random.default_rng(len(nonzero_rows))
+        base = rng.integers(0, P, size=(90, 50)).astype(np.float64)
+        L = rng.integers(0, P, size=(90, 12)).astype(np.float64)
+        if nonzero_rows == "none":
+            L[:] = 0
+        elif nonzero_rows == "some":
+            L[rng.random(90) < 0.8] = 0
+        X = rng.integers(0, P, size=(12, 30)).astype(np.float64)
+        T = base.copy()
+        linalg._sub_product(T[:, 10:40], L, X, P)  # a strided view of T
+        expected = base.astype(np.int64).astype(object)
+        expected[:, 10:40] = (expected[:, 10:40] - L.astype(np.int64).astype(object)
+                              @ X.astype(np.int64).astype(object)) % P
+        assert np.array_equal(T.astype(np.int64), expected.astype(np.int64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ideal_span_columns(self, n):
+        for d in range(n * (n - 1) // 2 + 2):
+            S = _ideal_span_columns(n, d)
+            if S.size:
+                assert_matches_the_oracle(S)
+                assert_matches_the_oracle(S.T)
+
+
 class TestReconstruction:
     def test_crt_pair(self):
         r, m = crt_pair(2, 5, 3, 7)
@@ -300,8 +432,28 @@ class TestLiftPaths:
         V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0], 0], [0, 1]]))
         assert V.shape == (2, 0)
         # the one-prime lift (1, 0) fails verification, so a prime is added;
-        # no other prime shares the reference pivots, so the run restarts
-        assert used == [*SMALL_PRIMES, SMALL_PRIMES[1]]
+        # its rank 2 exceeds the reference's, which proves the reference
+        # prime unlucky, so it becomes the reference and its nullity 0 ends
+        # the run without another elimination
+        assert used == list(SMALL_PRIMES[:2])
+
+    def test_failed_two_prime_verification_restarts_after_the_reference(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0] * SMALL_PRIMES[1], 0], [0, 1]]))
+        assert V.shape == (2, 0)
+        # the first two primes both drop the rank, with the same pivots, so
+        # the two-prime lift fails verification and the second prime is the
+        # next reference; the third has full rank
+        assert used == [SMALL_PRIMES[0], SMALL_PRIMES[1], SMALL_PRIMES[1], SMALL_PRIMES[2]]
+
+    def test_equal_rank_with_other_pivots_is_skipped(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0], 1]]))
+        assert V.tolist() == [[-1], [SMALL_PRIMES[0]]]
+        # every later prime has rank 1 with pivot 0 against the reference's
+        # pivot 1: all are skipped, and the second prime is the next reference
+        # (the kernel entry needs three primes to reconstruct)
+        assert used == [*SMALL_PRIMES, *SMALL_PRIMES[1:4]]
 
 
 class TestEngineFaults:
@@ -310,23 +462,34 @@ class TestEngineFaults:
     @pytest.fixture
     def skipping_gemm(self, monkeypatch):
         real = linalg._sub_product
+        skipped = []
 
-        def skip_last_row(T, L, X, p):
-            real(T[:-1], L[:-1], X, p)
+        def skip_a_multiplier_row(T, L, X, p):
+            # drop the last row with a nonzero multiplier, so that gathering
+            # only those rows cannot turn the fault into a no-op
+            rows = np.flatnonzero(L.any(axis=1))
+            if rows.size:
+                L = L.copy()
+                L[rows[-1]] = 0
+                skipped.append(int(rows[-1]))
+            real(T, L, X, p)
 
-        monkeypatch.setattr(linalg, "_sub_product", skip_last_row)
+        monkeypatch.setattr(linalg, "_sub_product", skip_a_multiplier_row)
+        return skipped
 
     def test_certified_nullspace_raises(self, skipping_gemm):
         A = random_int_matrix(random.Random(4), 40, 80, rank_deficit=6)
         with pytest.raises(ArithmeticError):
             certified_integer_nullspace(A)
+        assert skipping_gemm
 
     def test_coinvariant_closed_forms_fail(self, skipping_gemm):
         try:
             report = coinvariant_closed_form_check(4)
         except ArithmeticError:
-            return
-        assert not report["all_passed"]
+            report = None
+        assert skipping_gemm
+        assert report is None or not report["all_passed"]
 
 
 class TestSubspaceTracer:

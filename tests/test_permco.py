@@ -1,7 +1,9 @@
 """Permutohedron face modules, coinvariant algebras, and closed forms."""
 
 import json
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import hessllt.characters
@@ -16,6 +18,7 @@ from hessllt.combinat import identity_perm
 from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.gkm import GkmModel, quotient_graded_character
 from hessllt.hessgraph import HessenbergFunction
+from hessllt.multipoly import monomial_index, monomials
 from hessllt.permco import (
     PermutohedronFace,
     coinvariant_closed_form_check,
@@ -157,7 +160,42 @@ class TestFaceModules:
                 assert checks[name]["passed"], (n, name, checks[name])
 
 
+def ideal_span_columns_by_loop(n, d):
+    """Oracle: one column e_k * m per k and monomial m of degree d - k,
+    placed by tuple lookup."""
+    idx = monomial_index(n, d)
+    gens = [(k, m) for k in range(1, min(n, d) + 1) for m in monomials(n, d - k)]
+    out = np.zeros((len(idx), len(gens)), dtype=np.int64)
+    for j, (k, m) in enumerate(gens):
+        for S in combinations(range(n), k):
+            out[idx[tuple(a + (i in S) for i, a in enumerate(m))], j] = 1
+    return out
+
+
 class TestCoinvariants:
+    def test_ideal_span_columns_match_the_loop(self):
+        for n in range(1, 6):
+            for d in range(n * (n - 1) // 2 + 2):
+                fast = permco._ideal_span_columns(n, d)
+                assert fast.dtype == np.int64
+                assert np.array_equal(fast, ideal_span_columns_by_loop(n, d)), (n, d)
+
+    def test_nonvanishing_above_the_top_degree_raises(self, monkeypatch):
+        # zero one monomial row of the span one degree above the top: the
+        # quotient then has a nonzero piece there, and the rank check of
+        # that span must see it in either orientation
+        real = permco._ideal_span_columns
+
+        def one_row_short(n, d):
+            out = real(n, d)
+            if d == n * (n - 1) // 2 + 1:
+                out[len(out) // 2] = 0
+            return out
+
+        monkeypatch.setattr(permco, "_ideal_span_columns", one_row_short)
+        with pytest.raises(ArithmeticError, match="does not vanish"):
+            coinvariant_graded_character(4)
+
     def test_graded_character_small(self):
         chi2 = coinvariant_graded_character(2)
         assert chi2((1, 1)) == QRat(QPoly((1, 1)))
