@@ -165,12 +165,12 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     |b| * fl(1/p) is within |b| / (p 2**53) < 1 / p of x, hence not below m
     unless p divides b; rounding the product moves it by at most as much
     again and never across the float m.  So the truncated quotient f has
-    magnitude m, or m - 1 when p divides b, or m + 1 when p divides |b| + 1.
-    Hence |f p| <= |b| + 1 <= 2**53, f p and b - f p are float64 integers,
-    and b - f p lies in [-p, p]: adding p to the negative entries and taking
-    p from those at or above p lands every entry in [0, p).  (A floor in
-    place of trunc would let |f p| reach |b| + p, past 2**53 for b near
-    -2**53.)"""
+    magnitude m, except possibly m - 1 where p divides b and m + 1 where p
+    divides |b| + 1.  Hence |f p| <= |b| + 1 <= 2**53, f p and b - f p are
+    float64 integers, and b - f p lies in [-p, p]: adding p to the negative
+    entries and taking p from those at or above p lands every entry in
+    [0, p).  (A floor in place of trunc would let |f p| reach |b| + p, past
+    2**53 for b near -2**53.)"""
     inv = 1.0 / p
     for s in _chunks(len(a), a.size // max(len(a), 1)):
         b = a[s]
