@@ -34,14 +34,17 @@ dot_t = quotient_graded_character(mx, "dot", "t_vars")
 dot_x = quotient_graded_character(mx, "dot", "x_classes")
 dag_t = quotient_graded_character(my, "dagger", "t_vars")
 
+print("A character is stored as its Frobenius image; frobenius_inverse reads")
+print("back its value on each class.\n")
 print("X quotient by (t_i), dot action:")
-print(" ", dot_t)
-print("  equals the omega-twisted chromatic character:",
-      dot_t == frobenius_inverse(csf(h).omega()))
+for mu, value in frobenius_inverse(dot_t).items():
+    print(f"  class {mu}: {value}")
+print("  equals the omega-twisted chromatic function:", dot_t == csf(h).omega())
 
 print("X quotient by (x_i), dot action:")
-print(" ", dot_x)
-print("  equals the LLT character:", dot_x == frobenius_inverse(llt(h)))
+for mu, value in frobenius_inverse(dot_x).items():
+    print(f"  class {mu}: {value}")
+print("  equals the LLT polynomial:", dot_x == llt(h))
 
 print("Y quotient by (t_i), dagger action:")
 print("  twin law (equals the X quotient by x):", dag_t == dot_x, "\n")

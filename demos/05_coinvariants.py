@@ -14,16 +14,17 @@ from hessllt import (
     complete_graph_agreement,
     q_binomial_sum_check,
 )
+from hessllt.characters import frobenius_inverse, graded_dimension
 from hessllt.permco import q_factorial
 from hessllt.qrat import format_poly
 
 n = 3
 chi = coinvariant_graded_character(n)
 print(f"coinvariant algebra for n = {n}:")
-for mu, value in chi.values.items():
+for mu, value in frobenius_inverse(chi).items():
     print(f"  class {mu}: {value}")
 print("graded dimension equals the q-factorial:",
-      chi.values[(1,) * n].as_poly() == q_factorial(n))
+      graded_dimension(chi).as_poly() == q_factorial(n))
 print("q-factorial:", format_poly(q_factorial(n)), "\n")
 
 out = coinvariant_closed_form_check(4)

@@ -12,7 +12,6 @@ from .combinat import (
     partitions_of,
 )
 from .characters import (
-    ClassFunction,
     frobenius_char,
     frobenius_inverse,
     induced_young,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "ClassFunction",
     "EquivariantClass",
     "GkmModel",
     "GkmSpace",

@@ -54,11 +54,6 @@ def z_mu(mu: Partition) -> int:
     return out
 
 
-def sgn_of_class(mu: Partition) -> int:
-    """Sign character value on the class: (-1)^(n - number of parts)."""
-    return -1 if (sum(mu) - len(mu)) % 2 else 1
-
-
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     """S_n in lexicographic one-line order."""
@@ -169,12 +164,3 @@ def young_subgroup_order(I: tuple[int, ...], n: int) -> int:
     for b in composition_from_subset(I, n):
         out *= math.factorial(b)
     return out
-
-
-def young_subgroup_contains(I: tuple[int, ...], n: int, w: Permutation) -> bool:
-    """Whether w preserves each consecutive block cut by I."""
-    cuts = (0,) + tuple(I) + (n,)
-    for a, b in zip(cuts, cuts[1:]):
-        if any(not a < w[x - 1] <= b for x in range(a + 1, b + 1)):
-            return False
-    return True

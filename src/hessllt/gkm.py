@@ -23,8 +23,9 @@ every edge congruence in exact integer arithmetic before use.  Each piece
 keeps one SubspaceTracer: the reduced echelon form of its basis mod the
 first prime at which the basis is independent, from which every trace is a
 sum at the permuted pivots, exact without retrying.
-characters.graded_class_function assembles the traces into quotient
-characters, checking that class representatives agree.
+characters.graded_class_function assembles the traces into the Frobenius
+images of the quotient characters, checking that class representatives
+agree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .characters import ClassFunction, frobenius_char, graded_class_function, palindromicity_check
+from .characters import character_json, graded_class_function, graded_dimension, palindromicity_check
 from .combinat import (
     all_permutations,
     compose,
@@ -51,7 +52,6 @@ from .linalg import (
     SubspaceTracer,
     blocked_rref,
     certified_integer_nullspace,
-    frac_rref,
 )
 from .multipoly import (
     MPoly,
@@ -71,6 +71,7 @@ from .multipoly import (
     mp_zero,
 )
 from .qrat import QRat
+from .symfunc import SymFunc
 
 GKM_N_BUDGET = 4
 GKM_DEGREE_SLACK = 3  # degree pieces available up to |h| + slack
@@ -533,24 +534,6 @@ def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...], action: str) -
     return (vmap[:, None] * M + mmap[None, :]).ravel()
 
 
-def ideal_piece(space_d: GkmSpace, space_dminus1: GkmSpace | None, generators: str) -> list[list[int]]:
-    """Exact spanning columns of sum_g g * (degree d-1 piece) inside the
-    degree-d coordinate space, for g over t_1..t_n or x_1..x_n."""
-    if generators not in ("t_vars", "x_classes"):
-        raise ValueError(f"generators must be 't_vars' or 'x_classes', got {generators!r}")
-    model = space_d.model
-    if space_d.degree == 0:
-        return []
-    if space_dminus1 is None or space_dminus1.degree != space_d.degree - 1:
-        raise ValueError("need the piece one degree below")
-    if space_dminus1.model.flavor != model.flavor or space_dminus1.model.h != model.h:
-        raise ValueError("pieces belong to different models")
-    if generators == "x_classes" and model.flavor != "X":
-        raise ValueError("x classes generate an ideal of flavor X only")
-    prod = _product_columns(model, space_dminus1, generators)
-    return [list(map(int, prod[:, j])) for j in range(prod.shape[1])]
-
-
 # ---------------------------------------------------- quotient characters
 
 
@@ -577,10 +560,10 @@ def _exterior_generator_traces(sigma: tuple[int, ...], permuted: bool) -> list[i
 
 def quotient_graded_character(
     model: GkmModel, action: str, generators: str, max_d: int | None = None
-) -> ClassFunction:
+) -> SymFunc:
     """Graded character of the quotient of the model's congruence ring by the
     ideal generated by the constant classes t_i or the tautological classes
-    x_i, one q-polynomial value per cycle type.
+    x_i, as the Frobenius image of its q-polynomial class values.
 
     The trace on the degree-d quotient is the alternating sum over k of
     (trace on exterior power k of the generator span) times (trace on the
@@ -616,56 +599,6 @@ def quotient_graded_character(
             if qtr[d]:
                 raise VerificationError(f"quotient does not vanish at degree {d} > |h| = {size}")
         return qtr
-
-    return graded_class_function(n, series)
-
-
-def quotient_character_bruteforce(
-    model: GkmModel, action: str, generators: str, max_d: int | None = None
-) -> ClassFunction:
-    """Independent route to the quotient character for n <= 3: the trace on
-    the quotient is the trace on the piece minus the trace on the ideal
-    subspace, both evaluated exactly over Fraction on echelon bases."""
-    combo = (model.flavor, action, generators)
-    if combo not in _VALID_QUOTIENTS:
-        raise ValueError(f"unsupported quotient combination {combo}")
-    n = model.n
-    if n > 3:
-        raise BudgetExceededError("the bruteforce route is for n <= 3")
-    size = model.h.size()
-    if max_d is None:
-        max_d = size
-    _check_degree_budget(model, max_d)
-    spaces = [degree_piece(model, d) for d in range(max_d + 1)]
-
-    def echelon_basis(columns: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
-        if not columns:
-            return [], []
-        rank, pivots, rref = frac_rref([[Fraction(x) for x in col] for col in columns])
-        return rref[:rank], pivots
-
-    # echelon bases of each piece and of its ideal subspace, per degree
-    bases = [
-        (
-            echelon_basis(spaces[d].basis),
-            echelon_basis(ideal_piece(spaces[d], spaces[d - 1], generators) if d else []),
-        )
-        for d in range(max_d + 1)
-    ]
-
-    def subspace_trace(echelon, src) -> Fraction:
-        # Echelon rows have a unit at their pivot coordinate and zeros at
-        # the other pivots, so the trace is the sum of pivot coordinates of
-        # the transported rows.
-        rows, pivots = echelon
-        return sum((row[src[pc]] for row, pc in zip(rows, pivots)), Fraction(0))
-
-    def series(sigma: tuple[int, ...]) -> list[Fraction]:
-        coeffs: list[Fraction] = []
-        for d, (piece, ideal) in enumerate(bases):
-            src = _ambient_src(model, d, sigma, action)
-            coeffs.append(subspace_trace(piece, src) - subspace_trace(ideal, src))
-        return coeffs
 
     return graded_class_function(n, series)
 
@@ -784,7 +717,7 @@ def equivariant_palindromicity_check(h: HessenbergFunction) -> bool:
     quotient = quotient_graded_character(model, "dagger", "t_vars")
     n = h.n
     denom = (QRat.one() - QRat.q()) ** n
-    ring_char = quotient.subs_values(lambda v: v / denom)
+    ring_char = quotient.subs_coeffs(lambda v: v / denom)
     shift = QRat.q() ** h.size()
     scale = QRat.q() ** n * ((-1) ** n)
     return palindromicity_check(ring_char, shift, True, scale)
@@ -820,23 +753,12 @@ def gkm_report(h: HessenbergFunction) -> dict:
     q_x = quotient_graded_character(model_x, "dot", "x_classes", max_d)
     q_y = quotient_graded_character(model_y, "dagger", "t_vars", max_d)
 
-    target_csf = csf(h).omega().in_basis("p")
-    record(
-        "t-quotient-character-is-omega-chromatic",
-        frobenius_char(q_t).in_basis("p") == target_csf,
-    )
-    target_llt = llt(h).in_basis("p")
-    record(
-        "x-quotient-character-is-llt",
-        frobenius_char(q_x).in_basis("p") == target_llt,
-    )
+    record("t-quotient-character-is-omega-chromatic", q_t == csf(h).omega())
+    record("x-quotient-character-is-llt", q_x == llt(h))
     record("twin-quotient-equals-x-quotient", q_y == q_x)
     record(
         "total-quotient-dimension-is-n-factorial",
-        all(
-            ch.values[(1,) * n].evaluate(1) == factorial(n)
-            for ch in (q_t, q_x, q_y)
-        ),
+        all(graded_dimension(ch).evaluate(1) == factorial(n) for ch in (q_t, q_x, q_y)),
     )
     record("equivariant-palindromicity", equivariant_palindromicity_check(h))
 
@@ -880,9 +802,9 @@ def gkm_report(h: HessenbergFunction) -> dict:
         "max_degree": max_d,
         "degree_dimensions": dims_x,
         "quotient_characters": {
-            "dot_t_quotient": q_t.to_json_obj(),
-            "dot_x_quotient": q_x.to_json_obj(),
-            "dagger_t_quotient": q_y.to_json_obj(),
+            "dot_t_quotient": character_json(q_t),
+            "dot_x_quotient": character_json(q_x),
+            "dagger_t_quotient": character_json(q_y),
         },
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),

@@ -13,8 +13,7 @@ before any monomial coefficient is read off.  All n^n colorings with n
 colors, which is enough in degree n, are enumerated with exact integer numpy
 counting: each coloring becomes one int64 key, its content vector read as a
 radix-(n+1) number times (|h| + 1) plus its ascents, and one 1-D sort with
-counts groups them.  A pure Python path is kept as an independent oracle for
-small n.
+counts groups them.
 
 Orientations of G_h carry the ascent statistic asc(theta) (number of edges
 directed from the smaller to the larger endpoint) and the highest reachable
@@ -121,15 +120,6 @@ def hessenberg_all(n: int) -> tuple[HessenbergFunction, ...]:
     return tuple(HessenbergFunction(v) for v in gen(()))
 
 
-def asc_coloring(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> int:
-    """Edges {a, b} with a < b and kappa(a) < kappa(b)."""
-    return sum(1 for a, b in graph.edges if kappa[a - 1] < kappa[b - 1])
-
-
-def is_proper(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> bool:
-    return all(kappa[a - 1] != kappa[b - 1] for a, b in graph.edges)
-
-
 def _coloring_weights(h: HessenbergFunction):
     """Exact q-weight tables over all n^n colorings with n colors.
 
@@ -228,28 +218,6 @@ def llt(h: HessenbergFunction) -> SymFunc:
 def csf(h: HessenbergFunction) -> SymFunc:
     """Chromatic quasisymmetric function X_h(z; q) in the m basis."""
     return _coloring_symfuncs(h)[1]
-
-
-def coloring_expansion_bruteforce(h: HessenbergFunction, proper_only: bool) -> SymFunc:
-    """Pure Python oracle for csf and llt, practical for n <= 4."""
-    n = h.n
-    graph = h.graph()
-    table: dict[Partition, dict[int, int]] = {}
-    for kappa in itertools.product(range(n), repeat=n):
-        if proper_only and not is_proper(kappa, graph):
-            continue
-        exp = tuple(sorted((kappa.count(c) for c in range(n)), reverse=True))
-        lam = tuple(x for x in exp if x > 0)
-        a = asc_coloring(kappa, graph)
-        table.setdefault(lam, {})
-        table[lam][a] = table[lam].get(a, 0) + 1
-    qtable = {}
-    for lam, by_asc in table.items():
-        # each monomial orbit member was counted; divide by the orbit size
-        orbit = len(set(itertools.permutations(lam + (0,) * (n - len(lam)))))
-        assert all(m % orbit == 0 for m in by_asc.values())
-        qtable[lam] = _tally_poly({a: m // orbit for a, m in by_asc.items()})
-    return SymFunc.from_q_table("m", n, qtable)
 
 
 class Orientation:

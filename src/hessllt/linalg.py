@@ -343,10 +343,11 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
     basis whatever the number of primes behind them.  Reconstruction is
     tried from the reference prime on; a failure adds a prime, except that a
     verification failure with two or more primes restarts from the prime
-    after the reference (an unlucky reference prime dropped the rank).  A
-    later prime whose rank exceeds the reference's proves that at once, so
-    it becomes the reference with its elimination reused; a prime of lower
-    or equal rank with other pivots is skipped.
+    after the reference (an unlucky reference prime dropped the rank).  Mod p
+    the rank of a column prefix can only drop, so a later prime with more
+    rank, or equal rank and lexicographically earlier pivots, proves that at
+    once: it becomes the reference with its elimination reused.  Any other
+    prime with other pivots is skipped.
     """
     A = np.asarray(A)
     ncols = A.shape[1]
@@ -366,9 +367,10 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
         i += 1
         pivots, free, basis = nullspace_small(A, p)
         if moduli and pivots != ref_pivots:
-            if len(pivots) <= len(ref_pivots):
+            # the luckier prime has more rank, then earlier pivots
+            if (-len(pivots), pivots) > (-len(ref_pivots), ref_pivots):
                 continue
-            residues, moduli = [], []  # more rank than the reference: it dropped rank
+            residues, moduli = [], []  # the reference dropped rank
         if not moduli:
             start, ref_pivots, nullity = i - 1, pivots, len(free)
             if nullity == 0:

@@ -367,18 +367,3 @@ class SymFunc:
             chunks.append(f"{coeff}{self.basis}_{{{sub or '0'}}}")
         return " + ".join(chunks)
 
-
-def elementary(lam: Partition) -> SymFunc:
-    return SymFunc.basis_element("e", lam)
-
-
-def complete_homogeneous(lam: Partition) -> SymFunc:
-    return SymFunc.basis_element("h", lam)
-
-
-def power_sum(lam: Partition) -> SymFunc:
-    return SymFunc.basis_element("p", lam)
-
-
-def schur(lam: Partition) -> SymFunc:
-    return SymFunc.basis_element("s", lam)

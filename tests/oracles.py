@@ -1,0 +1,179 @@
+"""Independent routes that only the tests run.
+
+Each oracle recomputes an object of the library by the most literal method
+available, practical only at small n: induced Young characters by coset
+sums, csf and llt by enumerating colorings in pure Python, and the moment-
+graph quotient characters by Fraction echelon forms of each piece and of
+its ideal subspace.  The named basis elements are here for the tests that
+build symmetric functions by hand.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+
+from hessllt.characters import frobenius_char, graded_class_function
+from hessllt.combinat import (
+    Partition,
+    Permutation,
+    all_permutations,
+    class_representative,
+    compose,
+    cycle_type,
+    inverse,
+    partitions_of,
+    young_subgroup_order,
+)
+from hessllt.errors import BudgetExceededError
+from hessllt.gkm import (
+    _VALID_QUOTIENTS,
+    GkmModel,
+    GkmSpace,
+    _ambient_src,
+    _check_degree_budget,
+    _product_columns,
+    degree_piece,
+)
+from hessllt.hessgraph import HessenbergFunction, UnitIntervalGraph, _tally_poly
+from hessllt.linalg import frac_rref
+from hessllt.qrat import QRat
+from hessllt.symfunc import SymFunc
+
+
+def elementary(lam: Partition) -> SymFunc:
+    return SymFunc.basis_element("e", lam)
+
+
+def complete_homogeneous(lam: Partition) -> SymFunc:
+    return SymFunc.basis_element("h", lam)
+
+
+def power_sum(lam: Partition) -> SymFunc:
+    return SymFunc.basis_element("p", lam)
+
+
+def schur(lam: Partition) -> SymFunc:
+    return SymFunc.basis_element("s", lam)
+
+
+def sgn_of_class(mu: Partition) -> int:
+    """Sign character value on the class: (-1)^(n - number of parts)."""
+    return -1 if (sum(mu) - len(mu)) % 2 else 1
+
+
+def young_subgroup_contains(I: tuple[int, ...], n: int, w: Permutation) -> bool:
+    """Whether w preserves each consecutive block cut by I."""
+    cuts = (0,) + tuple(I) + (n,)
+    for a, b in zip(cuts, cuts[1:]):
+        if any(not a < w[x - 1] <= b for x in range(a + 1, b + 1)):
+            return False
+    return True
+
+
+def induced_young_bruteforce(I: tuple[int, ...], n: int, rep: str = "trivial") -> SymFunc:
+    """Element-wise induced character by coset sums,
+    chi^(G)(g) = (1/|S_I|) #{x in S_n : x^-1 g x in S_I} (times sign for rep='sign')."""
+    order = young_subgroup_order(I, n)
+    group = all_permutations(n)
+    values: dict[Partition, QRat] = {}
+    for mu in partitions_of(n):
+        g = class_representative(mu)
+        total = Fraction(0)
+        for x in group:
+            y = compose(compose(inverse(x), g), x)
+            if young_subgroup_contains(I, n, y):
+                if rep == "trivial":
+                    total += 1
+                else:
+                    total += sgn_of_class(cycle_type(y))
+        values[mu] = QRat.of(total / order)
+    return frobenius_char(n, values)
+
+
+def asc_coloring(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> int:
+    """Edges {a, b} with a < b and kappa(a) < kappa(b)."""
+    return sum(1 for a, b in graph.edges if kappa[a - 1] < kappa[b - 1])
+
+
+def is_proper(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> bool:
+    return all(kappa[a - 1] != kappa[b - 1] for a, b in graph.edges)
+
+
+def coloring_expansion_bruteforce(h: HessenbergFunction, proper_only: bool) -> SymFunc:
+    """csf (proper_only) or llt by enumerating colorings in pure Python,
+    practical for n <= 4."""
+    n = h.n
+    graph = h.graph()
+    table: dict[Partition, dict[int, int]] = {}
+    for kappa in itertools.product(range(n), repeat=n):
+        if proper_only and not is_proper(kappa, graph):
+            continue
+        exp = tuple(sorted((kappa.count(c) for c in range(n)), reverse=True))
+        lam = tuple(x for x in exp if x > 0)
+        a = asc_coloring(kappa, graph)
+        table.setdefault(lam, {})
+        table[lam][a] = table[lam].get(a, 0) + 1
+    qtable = {}
+    for lam, by_asc in table.items():
+        # each monomial orbit member was counted; divide by the orbit size
+        orbit = len(set(itertools.permutations(lam + (0,) * (n - len(lam)))))
+        assert all(m % orbit == 0 for m in by_asc.values())
+        qtable[lam] = _tally_poly({a: m // orbit for a, m in by_asc.items()})
+    return SymFunc.from_q_table("m", n, qtable)
+
+
+def ideal_piece(space_dminus1: GkmSpace, generators: str) -> list[list[int]]:
+    """Exact spanning columns of sum_g g * (degree d-1 piece) inside the
+    degree-d coordinate space, for g over t_1..t_n or x_1..x_n."""
+    prod = _product_columns(space_dminus1.model, space_dminus1, generators)
+    return [list(map(int, prod[:, j])) for j in range(prod.shape[1])]
+
+
+def quotient_character_bruteforce(
+    model: GkmModel, action: str, generators: str, max_d: int | None = None
+) -> SymFunc:
+    """The quotient character for n <= 3: the trace on the quotient is the
+    trace on the piece minus the trace on the ideal subspace, both evaluated
+    exactly over Fraction on echelon bases."""
+    combo = (model.flavor, action, generators)
+    if combo not in _VALID_QUOTIENTS:
+        raise ValueError(f"unsupported quotient combination {combo}")
+    n = model.n
+    if n > 3:
+        raise BudgetExceededError("the bruteforce route is for n <= 3")
+    if max_d is None:
+        max_d = model.h.size()
+    _check_degree_budget(model, max_d)
+    spaces = [degree_piece(model, d) for d in range(max_d + 1)]
+
+    def echelon_basis(columns: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
+        if not columns:
+            return [], []
+        rank, pivots, rref = frac_rref([[Fraction(x) for x in col] for col in columns])
+        return rref[:rank], pivots
+
+    # echelon bases of each piece and of its ideal subspace, per degree
+    bases = [
+        (
+            echelon_basis(spaces[d].basis),
+            echelon_basis(ideal_piece(spaces[d - 1], generators) if d else []),
+        )
+        for d in range(max_d + 1)
+    ]
+
+    def subspace_trace(echelon, src) -> Fraction:
+        # Echelon rows have a unit at their pivot coordinate and zeros at
+        # the other pivots, so the trace is the sum of pivot coordinates of
+        # the transported rows.
+        rows, pivots = echelon
+        return sum((row[src[pc]] for row, pc in zip(rows, pivots)), Fraction(0))
+
+    def series(sigma: tuple[int, ...]) -> list[Fraction]:
+        coeffs: list[Fraction] = []
+        for d, (piece, ideal) in enumerate(bases):
+            src = _ambient_src(model, d, sigma, action)
+            coeffs.append(subspace_trace(piece, src) - subspace_trace(ideal, src))
+        return coeffs
+
+    return graded_class_function(n, series)

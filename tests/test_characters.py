@@ -1,26 +1,27 @@
-"""Class functions, Frobenius transforms, and induced characters."""
+"""Characters as Frobenius images, class values, and induced characters."""
 
 import pytest
 
 from hessllt.characters import (
+    character_json,
     frobenius_char,
     graded_class_function,
     frobenius_inverse,
     graded_dimension,
     induced_young,
-    induced_young_bruteforce,
     palindromicity_check,
     polynomial_algebra_series,
     regular_character,
     sign_character,
     trivial_character,
 )
-from hessllt.combinat import subsets_of_interval
+from hessllt.combinat import partitions_of, subsets_of_interval
 from hessllt.errors import VerificationError
 from hessllt.qrat import QRat
-from hessllt.symfunc import (
+from oracles import (
     complete_homogeneous,
     elementary,
+    induced_young_bruteforce,
     power_sum,
     schur,
 )
@@ -28,44 +29,52 @@ from hessllt.symfunc import (
 
 class TestBasicCharacters:
     def test_trivial_sign_regular_values(self):
-        triv = trivial_character(3)
-        sgn = sign_character(3)
-        reg = regular_character(3)
-        assert triv((2, 1)) == QRat.one()
-        assert sgn((2, 1)) == QRat.of(-1)
-        assert sgn((3,)) == QRat.one()
-        assert reg((1, 1, 1)) == QRat.of(6)
-        assert reg((2, 1)) == QRat.zero()
-        assert reg((3,)) == QRat.zero()
+        triv = frobenius_inverse(trivial_character(3))
+        sgn = frobenius_inverse(sign_character(3))
+        reg = frobenius_inverse(regular_character(3))
+        assert triv[(2, 1)] == QRat.one()
+        assert sgn[(2, 1)] == QRat.of(-1)
+        assert sgn[(3,)] == QRat.one()
+        assert reg[(1, 1, 1)] == QRat.of(6)
+        assert reg[(2, 1)] == QRat.zero()
+        assert reg[(3,)] == QRat.zero()
 
-    def test_tensor_sign_involution(self):
+    def test_sign_twist_involution(self):
         chi = regular_character(4) + trivial_character(4)
-        assert chi.tensor_sign().tensor_sign() == chi
+        assert chi.omega().omega() == chi
+        assert trivial_character(4).omega() == sign_character(4)
 
     def test_arithmetic(self):
         triv = trivial_character(3)
         assert triv + triv == triv.scale(QRat.of(2))
-        assert (triv - triv)((3,)) == QRat.zero()
-        assert (triv * sign_character(3)) == sign_character(3)
+        assert frobenius_inverse(triv - triv)[(3,)] == QRat.zero()
 
 
 class TestFrobenius:
     def test_frobenius_of_named_characters(self):
-        assert frobenius_char(trivial_character(3)) == complete_homogeneous((3,))
-        assert frobenius_char(trivial_character(3)) == schur((3,))
-        assert frobenius_char(sign_character(3)) == elementary((3,))
-        assert frobenius_char(regular_character(3)) == power_sum((1, 1, 1))
+        assert trivial_character(3) == complete_homogeneous((3,))
+        assert trivial_character(3) == schur((3,))
+        assert sign_character(3) == elementary((3,))
+        assert regular_character(3) == power_sum((1, 1, 1))
 
     def test_round_trip(self):
         for n in (2, 3, 4):
             chi = regular_character(n) + sign_character(n).scale(QRat.q())
-            assert frobenius_inverse(frobenius_char(chi)) == chi
+            values = frobenius_inverse(chi)
+            assert tuple(values) == partitions_of(n)
+            assert frobenius_char(n, values) == chi
+
+    def test_constructor_needs_one_value_per_partition(self):
+        with pytest.raises(ValueError, match="exactly one value per partition"):
+            frobenius_char(3, {(3,): 1, (2, 1): 1})
+        with pytest.raises(ValueError, match="exactly one value per partition"):
+            frobenius_char(2, {(2,): 1, (1, 1): 1, (3,): 1})
 
     def test_schur_gives_irreducible_values(self):
         chi = frobenius_inverse(schur((2, 1)))
-        assert chi((1, 1, 1)) == QRat.of(2)
-        assert chi((2, 1)) == QRat.zero()
-        assert chi((3,)) == QRat.of(-1)
+        assert chi[(1, 1, 1)] == QRat.of(2)
+        assert chi[(2, 1)] == QRat.zero()
+        assert chi[(3,)] == QRat.of(-1)
 
 
 class TestInducedYoung:
@@ -93,16 +102,17 @@ class TestInducedYoung:
 
 class TestGradedSeries:
     def test_polynomial_algebra_series_values(self):
-        R = polynomial_algebra_series(2)
-        assert R((1, 1)) == QRat.one() / ((QRat.one() - QRat.q()) ** 2)
-        assert R((2,)) == QRat.one() / (QRat.one() - QRat.q() ** 2)
+        R = frobenius_inverse(polynomial_algebra_series(2))
+        assert R[(1, 1)] == QRat.one() / ((QRat.one() - QRat.q()) ** 2)
+        assert R[(2,)] == QRat.one() / (QRat.one() - QRat.q() ** 2)
 
     def test_graded_class_function_values(self):
         # 1 + (fixed points) q: the trivial plus the defining character
         chi = graded_class_function(3, lambda sigma: [1, sum(sigma[i] == i + 1 for i in range(3))])
-        assert chi((1, 1, 1)) == QRat.one() + QRat.q() * 3
-        assert chi((2, 1)) == QRat.one() + QRat.q()
-        assert chi((3,)) == QRat.one()
+        values = frobenius_inverse(chi)
+        assert values[(1, 1, 1)] == QRat.one() + QRat.q() * 3
+        assert values[(2, 1)] == QRat.one() + QRat.q()
+        assert values[(3,)] == QRat.one()
 
     def test_graded_class_function_rejects_disagreeing_representatives(self):
         # the first letter's image is not a class function
@@ -116,14 +126,25 @@ class TestGradedSeries:
 class TestPalindromicity:
     def test_q_inverse_symmetry(self):
         # chi(mu) = q + 1 for all mu: q * chi(1/q) = 1 + q = chi
-        chi = trivial_character(2).subs_values(lambda v: v * (QRat.q() + 1))
+        chi = trivial_character(2).subs_coeffs(lambda v: v * (QRat.q() + 1))
         assert palindromicity_check(chi, QRat.q(), False, QRat.one())
 
     def test_detects_failure(self):
-        chi = trivial_character(2).subs_values(lambda v: v * (QRat.q() + 2))
+        chi = trivial_character(2).subs_coeffs(lambda v: v * (QRat.q() + 2))
         assert not palindromicity_check(chi, QRat.q(), False, QRat.one())
 
     def test_serialization(self):
-        obj = trivial_character(2).to_json_obj()
+        obj = character_json(trivial_character(2))
         assert obj["n"] == 2
         assert {"type": [1, 1], "value": "(1)/(1)"} in obj["classes"]
+
+    def test_serialization_lists_every_class_with_zeros(self):
+        obj = character_json(regular_character(3))
+        assert obj == {
+            "n": 3,
+            "classes": [
+                {"type": [3], "value": "(0)/(1)"},
+                {"type": [2, 1], "value": "(0)/(1)"},
+                {"type": [1, 1, 1], "value": "(6)/(1)"},
+            ],
+        }

@@ -18,12 +18,11 @@ from hessllt.combinat import (
     partition_from_subset,
     partitions_of,
     second_representative,
-    sgn_of_class,
     subsets_of_interval,
     transposition,
-    young_subgroup_contains,
     young_subgroup_order,
 )
+from oracles import sgn_of_class, young_subgroup_contains
 
 
 def perms(n):

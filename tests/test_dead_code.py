@@ -1,0 +1,87 @@
+"""No top-level function or class in src/hessllt is dead code.
+
+A definition is alive when something other than its own body names it:
+another definition or statement of src/hessllt, a demo, a line of the
+README, or an entry of hessllt.__all__.  Tests do not count; an oracle that
+only the tests call belongs in tests/oracles.py.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hessllt"
+
+
+def names_read(node: ast.AST) -> set[str]:
+    """Every name the node reads, as a bare name or as an attribute."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def definitions_and_outside_reads(source: str) -> tuple[list[tuple[int, str]], set[str]]:
+    """(line, name) of every top-level def or class, and the names read
+    anywhere except inside the definition of that same name.  Names listed
+    in __all__ count as read."""
+    tree = ast.parse(source)
+    defs = []
+    reads: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append((node.lineno, node.name))
+            reads |= names_read(node) - {node.name}
+        else:
+            reads |= names_read(node)
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                reads |= set(ast.literal_eval(node.value))
+    return defs, reads
+
+
+def dead_definitions(modules: dict[str, str], outside: set[str], text: str) -> list[str]:
+    """module:line: name of each definition in modules (name -> source) that
+    no module, no name in outside and no word of text reads."""
+    parsed = {name: definitions_and_outside_reads(src) for name, src in modules.items()}
+    read = set(outside).union(*(reads for _, reads in parsed.values()))
+    words = set(re.findall(r"\w+", text))
+    return [
+        f"{module}:{line}: {name}"
+        for module, (defs, _) in parsed.items()
+        for line, name in defs
+        if name not in read and name not in words
+    ]
+
+
+def test_scanner_flags_only_unreferenced_definitions():
+    modules = {
+        "a": (
+            "__all__ = ['exported']\n"
+            "def exported(): pass\n"
+            "def helper(): return 1\n"
+            "def caller(): return helper()\n"
+            "def recursive(k): return recursive(k - 1)\n"
+            "class Documented: pass\n"
+            "def from_demo(): pass\n"
+        ),
+        "b": "from a import caller\nVALUE = caller()\ndef orphan(): pass\n",
+    }
+    dead = dead_definitions(modules, {"from_demo"}, "see `Documented` in the README")
+    assert dead == ["a:5: recursive", "b:3: orphan"]
+
+
+def test_no_dead_definitions():
+    modules = {
+        path.relative_to(ROOT).as_posix(): path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+    }
+    demos = set().union(
+        *(names_read(ast.parse(p.read_text())) for p in sorted((ROOT / "demos").glob("*.py")))
+    )
+    dead = dead_definitions(modules, demos, (ROOT / "README.md").read_text())
+    assert not dead, "definitions nothing reads:\n" + "\n".join(dead)

@@ -8,11 +8,8 @@ from hessllt import cli, hessgraph
 from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.hessgraph import (
     HessenbergFunction,
-    asc_coloring,
-    coloring_expansion_bruteforce,
     csf,
     hessenberg_all,
-    is_proper,
     lambda_of,
     llt,
     orientation_e_expansion,
@@ -20,7 +17,7 @@ from hessllt.hessgraph import (
     verify_identities,
 )
 from hessllt.qrat import QPoly, QRat
-from hessllt.symfunc import elementary, power_sum
+from oracles import asc_coloring, coloring_expansion_bruteforce, elementary, is_proper, power_sum
 
 H = HessenbergFunction.parse
 

@@ -446,14 +446,24 @@ class TestLiftPaths:
         # next reference; the third has full rank
         assert used == [SMALL_PRIMES[0], SMALL_PRIMES[1], SMALL_PRIMES[1], SMALL_PRIMES[2]]
 
-    def test_equal_rank_with_other_pivots_is_skipped(self, monkeypatch):
+    def test_equal_rank_with_earlier_pivots_replaces_the_reference(self, monkeypatch):
         used = self.primes_used(monkeypatch)
         V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0], 1]]))
         assert V.tolist() == [[-1], [SMALL_PRIMES[0]]]
-        # every later prime has rank 1 with pivot 0 against the reference's
-        # pivot 1: all are skipped, and the second prime is the next reference
-        # (the kernel entry needs three primes to reconstruct)
-        assert used == [*SMALL_PRIMES, *SMALL_PRIMES[1:4]]
+        # the second prime has rank 1 with pivot 0 against the reference's
+        # pivot 1, which proves the reference unlucky: it becomes the
+        # reference at once (the kernel entry needs three primes to
+        # reconstruct)
+        assert used == list(SMALL_PRIMES[:4])
+
+    def test_equal_rank_with_later_pivots_is_skipped(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[SMALL_PRIMES[1], 1]]))
+        assert V.tolist() == [[-1], [SMALL_PRIMES[1]]]
+        # the second prime drops the first column: pivot 1 against the
+        # reference's pivot 0, so it is skipped and the lift goes on with the
+        # third and fourth
+        assert used == list(SMALL_PRIMES[:4])
 
 
 class TestEngineFaults:

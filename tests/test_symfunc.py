@@ -3,14 +3,8 @@
 from fractions import Fraction
 
 from hessllt.qrat import QPoly, QRat
-from hessllt.symfunc import (
-    SymFunc,
-    complete_homogeneous,
-    elementary,
-    murnaghan_nakayama,
-    power_sum,
-    schur,
-)
+from hessllt.symfunc import SymFunc, murnaghan_nakayama
+from oracles import complete_homogeneous, elementary, power_sum, schur
 
 BASES = ("m", "e", "h", "p", "s")
 
