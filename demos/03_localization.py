@@ -4,7 +4,9 @@ Summing a class over the vertices with alternating signs, weighted by the
 product of labels on the missing edges, and dividing by the Vandermonde
 product integrates the class to an ordinary polynomial.  The result is a
 drop of degree |h| = number of edges, it always lands in the polynomial ring
-(no denominators survive), and it commutes with the dot action.
+(no denominators survive), and it commutes with the dot action.  A whole
+degree piece can be pushed forward at once as a batch class, whose
+coefficients are integer vectors with one entry per basis class.
 """
 
 from hessllt import (
@@ -52,6 +54,12 @@ for d in range(h3.size() + 1):
         localization_pushforward(m3, f)  # raises if a denominator survived
         count += 1
 print(f"  {count} classes integrated, all polynomial")
+
+d = h3.size()
+space = degree_piece(m3, d)
+batch = EquivariantClass.from_columns(m3, d, space.matrix)
+pushed = localization_pushforward(m3, batch)  # one call for the whole piece
+print(f"  integrals of the {space.dim} degree-{d} classes in one call:", list(pushed[(0, 0, 0)]))
 
 f = EquivariantClass.x_class(m3, 1) * EquivariantClass.x_class(m3, 2)
 ok = all(

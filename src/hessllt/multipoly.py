@@ -1,17 +1,38 @@
-"""Sparse multivariate polynomials over Fraction in variables t_1..t_n.
+"""Sparse multivariate polynomials in variables t_1..t_n.
 
 A polynomial is a dict mapping exponent tuples of fixed length to nonzero
-Fraction coefficients; the empty dict is zero.  Homogeneous degree pieces
-index their monomials by the order of monomials(nvars, d), which is fixed
-(descending lexicographic) so coordinate vectors are reproducible.
+coefficients; the empty dict is zero.  A coefficient is a Python int, a
+Fraction, or an integer row vector (a NumPy object array of Python ints):
+with vector coefficients the dict is a batch, column k of which is the
+polynomial of the k-th entries, and every operation acts column by column.
+Integer inputs give integer results.  Homogeneous degree pieces index their
+monomials by the order of monomials(nvars, d), which is fixed (descending
+lexicographic) so coordinate vectors are reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-MPoly = dict[tuple[int, ...], Fraction]
+import numpy as np
+
+MPoly = dict[tuple[int, ...], "int | Fraction | np.ndarray"]
+
+
+def _nonzero(c) -> bool:
+    return np.count_nonzero(c) > 0 if isinstance(c, np.ndarray) else bool(c)
+
+
+def _accumulate(out: MPoly, key: tuple[int, ...], c) -> None:
+    """out[key] += c, an absent key reading as zero; a cancelled term is dropped."""
+    s = out.get(key)
+    s = c if s is None else s + c
+    if _nonzero(s):
+        out[key] = s
+    else:
+        out.pop(key, None)
 
 
 def mp_zero() -> MPoly:
@@ -21,16 +42,12 @@ def mp_var(nvars: int, i: int) -> MPoly:
     """t_i, 1-based."""
     exp = [0] * nvars
     exp[i - 1] = 1
-    return {tuple(exp): Fraction(1)}
+    return {tuple(exp): 1}
 
 def mp_add(a: MPoly, b: MPoly) -> MPoly:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, Fraction(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+        _accumulate(out, e, c)
     return out
 
 def mp_neg(a: MPoly) -> MPoly:
@@ -40,7 +57,7 @@ def mp_sub(a: MPoly, b: MPoly) -> MPoly:
     return mp_add(a, mp_neg(b))
 
 def mp_scale(a: MPoly, c) -> MPoly:
-    c = Fraction(c)
+    """c * a for a scalar c."""
     if not c:
         return {}
     return {e: v * c for e, v in a.items()}
@@ -49,13 +66,10 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
     out: MPoly = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+            key = tuple(map(add, ea, eb))
+            s = out.get(key)
+            out[key] = ca * cb if s is None else s + ca * cb
+    return {e: c for e, c in out.items() if _nonzero(c)}
 
 def mp_is_zero(a: MPoly) -> bool:
     return not a
@@ -67,12 +81,7 @@ def mp_subst_var(a: MPoly, i: int, j: int) -> MPoly:
         e2 = list(e)
         e2[j - 1] += e2[i - 1]
         e2[i - 1] = 0
-        key = tuple(e2)
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        _accumulate(out, tuple(e2), c)
     return out
 
 def mp_permute(a: MPoly, sigma: tuple[int, ...]) -> MPoly:
@@ -90,7 +99,8 @@ def mp_divide_linear(a: MPoly, i: int, j: int) -> MPoly:
 
     Standard monomial division, eliminating the highest power of t_i first;
     every reduction step strictly lowers that power, so the loop terminates
-    with remainder free of t_i, which must then be zero.
+    with remainder free of t_i, which must then be zero.  With vector
+    coefficients the batch divides only if every column does.
     """
     quot: MPoly = {}
     rem = dict(a)
@@ -102,18 +112,13 @@ def mp_divide_linear(a: MPoly, i: int, j: int) -> MPoly:
         e2 = list(e)
         e2[i - 1] -= 1
         lead = tuple(e2)
-        quot[lead] = quot.get(lead, Fraction(0)) + c
+        _accumulate(quot, lead, c)
         # subtract c * t^lead * (t_i - t_j) from the remainder
         rem.pop(e)
         e3 = list(lead)
         e3[j - 1] += 1
-        key = tuple(e3)
-        s = rem.get(key, Fraction(0)) + c
-        if s:
-            rem[key] = s
-        else:
-            rem.pop(key, None)
-    return {e: c for e, c in quot.items() if c}
+        _accumulate(rem, tuple(e3), c)
+    return quot
 
 
 @lru_cache(maxsize=None)

@@ -360,6 +360,74 @@ class TestLocalization:
             assert localization_equivariance_check(mx, f, sigma)
 
 
+def batch_cases():
+    """(h, d) for every h with n <= 3 and for 2,3,4,4, at every d <= |h|."""
+    hs = [h for n in (1, 2, 3) for h in hessenberg_all(n)] + [H("2,3,4,4")]
+    return [(",".join(map(str, h.values)), d) for h in hs for d in range(h.size() + 1)]
+
+
+def column(poly, k):
+    """Column k of a polynomial with vector coefficients."""
+    return {e: c[k] for e, c in poly.items() if c[k]}
+
+
+def generators(n):
+    return [(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)] if n >= 2 else []
+
+
+class TestBatchLocalization:
+    """One batch class per degree piece against the per-class route."""
+
+    @pytest.mark.parametrize("text, d", batch_cases())
+    def test_batch_matches_per_class(self, text, d):
+        mx, _ = models(text)
+        space = degree_piece(mx, d)
+        batch = EquivariantClass.from_columns(mx, d, space.matrix)
+        pushed = localization_pushforward(mx, batch)
+        singles = [
+            EquivariantClass.from_column(mx, d, space.matrix[:, k], verify=False)
+            for k in range(space.dim)
+        ]
+        for k, f in enumerate(singles):
+            assert column(pushed, k) == localization_pushforward(mx, f), k
+        assert all(type(x) is int for c in pushed.values() for x in c)
+        for sigma in generators(mx.n):
+            assert localization_equivariance_check(mx, batch, sigma) == all(
+                localization_equivariance_check(mx, f, sigma) for f in singles
+            )
+
+    def test_batch_values_are_the_basis_rows(self):
+        mx, _ = models("2,3,3")
+        space = degree_piece(mx, 2)
+        batch = EquivariantClass.from_columns(mx, 2, space.matrix)
+        for k in range(space.dim):
+            single = EquivariantClass.from_column(mx, 2, space.matrix[:, k])
+            assert [column(v, k) for v in batch.values] == list(single.values)
+        assert batch == EquivariantClass.from_columns(mx, 2, space.matrix.astype(object))
+        assert batch != EquivariantClass.from_columns(mx, 2, space.matrix * 2)
+
+    def test_one_nondivisible_column_raises(self):
+        mx, _ = models("2,3,3")
+        space = degree_piece(mx, 1)
+        bad = np.zeros((space.matrix.shape[0], 1), dtype=space.matrix.dtype)
+        bad[0, 0] = 1  # t_1 at the first vertex only: violates the congruences
+        matrix = np.concatenate([space.matrix[:, :1], bad, space.matrix[:, 1:]], axis=1)
+        localization_pushforward(mx, EquivariantClass.from_columns(mx, 1, space.matrix))
+        with pytest.raises(VerificationError):
+            localization_pushforward(mx, EquivariantClass.from_columns(mx, 1, matrix))
+
+    def test_big_entries_stay_exact(self):
+        mx, _ = models("2,3,3")
+        space = degree_piece(mx, 2)
+        big = (1 << 64) + 7
+        matrix = space.matrix.astype(object) * big
+        pushed = localization_pushforward(mx, EquivariantClass.from_columns(mx, 2, matrix))
+        plain = localization_pushforward(mx, EquivariantClass.from_columns(mx, 2, space.matrix))
+        assert pushed.keys() == plain.keys()
+        for e, c in pushed.items():
+            assert list(c) == [x * big for x in plain[e]]
+
+
 class TestTopology:
     def test_betti_numbers(self):
         assert betti_numbers(H("2,2")) == [1, 1]

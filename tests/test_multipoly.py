@@ -1,8 +1,9 @@
-"""Sparse multivariate polynomials over Fraction."""
+"""Sparse multivariate polynomials with int, Fraction and vector coefficients."""
 
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,13 +38,22 @@ def rand_mp(draw_terms):
     return {e: c for e, c in poly.items() if c}
 
 
-mp_strategy = st.lists(
+def rand_int_mp(draw_terms):
+    poly = mp_zero()
+    for exps, c in draw_terms:
+        poly = mp_add(poly, {tuple(exps): c})
+    return poly
+
+
+terms_strategy = st.lists(
     st.tuples(
         st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3),
         st.integers(min_value=-5, max_value=5).filter(bool),
     ),
     max_size=4,
-).map(rand_mp)
+)
+mp_strategy = terms_strategy.map(rand_mp)
+int_mp_strategy = terms_strategy.map(rand_int_mp)
 
 
 class TestOps:
@@ -109,6 +119,90 @@ class TestSubstituteDivide:
     def test_divide_undoes_multiply(self, f):
         prod = mp_mul(mp_sub(t(1), t(2)), f)
         assert mp_divide_linear(prod, 1, 2) == f
+
+
+def batch(polys):
+    """The polynomial with vector coefficients whose column k is polys[k]."""
+    keys = set().union(*polys)
+    return {e: np.array([p.get(e, 0) for p in polys], dtype=object) for e in keys}
+
+
+def column(poly, k):
+    return {e: c[k] for e, c in poly.items() if c[k]}
+
+
+def columns(poly, count):
+    return [column(poly, k) for k in range(count)]
+
+
+def assert_integral(poly):
+    for c in poly.values():
+        for x in (c if isinstance(c, np.ndarray) else [c]):
+            assert type(x) is int, x
+
+
+# two equally long lists of integer polynomials
+batch_pairs = st.integers(min_value=1, max_value=3).flatmap(
+    lambda k: st.tuples(
+        st.lists(int_mp_strategy, min_size=k, max_size=k),
+        st.lists(int_mp_strategy, min_size=k, max_size=k),
+    )
+)
+
+
+class TestVectorCoefficients:
+    """A batch is checked against the scalar route column by column."""
+
+    @given(batch_pairs)
+    @settings(max_examples=50, deadline=None)
+    def test_add_and_mul(self, pair):
+        A, B = pair
+        k = len(A)
+        assert columns(mp_add(batch(A), batch(B)), k) == [mp_add(a, b) for a, b in zip(A, B)]
+        assert columns(mp_mul(batch(A), batch(B)), k) == [mp_mul(a, b) for a, b in zip(A, B)]
+        assert columns(mp_mul(batch(A), B[0]), k) == [mp_mul(a, B[0]) for a in A]
+        assert_integral(mp_mul(batch(A), batch(B)))
+        assert_integral(mp_mul(A[0], B[0]))
+
+    @given(st.lists(int_mp_strategy, min_size=1, max_size=3), st.sampled_from(all_permutations(3)))
+    @settings(max_examples=50, deadline=None)
+    def test_permute_and_substitute(self, A, sigma):
+        k = len(A)
+        assert columns(mp_permute(batch(A), sigma), k) == [mp_permute(a, sigma) for a in A]
+        assert columns(mp_subst_var(batch(A), 1, 3), k) == [mp_subst_var(a, 1, 3) for a in A]
+
+    @given(st.lists(int_mp_strategy, min_size=1, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_divide_linear(self, A):
+        lin = mp_sub(t(1), t(2))
+        quot = mp_divide_linear(mp_mul(batch(A), lin), 1, 2)
+        assert columns(quot, len(A)) == A
+        assert_integral(quot)
+
+    def test_one_nondivisible_column_raises(self):
+        lin = mp_sub(t(2), t(3))
+        A = [mp_mul(t(1), lin), t(1), mp_mul(t(3), lin)]
+        assert columns(mp_divide_linear(batch([A[0], A[2]]), 2, 3), 2) == [t(1), t(3)]
+        with pytest.raises(ValueError):
+            mp_divide_linear(batch(A), 2, 3)
+
+    def test_entries_above_int64(self):
+        big = (1 << 63) + 5
+        A = [{(1, 0, 0): big, (0, 1, 1): -big}, {(0, 0, 2): 3}]
+        lin = mp_sub(t(1), t(3))
+        prod = mp_mul(batch(A), lin)
+        assert columns(prod, 2) == [mp_mul(a, lin) for a in A]
+        assert columns(mp_divide_linear(prod, 1, 3), 2) == A
+        assert_integral(prod)
+
+    def test_cancellation_prunes_whole_vectors_only(self):
+        a = batch([t(1), t(2)])
+        b = batch([t(1), t(3)])
+        assert mp_is_zero(mp_sub(a, a))
+        diff = mp_sub(a, b)
+        assert not mp_is_zero(diff)
+        assert (1, 0, 0) not in diff  # both columns cancel there
+        assert columns(diff, 2) == [{}, mp_sub(t(2), t(3))]
 
 
 class TestMonomialCoordinates:
