@@ -26,7 +26,7 @@ from hessllt.gkm import (
 from hessllt.hessgraph import HessenbergFunction, csf, hessenberg_all, llt
 from hessllt.linalg import frac_rref
 from hessllt.qrat import QRat
-from hessllt.combinat import all_permutations
+from hessllt.combinat import all_permutations, transposition
 from oracles import quotient_character_bruteforce
 
 H = HessenbergFunction.parse
@@ -372,7 +372,8 @@ def column(poly, k):
 
 
 def generators(n):
-    return [(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)] if n >= 2 else []
+    """The two generators gkm_report checks equivariance with."""
+    return [transposition(n, 1, 2), tuple(range(2, n + 1)) + (1,)] if n >= 2 else []
 
 
 class TestBatchLocalization:
