@@ -58,7 +58,6 @@ from .multipoly import (
     monomial_index,
     monomials,
     mp_add,
-    mp_coords,
     mp_divide_linear,
     mp_from_coords,
     mp_is_zero,
@@ -446,12 +445,6 @@ class EquivariantClass:
         blocks = matrix.astype(object).reshape(len(model.vertices), len(mons), matrix.shape[1])
         vals = [{e: r for e, r in zip(mons, block) if r.any()} for block in blocks]
         return EquivariantClass(model, degree, vals, verify=False)
-
-    def to_column(self) -> list[Fraction]:
-        out: list[Fraction] = []
-        for v in self.values:
-            out.extend(mp_coords(v, self.model.n, self.degree))
-        return out
 
     @staticmethod
     def one(model: GkmModel) -> EquivariantClass:

@@ -1,17 +1,12 @@
-"""Exact and certified-modular linear algebra helpers.
+"""Certified-modular linear algebra helpers.
 
-Two regimes share one contract:
-
-* frac_rref reduces small matrices directly over Fraction; it inverts the
-  symmetric-function basis tables and serves as the exact oracle of the
-  brute-force quotient characters and the tests;
-* large systems run Gaussian elimination mod a word-sized prime in numpy,
-  and every consumer converts the mod-p output back into an exact statement
-  through one of two rigorous one-sided certificates: the rank of an integer
-  matrix over F_p never exceeds its rank over Q, so (a) exhibited exact
-  vectors that are independent mod p are independent over Q, and (b) the
-  F_p nullity of an exact constraint matrix bounds the Q nullity from above.
-  When the two bounds meet, the dimension is pinned exactly.
+Every elimination runs through blocked_rref mod a word-sized prime, and
+every consumer converts the mod-p output back into an exact statement
+through one of two rigorous one-sided certificates: the rank of an integer
+matrix over F_p never exceeds its rank over Q, so (a) exhibited exact
+vectors that are independent mod p are independent over Q, and (b) the F_p
+nullity of an exact constraint matrix bounds the Q nullity from above.
+When the two bounds meet, the dimension is pinned exactly.
 
 Candidate vectors lifted from mod-p solutions (CRT across several primes
 plus rational reconstruction) are always verified exactly before use, so
@@ -50,34 +45,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import numpy as np
-
-
-# ---------------------------------------------------------------- Fraction
-
-
-def frac_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
-    """Reduced row echelon form over Q; returns (rank, pivot columns, rref)."""
-    mat = [row[:] for row in rows]
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return r, pivots, mat
 
 
 # ----------------------------------------------------- CRT and lifting

@@ -139,17 +139,6 @@ def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: k for k, e in enumerate(monomials(nvars, degree))}
 
 
-def mp_coords(a: MPoly, nvars: int, degree: int) -> list[Fraction]:
-    """Coordinate vector of a homogeneous polynomial in the fixed monomial order."""
-    idx = monomial_index(nvars, degree)
-    out = [Fraction(0)] * len(idx)
-    for e, c in a.items():
-        if sum(e) != degree:
-            raise ValueError("polynomial is not homogeneous of the requested degree")
-        out[idx[e]] = c
-    return out
-
-
 def mp_from_coords(coords, nvars: int, degree: int) -> MPoly:
     mons = monomials(nvars, degree)
     return {e: Fraction(c) for e, c in zip(mons, coords) if c}

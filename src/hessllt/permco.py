@@ -84,10 +84,6 @@ class PermutohedronFace:
         self.chain = sets
 
     @property
-    def codimension(self) -> int:
-        return len(self.chain)
-
-    @property
     def dimension(self) -> int:
         return self.n - 1 - len(self.chain)
 
@@ -115,12 +111,6 @@ class PermutohedronFace:
             prev = a
         blocks.append(ground - prev)
         return tuple(blocks)
-
-    def apply(self, sigma: tuple[int, ...]) -> PermutohedronFace:
-        """The face obtained by relabeling every chain entry through sigma."""
-        return PermutohedronFace(
-            self.n, [frozenset(sigma[i - 1] for i in a) for a in self.chain]
-        )
 
     def is_fixed_by(self, sigma: tuple[int, ...]) -> bool:
         return all(frozenset(sigma[i - 1] for i in a) == a for a in self.chain)

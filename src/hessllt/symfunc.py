@@ -3,10 +3,19 @@
 A SymFunc stores a degree n, a basis name among m, e, h, p, s, and a sparse
 mapping from partitions of n to QRat coefficients.  The power sum basis is
 the internal pivot: every conversion goes through p using transition tables
-built once per degree.  The Schur-to-p table is the character table of S_n,
-computed here by the Murnaghan-Nakayama border strip recursion; e and h are
-expanded in p through the Newton recurrences, and the p-to-m table comes
-from expanding power sum products in n variables.
+built once per degree, each from a closed form, so no table is inverted
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I):
+
+* h to p by the Newton recursion k h_k = sum_i p_i h_(k-i), and p to h by
+  the same identity solved for p_k = k h_k - sum_(i<k) h_(k-i) p_i;
+* e from h by the involution omega, which maps h_lam to e_lam and p_mu to
+  (-1)^(n - l(mu)) p_mu;
+* s from the character table of S_n, computed by the Murnaghan-Nakayama
+  border strip recursion: p_mu = sum_lam chi^lam(mu) s_lam, and
+  s_lam = sum_mu chi^lam(mu) p_mu / z_mu;
+* m as the Hall dual of h: <h_lam, m_mu> = delta and <p_lam, p_mu> =
+  z_lam delta, so [m_lam] p_mu = z_mu [p_mu] h_lam and
+  [p_mu] m_lam = [h_lam] p_mu / z_mu.
 
 Tables exist for degrees up to 8; building them is idempotent and guarded by
 a lock so concurrent callers see a single shared copy.
@@ -25,14 +34,13 @@ from .combinat import (
     z_mu,
 )
 from .errors import BudgetExceededError
-from .linalg import frac_rref
 from .qrat import QPoly, QRat
 
 TABLE_BUDGET = 8
 
 BASES = ("m", "e", "h", "p", "s")
 
-# p-basis expansions with Fraction coefficients, used while building tables
+# expansions in the p or h basis with Fraction coefficients, used while building tables
 PDict = dict[Partition, Fraction]
 
 
@@ -46,20 +54,6 @@ def _pdict_mul(a: PDict, b: PDict) -> PDict:
 
 
 @lru_cache(maxsize=None)
-def _e_in_p(k: int) -> tuple[tuple[Partition, Fraction], ...]:
-    """e_k in the p basis via k*e_k = sum_i (-1)^(i-1) p_i e_(k-i)."""
-    if k == 0:
-        return (((), Fraction(1)),)
-    out: PDict = {}
-    for i in range(1, k + 1):
-        sign = Fraction(-1 if i % 2 == 0 else 1, k)
-        for part, c in _e_in_p(k - i):
-            key = sort_to_partition(part + (i,))
-            out[key] = out.get(key, Fraction(0)) + sign * c
-    return tuple(sorted(out.items()))
-
-
-@lru_cache(maxsize=None)
 def _h_in_p(k: int) -> tuple[tuple[Partition, Fraction], ...]:
     """h_k in the p basis via k*h_k = sum_i p_i h_(k-i)."""
     if k == 0:
@@ -69,6 +63,16 @@ def _h_in_p(k: int) -> tuple[tuple[Partition, Fraction], ...]:
         for part, c in _h_in_p(k - i):
             key = sort_to_partition(part + (i,))
             out[key] = out.get(key, Fraction(0)) + c / k
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _p_in_h(k: int) -> tuple[tuple[Partition, Fraction], ...]:
+    """p_k in the h basis via Newton's p_k = k*h_k - sum_(i<k) h_(k-i) p_i."""
+    out: PDict = {(k,): Fraction(k)}
+    for i in range(1, k):
+        for key, c in _pdict_mul({(k - i,): Fraction(1)}, dict(_p_in_h(i))).items():
+            out[key] = out.get(key, Fraction(0)) - c
     return tuple(sorted(out.items()))
 
 
@@ -100,70 +104,46 @@ def murnaghan_nakayama(lam: Partition, mu: Partition) -> int:
     return total
 
 
-def _expand_p_monomials(lam: Partition, n: int) -> dict[tuple[int, ...], int]:
-    """Monomial expansion of p_lam in n variables, exponent tuple -> coeff."""
-    poly: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    for k in lam:
-        nxt: dict[tuple[int, ...], int] = {}
-        for exp, c in poly.items():
-            for i in range(n):
-                e2 = exp[:i] + (exp[i] + k,) + exp[i + 1:]
-                nxt[e2] = nxt.get(e2, 0) + c
-        poly = nxt
-    return poly
+def _product_expansions(parts: tuple[Partition, ...], single) -> list[list[Fraction]]:
+    """Column j lists the coefficients of prod_k single(lam_k) over parts, lam = parts[j]."""
+    cols = []
+    for lam in parts:
+        acc: PDict = {(): Fraction(1)}
+        for part in lam:
+            acc = _pdict_mul(acc, dict(single(part)))
+        cols.append([acc.get(mu, Fraction(0)) for mu in parts])
+    return cols
 
 
 class _Tables:
-    """Per-degree transition matrices with the p basis as pivot."""
+    """Per-degree transition matrices with the p basis as pivot.
+
+    to_p[b][i][j] is the coefficient of p_(parts[i]) in b_(parts[j]), and
+    from_p[b][i][j] that of b_(parts[i]) in p_(parts[j]).  No table is
+    inverted: each comes from a closed form (see the module docstring).
+    """
 
     def __init__(self, n: int):
-        self.n = n
-        self.parts = partitions_of(n)
-        self.index = {p: i for i, p in enumerate(self.parts)}
-        size = len(self.parts)
-
-        # columns of to_p[b] express b_lam in p coordinates
-        self.to_p: dict[str, list[list[Fraction]]] = {}
-        for name, expand in (("e", _e_in_p), ("h", _h_in_p)):
-            mat = [[Fraction(0)] * size for _ in range(size)]
-            for j, lam in enumerate(self.parts):
-                acc: PDict = {(): Fraction(1)}
-                for part in lam:
-                    acc = _pdict_mul(acc, dict(expand(part)))
-                for key, c in acc.items():
-                    mat[self.index[key]][j] = c
-            self.to_p[name] = mat
-
-        smat = [[Fraction(0)] * size for _ in range(size)]
-        for j, lam in enumerate(self.parts):
-            for i, mu in enumerate(self.parts):
-                smat[i][j] = Fraction(murnaghan_nakayama(lam, mu), z_mu(mu))
-        self.to_p["s"] = smat
-
-        # p_lam in the m basis from explicit monomial expansions
-        mmat = [[Fraction(0)] * size for _ in range(size)]
-        for j, lam in enumerate(self.parts):
-            poly = _expand_p_monomials(lam, max(n, 1))
-            for i, mu in enumerate(self.parts):
-                exp = mu + (0,) * (max(n, 1) - len(mu))
-                mmat[i][j] = Fraction(poly.get(exp, 0))
-        self.p_to_m = mmat
-        self.to_p["m"] = _invert(mmat)
-
-        self.from_p: dict[str, list[list[Fraction]]] = {"m": mmat}
-        for name in ("e", "h", "s"):
-            self.from_p[name] = _invert(self.to_p[name])
-
-
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse: the right half of the reduced row echelon form of [mat | I]."""
-    size = len(mat)
-    _, pivots, rref = frac_rref(
-        [row + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(mat)]
-    )
-    if pivots != list(range(size)):
-        raise ArithmeticError("transition matrix is singular")
-    return [row[size:] for row in rref]
+        self.parts = parts = partitions_of(n)
+        h_cols = _product_expansions(parts, _h_in_p)  # h_cols[j][i] = [p_mu_i] h_lam_j
+        p_cols = _product_expansions(parts, _p_in_h)  # p_cols[j][i] = [h_lam_i] p_mu_j
+        to_h = [list(row) for row in zip(*h_cols)]
+        from_h = [list(row) for row in zip(*p_cols)]
+        sign = [(-1) ** (n - len(mu)) for mu in parts]
+        z = [z_mu(mu) for mu in parts]
+        chi = [[murnaghan_nakayama(lam, mu) for mu in parts] for lam in parts]
+        self.to_p: dict[str, list[list[Fraction]]] = {
+            "h": to_h,
+            "e": [[sign[i] * c for c in row] for i, row in enumerate(to_h)],
+            "s": [[Fraction(c, z[i]) for c in row] for i, row in enumerate(zip(*chi))],
+            "m": [[c / z[i] for c in row] for i, row in enumerate(p_cols)],
+        }
+        self.from_p: dict[str, list[list[Fraction]]] = {
+            "h": from_h,
+            "e": [[sign[j] * c for j, c in enumerate(row)] for row in from_h],
+            "s": [[Fraction(c) for c in row] for row in chi],
+            "m": [[z[j] * c for j, c in enumerate(row)] for row in h_cols],
+        }
 
 
 _TABLE_CACHE: dict[int, _Tables] = {}

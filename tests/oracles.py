@@ -2,10 +2,13 @@
 
 Each oracle recomputes an object of the library by the most literal method
 available, practical only at small n: induced Young characters by coset
-sums, csf and llt by enumerating colorings in pure Python, and the moment-
-graph quotient characters by Fraction echelon forms of each piece and of
-its ideal subspace.  The named basis elements are here for the tests that
-build symmetric functions by hand.
+sums, csf and llt by enumerating colorings in pure Python, the moment-graph
+quotient characters by Fraction echelon forms of each piece and of its
+ideal subspace, the basis tables of symfunc by direct expansion and
+Fraction inversion, and the fixed faces of a permutation by relabeling each
+face.  frac_rref, the Fraction echelon form, is also the oracle of the
+certified mod-p engine.  The named basis elements are here for the tests
+that build symmetric functions by hand.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from hessllt.combinat import (
     cycle_type,
     inverse,
     partitions_of,
+    sort_to_partition,
     young_subgroup_order,
+    z_mu,
 )
 from hessllt.errors import BudgetExceededError
 from hessllt.gkm import (
@@ -36,9 +41,101 @@ from hessllt.gkm import (
     degree_piece,
 )
 from hessllt.hessgraph import HessenbergFunction, UnitIntervalGraph, _tally_poly
-from hessllt.linalg import frac_rref
+from hessllt.permco import PermutohedronFace
 from hessllt.qrat import QRat
-from hessllt.symfunc import SymFunc
+from hessllt.symfunc import SymFunc, murnaghan_nakayama
+
+
+def frac_rref(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
+    """Reduced row echelon form over Q; returns (rank, pivot columns, rref)."""
+    mat = [row[:] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = Fraction(1) / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return r, pivots, mat
+
+
+def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
+    """The right half of the reduced row echelon form of [mat | I]."""
+    size = len(mat)
+    _, pivots, rref = frac_rref(
+        [row + [Fraction(int(i == j)) for j in range(size)] for i, row in enumerate(mat)]
+    )
+    assert pivots == list(range(size)), "transition matrix is singular"
+    return [row[size:] for row in rref]
+
+
+def newton_in_p(k: int, sign: int) -> dict[Partition, Fraction]:
+    """h_k (sign 1) or e_k (sign -1) in the p basis by the Newton recurrence
+    k x_k = sum_i sign^(i-1) p_i x_(k-i)."""
+    if k == 0:
+        return {(): Fraction(1)}
+    out: dict[Partition, Fraction] = {}
+    for i in range(1, k + 1):
+        for part, c in newton_in_p(k - i, sign).items():
+            key = sort_to_partition(part + (i,))
+            out[key] = out.get(key, Fraction(0)) + sign ** (i - 1) * c / k
+    return out
+
+
+def power_sum_monomials(lam: Partition, nvars: int) -> dict[tuple[int, ...], int]:
+    """p_lam in nvars variables, exponent tuple -> coefficient."""
+    poly = {(0,) * nvars: 1}
+    for k in lam:
+        nxt: dict[tuple[int, ...], int] = {}
+        for exp, c in poly.items():
+            for i in range(nvars):
+                e2 = exp[:i] + (exp[i] + k,) + exp[i + 1:]
+                nxt[e2] = nxt.get(e2, 0) + c
+        poly = nxt
+    return poly
+
+
+def basis_tables_by_inversion(n: int) -> tuple[dict, dict]:
+    """(to_p, from_p) in the layout of symfunc.tables(n), by direct
+    expansion and Fraction inversion: e_lam and h_lam in p by the Newton
+    recurrences, s_lam in p by the character table, p_mu in m by expanding
+    it in n variables, and each remaining table as an inverse of these."""
+    parts = partitions_of(n)
+    nvars = max(n, 1)
+    to_p = {}
+    for name, sign in (("h", 1), ("e", -1)):
+        cols = []
+        for lam in parts:
+            acc = {(): Fraction(1)}
+            for k in lam:
+                nxt: dict[Partition, Fraction] = {}
+                for pa, ca in acc.items():
+                    for pb, cb in newton_in_p(k, sign).items():
+                        key = sort_to_partition(pa + pb)
+                        nxt[key] = nxt.get(key, Fraction(0)) + ca * cb
+                acc = nxt
+            cols.append(acc)
+        to_p[name] = [[col.get(mu, Fraction(0)) for col in cols] for mu in parts]
+    to_p["s"] = [[Fraction(murnaghan_nakayama(lam, mu), z_mu(mu)) for lam in parts] for mu in parts]
+    monos = [power_sum_monomials(mu, nvars) for mu in parts]
+    p_in_m = [
+        [Fraction(poly.get(lam + (0,) * (nvars - len(lam)), 0)) for poly in monos] for lam in parts
+    ]
+    to_p["m"] = frac_inverse(p_in_m)
+    from_p = {"m": p_in_m} | {name: frac_inverse(to_p[name]) for name in ("e", "h", "s")}
+    return to_p, from_p
 
 
 def elementary(lam: Partition) -> SymFunc:
@@ -89,6 +186,11 @@ def induced_young_bruteforce(I: tuple[int, ...], n: int, rep: str = "trivial") -
                     total += sgn_of_class(cycle_type(y))
         values[mu] = QRat.of(total / order)
     return frobenius_char(n, values)
+
+
+def face_image(face: PermutohedronFace, sigma: Permutation) -> PermutohedronFace:
+    """The face obtained by relabeling every chain entry through sigma."""
+    return PermutohedronFace(face.n, [frozenset(sigma[i - 1] for i in a) for a in face.chain])
 
 
 def asc_coloring(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> int:

@@ -1,9 +1,11 @@
-"""No top-level function or class in src/hessllt is dead code.
+"""No top-level function or class in src/hessllt, and no method of such a
+class other than a dunder, is dead code.
 
 A definition is alive when something other than its own body names it:
 another definition or statement of src/hessllt, a demo, a line of the
-README, or an entry of hessllt.__all__.  Tests do not count; an oracle that
-only the tests call belongs in tests/oracles.py.
+README, or an entry of hessllt.__all__.  A method counts as named by any
+attribute of that name, whatever object it is read from.  Tests do not
+count; an oracle that only the tests call belongs in tests/oracles.py.
 """
 
 import ast
@@ -12,6 +14,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hessllt"
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def names_read(node: ast.AST) -> set[str]:
@@ -26,14 +33,22 @@ def names_read(node: ast.AST) -> set[str]:
 
 
 def definitions_and_outside_reads(source: str) -> tuple[list[tuple[int, str]], set[str]]:
-    """(line, name) of every top-level def or class, and the names read
-    anywhere except inside the definition of that same name.  Names listed
-    in __all__ count as read."""
+    """(line, name) of every top-level def or class and of every non-dunder
+    method of a top-level class, and the names read anywhere except inside
+    the definition of that same name.  Names listed in __all__ count as read."""
     tree = ast.parse(source)
     defs = []
     reads: set[str] = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
+            defs.append((node.lineno, node.name))
+            for sub in ast.iter_child_nodes(node):
+                if isinstance(sub, FUNCTIONS) and not is_dunder(sub.name):
+                    defs.append((sub.lineno, sub.name))
+                    reads |= names_read(sub) - {sub.name, node.name}
+                else:
+                    reads |= names_read(sub) - {node.name}
+        elif isinstance(node, FUNCTIONS):
             defs.append((node.lineno, node.name))
             reads |= names_read(node) - {node.name}
         else:
@@ -69,11 +84,17 @@ def test_scanner_flags_only_unreferenced_definitions():
             "def recursive(k): return recursive(k - 1)\n"
             "class Documented: pass\n"
             "def from_demo(): pass\n"
+            "class Shape:\n"
+            "    def __init__(self): self.called()\n"
+            "    def called(self): return Shape()\n"
+            "    def __repr__(self): return ''\n"
+            "    def recursive_method(self): return self.recursive_method()\n"
+            "    def read_in_b(self): pass\n"
         ),
-        "b": "from a import caller\nVALUE = caller()\ndef orphan(): pass\n",
+        "b": "from a import Shape, caller\nVALUE = caller(Shape().read_in_b())\ndef orphan(): pass\n",
     }
     dead = dead_definitions(modules, {"from_demo"}, "see `Documented` in the README")
-    assert dead == ["a:5: recursive", "b:3: orphan"]
+    assert dead == ["a:5: recursive", "a:12: recursive_method", "b:3: orphan"]
 
 
 def test_no_dead_definitions():

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from hessllt import gkm, permco
+from hessllt import gkm, permco, symfunc
 from hessllt.characters import regular_character, sign_character, trivial_character
 from hessllt.combinat import cycle_type
 from hessllt.hessgraph import HessenbergFunction
@@ -108,6 +108,19 @@ def first_vertex_sign_flip(real):
     return flipped
 
 
+def p2_with_doubled_h11(mp):
+    """p_2 = 2h_2 - h_11 read as 2h_2 - 2h_11 in freshly built basis tables.
+    The fault wraps the undecorated Newton recursion, so the real cache of
+    _p_in_h never holds a corrupted expansion."""
+    real = symfunc._p_in_h.__wrapped__
+
+    def doubled(k):
+        return tuple((lam, 2 * c if (k, lam) == (2, (1, 1)) else c) for lam, c in real(k))
+
+    mp.setattr(symfunc, "_p_in_h", doubled)
+    mp.setattr(symfunc, "_TABLE_CACHE", {})
+
+
 def face_module_bump(i: int, delta: Callable):
     return wrap(
         permco, "face_module_character",
@@ -156,6 +169,10 @@ TABLE = (
     fault("localization-sign-off-at-vertex-0",
           wrap(gkm, "_complement_factors", first_vertex_sign_flip), "gkm",
           "localization-integrality-and-equivariance"),
+    # csf and llt are stored in the m basis and reach p through the tables;
+    # the other checks compare characters that are built in p
+    fault("p2-in-h-with-doubled-h11", p2_with_doubled_h11, "gkm",
+          "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt"),
     fault("vertex-module-plus-regular", face_module_bump(0, regular_character), "permco",
           "face-module-dimensions-match-f-vector", "h-series-dimensions-are-eulerian",
           "face-module-twin-law"),

@@ -16,13 +16,13 @@ from hessllt.linalg import (
     blocked_rref,
     certified_integer_nullspace,
     crt_pair,
-    frac_rref,
     integerize,
     lift_vector,
     nullspace_small,
     rational_reconstruct,
 )
 from hessllt.permco import _ideal_span_columns, coinvariant_closed_form_check
+from oracles import frac_rref
 
 P = SMALL_PRIMES[0]
 

@@ -13,9 +13,7 @@ from hessllt.multipoly import (
     monomial_index,
     monomials,
     mp_add,
-    mp_coords,
     mp_divide_linear,
-    mp_from_coords,
     mp_is_zero,
     mp_mul,
     mp_permute,
@@ -219,8 +217,3 @@ class TestMonomialCoordinates:
         index = monomial_index(3, 3)
         for k, m in enumerate(monomials(3, 3)):
             assert index[m] == k
-
-    def test_coords_round_trip(self):
-        f = mp_add(mp_mul(t(1), t(2)), mp_scale(mp_mul(t(3), t(3)), Fraction(5, 2)))
-        coords = mp_coords(f, 3, 2)
-        assert mp_from_coords(coords, 3, 2) == f

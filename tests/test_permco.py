@@ -16,7 +16,7 @@ from hessllt.characters import (
     regular_character,
     trivial_character,
 )
-from hessllt.combinat import identity_perm
+from hessllt.combinat import all_permutations, compose, identity_perm
 from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.gkm import GkmModel, quotient_graded_character
 from hessllt.hessgraph import HessenbergFunction
@@ -38,6 +38,7 @@ from hessllt.permco import (
     q_factorial,
 )
 from hessllt.qrat import QPoly, QRat
+from oracles import face_image
 
 
 def stirling2(n, k):
@@ -86,33 +87,37 @@ class TestPermutohedronFace:
         face = PermutohedronFace.from_ordered_set_partition(
             4, [{2, 4}, {1}, {3}]
         )
-        assert face.codimension == 2
+        assert len(face.chain) == 2
         assert face.dimension == 1
         blocks = face.to_ordered_set_partition()
         assert blocks == (frozenset({2, 4}), frozenset({1}), frozenset({3}))
 
     def test_whole_polytope(self):
         face = PermutohedronFace.from_ordered_set_partition(3, [{1, 2, 3}])
-        assert face.codimension == 0
+        assert len(face.chain) == 0
         assert face.dimension == 2
 
     def test_apply_and_fixed(self):
         face = PermutohedronFace.from_ordered_set_partition(3, [{1, 2}, {3}])
         swap12 = (2, 1, 3)
-        assert face.apply(swap12) == face
+        assert face_image(face, swap12) == face
         assert face.is_fixed_by(swap12)
         swap23 = (1, 3, 2)
-        moved = face.apply(swap23)
+        moved = face_image(face, swap23)
         assert moved == PermutohedronFace.from_ordered_set_partition(3, [{1, 3}, {2}])
         assert not face.is_fixed_by(swap23)
 
     def test_group_action_law(self):
-        from hessllt.combinat import all_permutations, compose
-
         face = PermutohedronFace.from_ordered_set_partition(4, [{1, 3}, {2, 4}])
         for u in all_permutations(4)[:8]:
             for v in all_permutations(4)[:8]:
-                assert face.apply(compose(u, v)) == face.apply(v).apply(u)
+                assert face_image(face, compose(u, v)) == face_image(face_image(face, v), u)
+
+    def test_is_fixed_by_matches_the_image(self):
+        for group in faces(4):
+            for face in group:
+                for sigma in all_permutations(4):
+                    assert face.is_fixed_by(sigma) == (face_image(face, sigma) == face)
 
 
 class TestFaceModules:

@@ -2,9 +2,18 @@
 
 from fractions import Fraction
 
+import pytest
+
 from hessllt.qrat import QPoly, QRat
-from hessllt.symfunc import SymFunc, murnaghan_nakayama
-from oracles import complete_homogeneous, elementary, power_sum, schur
+from hessllt.symfunc import TABLE_BUDGET, SymFunc, murnaghan_nakayama, tables
+from oracles import (
+    basis_tables_by_inversion,
+    complete_homogeneous,
+    elementary,
+    frac_inverse,
+    power_sum,
+    schur,
+)
 
 BASES = ("m", "e", "h", "p", "s")
 
@@ -43,6 +52,42 @@ class TestBasisConversions:
     def test_cross_basis_equality(self):
         assert elementary((1, 1)) == power_sum((1, 1))
         assert elementary((2,)) != power_sum((2,))
+
+
+def frac_product(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+class TestClosedFormTables:
+    """The closed-form tables against the Fraction inversion they replace."""
+
+    @pytest.mark.parametrize("n", range(TABLE_BUDGET + 1))
+    def test_tables_equal_the_inversion_route(self, n):
+        to_p, from_p = basis_tables_by_inversion(n)
+        assert tables(n).to_p == to_p
+        assert tables(n).from_p == from_p
+
+    @pytest.mark.parametrize("n", range(TABLE_BUDGET + 1))
+    def test_each_table_is_the_inverse_of_its_partner(self, n):
+        tab = tables(n)
+        size = len(tab.parts)
+        identity = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+        for basis in ("m", "e", "h", "s"):
+            to_p, from_p = tab.to_p[basis], tab.from_p[basis]
+            assert to_p == frac_inverse(from_p), basis
+            assert from_p == frac_inverse(to_p), basis
+            assert frac_product(to_p, from_p) == identity, basis
+            assert frac_product(from_p, to_p) == identity, basis
+
+    @pytest.mark.parametrize("basis", ["h", "e"])
+    def test_newton_expansions_of_p2_and_p3(self, basis):
+        # p_2 = 2h_2 - h_11 and p_3 = 3h_3 - 3h_21 + h_111; omega maps h_lam
+        # to e_lam and p_k to (-1)^(k-1) p_k
+        expected = {2: {(2,): 2, (1, 1): -1}, 3: {(3,): 3, (2, 1): -3, (1, 1, 1): 1}}
+        for k, terms in expected.items():
+            sign = (-1) ** (k - 1) if basis == "e" else 1
+            f = power_sum((k,)).in_basis(basis)
+            assert f.coeffs == {lam: QRat.of(sign * c) for lam, c in terms.items()}
 
 
 class TestOperations:
