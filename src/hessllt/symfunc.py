@@ -71,7 +71,8 @@ def _p_in_h(k: int) -> tuple[tuple[Partition, Fraction], ...]:
     """p_k in the h basis via Newton's p_k = k*h_k - sum_(i<k) h_(k-i) p_i."""
     out: PDict = {(k,): Fraction(k)}
     for i in range(1, k):
-        for key, c in _pdict_mul({(k - i,): Fraction(1)}, dict(_p_in_h(i))).items():
+        for part, c in _p_in_h(i):
+            key = sort_to_partition(part + (k - i,))
             out[key] = out.get(key, Fraction(0)) - c
     return tuple(sorted(out.items()))
 

@@ -108,17 +108,15 @@ def first_vertex_sign_flip(real):
     return flipped
 
 
-def p2_with_doubled_h11(mp):
-    """p_2 = 2h_2 - h_11 read as 2h_2 - 2h_11 in freshly built basis tables.
-    The fault wraps the undecorated Newton recursion, so the real cache of
-    _p_in_h never holds a corrupted expansion."""
-    real = symfunc._p_in_h.__wrapped__
+def p2_with_doubled_h11(real):
+    """p_2 = 2h_2 - h_11 read as 2h_2 - 2h_11.  The fault runs the undecorated
+    recursion, so the real cache of _p_in_h never holds a corrupted value."""
 
     def doubled(k):
-        return tuple((lam, 2 * c if (k, lam) == (2, (1, 1)) else c) for lam, c in real(k))
+        terms = real.__wrapped__(k)
+        return tuple((lam, 2 * c if (k, lam) == (2, (1, 1)) else c) for lam, c in terms)
 
-    mp.setattr(symfunc, "_p_in_h", doubled)
-    mp.setattr(symfunc, "_TABLE_CACHE", {})
+    return doubled
 
 
 def face_module_bump(i: int, delta: Callable):
@@ -171,7 +169,7 @@ TABLE = (
           "localization-integrality-and-equivariance"),
     # csf and llt are stored in the m basis and reach p through the tables;
     # the other checks compare characters that are built in p
-    fault("p2-in-h-with-doubled-h11", p2_with_doubled_h11, "gkm",
+    fault("p2-in-h-with-doubled-h11", wrap(symfunc, "_p_in_h", p2_with_doubled_h11), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt"),
     fault("vertex-module-plus-regular", face_module_bump(0, regular_character), "permco",
           "face-module-dimensions-match-f-vector", "h-series-dimensions-are-eulerian",
@@ -236,8 +234,9 @@ REQUIRED = frozenset({
 
 
 @pytest.fixture(autouse=True)
-def cold_spaces(monkeypatch):
+def cold_caches(monkeypatch):
     monkeypatch.setattr(gkm, "_space_cache", {})
+    monkeypatch.setattr(symfunc, "_TABLE_CACHE", {})
 
 
 @pytest.mark.parametrize("row", TABLE, ids=lambda r: f"{r.report}:{r.name}")
