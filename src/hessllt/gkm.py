@@ -14,11 +14,12 @@ classes t_i or the tautological classes x_i, the vertexwise change of
 variables xi that identifies the two flavors, and the localization
 pushforward to a polynomial in t.
 
-Exactness strategy: every degree piece, at every n, is pinned by two
-one-sided certificates: a mod-p nullity bound from above, and exhibited
+Exactness strategy: every flavor-X degree piece, at every n, is pinned by
+two one-sided certificates: a mod-p nullity bound from above, and exhibited
 exact solution columns that are independent mod p from below (products with
-the previous degree, or a CRT-lifted nullspace in flavor X; the xi-transport
-of the flavor-X basis in flavor Y).  Every basis column is verified against
+the previous degree, or a CRT-lifted nullspace).  A flavor-Y piece is the
+xi-transport of the X basis, checked to map X_d onto Y_d, so the X
+certificates pin its dimension.  Every basis column is verified against
 every edge congruence in exact integer arithmetic before use.  Each piece
 keeps one SubspaceTracer: the reduced echelon form of its basis mod the
 first prime at which the basis is independent, from which every trace is a
@@ -306,14 +307,6 @@ def _product_columns(model: GkmModel, prev: GkmSpace, generators: str) -> np.nda
     return out
 
 
-def _nullity_bound(C: np.ndarray, p: int) -> int:
-    """Mod-p nullity of a constraint matrix: an upper bound for the exact
-    dimension, since the mod-p rank of an integer matrix never exceeds its
-    rank over Q."""
-    rank, _, _ = blocked_rref(C, p, full=False)
-    return C.shape[1] - rank
-
-
 def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
     """Exact nullspace columns of the constraint matrix, lifted by
     certified_integer_nullspace, whose count must meet the nullity bound.
@@ -331,7 +324,8 @@ def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
 def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     """Certified construction for flavor X.
 
-    Upper bound: mod-p nullity of the constraint matrix.  Lower bound:
+    Upper bound: mod-p nullity of the constraint matrix, since the mod-p
+    rank of an integer matrix never exceeds its rank over Q.  Lower bound:
     exhibited columns, verified exactly and independent mod p: the products
     t_i * f of the previous degree's basis with the staircase classes x^a
     (at d = 0 just the unit class), or, when those fall short of the bound,
@@ -339,7 +333,7 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     The two bounds must meet, which pins the dimension."""
     p = SMALL_PRIMES[0]
     C = _constraint_matrix(model, d)
-    k_target = _nullity_bound(C, p)
+    k_target = C.shape[1] - blocked_rref(C, p, full=False)[0]
     cand = _staircase_columns(model, d)
     if d:
         prods = _product_columns(model, degree_piece(model, d - 1), "t_vars")
@@ -362,25 +356,30 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     )
 
 
+def _xi_gather(model: GkmModel, d: int) -> np.ndarray:
+    """Coordinate form of xi^{-1}: the Y coordinate c reads X coordinate gather[c]."""
+    M = len(monomials(model.n, d))
+    return np.concatenate([iw * M + perm_monomial_map(w, d) for iw, w in enumerate(model.vertices)])
+
+
 def _transported_space(model: GkmModel, d: int) -> GkmSpace:
     """Flavor-Y piece obtained from the flavor-X piece by the vertexwise
     change of variables xi^{-1}: the Y value at w is w^{-1} applied to the X
-    value at w.  This is a coordinate permutation, so independence and
-    dimension carry over; the Y congruences are then verified exactly and
-    the dimension re-certified with the Y-side nullity bound."""
+    value at w.  xi^{-1} maps X_d onto Y_d once its gather is a coordinate
+    permutation and the edges match (same vertex pairs, the X label is w
+    applied to the Y label at the endpoint w); with the exact Y congruence
+    check, the inherited X certificate then pins dim Y_d."""
     xspace = degree_piece(GkmModel(model.h, "X"), d)
-    n = model.n
-    M = len(monomials(n, d))
-    gather = np.empty(len(model.vertices) * M, dtype=np.intp)
-    base = np.arange(M)
-    for iw, w in enumerate(model.vertices):
-        gather[iw * M + base] = iw * M + perm_monomial_map(w, d)
+    gather = _xi_gather(model, d)
+    if not (np.bincount(gather, minlength=gather.size) == 1).all():
+        raise ArithmeticError(f"the degree-{d} xi gather is not a permutation of the coordinates")
+    verts = model.vertices
+    images = [(iu, iv, verts[iu][a - 1], verts[iu][b - 1]) for iu, iv, a, b in model.edges]
+    if images != list(xspace.model.edges):
+        raise ArithmeticError("the flavor-Y edges are not the xi-images of the flavor-X edges")
     mat = xspace.matrix[gather, :]
     _verify_columns(model, d, mat)
-    k_target = _nullity_bound(_constraint_matrix(model, d), SMALL_PRIMES[0])
-    if mat.shape[1] != k_target:
-        raise ArithmeticError("transported basis does not match the Y-side nullity bound")
-    return GkmSpace(model, d, mat, {"route": "xi-transport", "nullity_bound": k_target})
+    return GkmSpace(model, d, mat, {"route": "xi-transport", "x_certificate": xspace.certificate})
 
 
 def degree_piece(model: GkmModel, d: int) -> GkmSpace:

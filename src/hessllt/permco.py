@@ -49,7 +49,7 @@ from .combinat import (
     young_subgroup_order,
 )
 from .errors import BudgetExceededError
-from .gkm import GkmModel, perm_monomial_map, quotient_graded_character
+from .gkm import GKM_N_BUDGET, GkmModel, perm_monomial_map, quotient_graded_character
 from .hessgraph import HessenbergFunction, lambda_of, llt, orientations
 from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
 from .multipoly import monomials
@@ -237,9 +237,9 @@ def face_module_twin_check(n: int) -> dict:
     Checks, classwise and exactly: H(q) equals the alternating closed form
     sum_I Ind(1) (q-1)^{n-1-|I|}; the closed form tensored with sign equals
     the character whose Frobenius image is the unicellular LLT function for
-    h = (2, 3, ..., n, n); for n <= 4 the same character recomputed from the
-    flavor-Y moment-graph quotient; and the q -> q+1 shift identity
-    ch(F tensor sign) = sum_I q^{n-1-|I|} e_{P(I)} = LLT(q+1)."""
+    h = (2, 3, ..., n, n); for n <= GKM_N_BUDGET the same character
+    recomputed from the flavor-Y moment-graph quotient; and the shift
+    identity ch(F tensor sign) = sum_I q^{n-1-|I|} e_{P(I)} = LLT(q+1)."""
     if not 1 <= n <= FACE_MODULE_BUDGET:
         raise BudgetExceededError(
             f"the face-module/twin check supports n <= {FACE_MODULE_BUDGET}, got n = {n}"
@@ -264,7 +264,7 @@ def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> dict:
 
     record("h_series_equals_closed_form", H, closed)
     record("closed_form_sign_twist_is_twin_character", closed.omega(), llt_h)
-    if n <= 4:
+    if n <= GKM_N_BUDGET:
         q_y = quotient_graded_character(GkmModel(h, "Y"), "dagger", "t_vars")
         record("moment_graph_route_matches_twin_character", q_y, llt_h)
     shifted = SymFunc.zero(n, "e")
@@ -422,8 +422,8 @@ def coinvariant_closed_form_check(n: int) -> dict:
 def coinvariant_flag_cross_check(n: int) -> bool:
     """The coinvariant character equals the dagger character of the flavor-Y
     moment-graph quotient for h = (n, ..., n), classwise."""
-    if not 1 <= n <= 4:
-        raise BudgetExceededError("the moment-graph cross-check supports n <= 4")
+    if not 1 <= n <= GKM_N_BUDGET:
+        raise BudgetExceededError(f"the moment-graph cross-check supports n <= {GKM_N_BUDGET}")
     model = GkmModel(HessenbergFunction((n,) * n), "Y")
     return quotient_graded_character(model, "dagger", "t_vars") == coinvariant_graded_character(n)
 
@@ -533,7 +533,7 @@ def permco_report(n: int) -> dict:
             closed["all_passed"],
             "; ".join(k for k, v in closed["checks"].items() if not v["passed"]),
         )
-    if n <= 4:
+    if n <= GKM_N_BUDGET:
         record("coinvariant-moment-graph-cross-check", coinvariant_flag_cross_check(n))
     if n >= 2:
         record(

@@ -2,9 +2,10 @@
 
 Each row corrupts one route of the dual-route checks (a monkeypatch of one
 function) and names the exact set of checks that must then read FAIL in one
-report: gkm_report of the complete graph at n = 3, permco_report(3) or
-coinvariant_closed_form_check(3).  Exact sets catch a check that silently
-stops failing as well as one that starts failing for the wrong reason.
+report: gkm_report of the complete graph at n = 3, permco_report(3),
+coinvariant_closed_form_check(3) or verify_identities(2,3,4,4).  Exact sets
+catch a check that silently stops failing as well as one that starts
+failing for the wrong reason.
 Bumps of a character are made from the named characters with +, - and
 scale only, so the table does not depend on how a character is stored.
 """
@@ -16,20 +17,26 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from hessllt import gkm, permco, symfunc
+from hessllt import gkm, hessgraph, permco, symfunc
 from hessllt.characters import regular_character, sign_character, trivial_character
 from hessllt.combinat import cycle_type
 from hessllt.hessgraph import HessenbergFunction
 from hessllt.qrat import QPoly, QRat
+from hessllt.symfunc import SymFunc
 
 N = 3
 COMPLETE = HessenbergFunction((N,) * N)  # |h| = 3, so a degree-0 bump stays below the top
 OTHER = HessenbergFunction((2, 3, 3))
+IDENTITY_H = HessenbergFunction((2, 3, 4, 4))
+IDENTITY_OTHER = HessenbergFunction((2, 3, 3, 4))
 
 REPORTS = {
     "gkm": lambda: gkm.gkm_report(COMPLETE),
     "permco": lambda: permco.permco_report(N),
     "coinvariant": lambda: permco.coinvariant_closed_form_check(N),
+    "identities": lambda: {"checks": {
+        c.name: {"passed": c.passed} for c in hessgraph.verify_identities(IDENTITY_H)
+    }},
 }
 
 
@@ -130,6 +137,11 @@ def coinvariant_bump(delta: Callable):
     return wrap(permco, "coinvariant_graded_character", lambda real: lambda n: real(n) + delta(n))
 
 
+def symfunc_bump(delta: Callable):
+    """A symmetric function of h off by delta(), for every h."""
+    return lambda real: lambda h: real(h) + delta()
+
+
 q = QRat.q()
 
 
@@ -212,9 +224,30 @@ TABLE = (
     fault("regular-character-plus-odd-classes",
           wrap(permco, "regular_character", lambda real: lambda n: real(n) + odd_classes(n)),
           "coinvariant", "q_equals_one_is_regular"),
+    fault("one-orientation-dropped",
+          wrap(hessgraph, "orientations", lambda real: lambda h: list(real(h))[1:]),
+          "identities", "orientation model of the shifted e expansion"),
+    fault("csf-of-another-h",
+          wrap(hessgraph, "csf", lambda real: lambda h: real(IDENTITY_OTHER)), "identities",
+          "csf palindromicity", "carlson-mellit relation",
+          "plethystic inversion, contracted", "plethystic inversion, expanded"),
+    # csf palindromicity alone does not read llt
+    fault("llt-plus-q-times-h4-minus-e4",
+          wrap(hessgraph, "llt", symfunc_bump(
+              lambda: (SymFunc.basis_element("h", (4,)) - SymFunc.basis_element("e", (4,))).scale(q))),
+          "identities", "llt palindromicity", "carlson-mellit relation",
+          "plethystic inversion, contracted", "plethystic inversion, expanded",
+          "llt at q=1 is the regular representation",
+          "orientation model of the shifted e expansion"),
+    # q^3 (1/q + 1/q^2) = q + q^2, so csf stays palindromic
+    fault("csf-plus-palindromic-s22",
+          wrap(hessgraph, "csf", symfunc_bump(
+              lambda: SymFunc.basis_element("s", (2, 2)).scale(q + q**2))),
+          "identities", "carlson-mellit relation",
+          "plethystic inversion, contracted", "plethystic inversion, expanded"),
 )
 
-# Checks the three reports emit that no row above makes fail yet.
+# Checks the four reports emit that no row above makes fail yet.
 UNCOVERED = frozenset({
     "gaussian-binomial-sums",
 })

@@ -153,6 +153,69 @@ class TestSmallPiecesAgainstFraction:
         assert edgeless.certificate["route"] == "crt-lift"
 
 
+def merged_gather(real):
+    """A xi gather whose second coordinate reads the first one's source."""
+
+    def merged(model, d):
+        gather = real(model, d)
+        gather[1] = gather[0]
+        return gather
+
+    return merged
+
+
+class TestXiCertificate:
+    """Flavor Y is certified through the xi bijection, not by a rank of its
+    own constraint matrix."""
+
+    def test_report_builds_flavor_x_constraint_matrices_only(self, monkeypatch):
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        flavors = []
+        real = gkm._constraint_matrix
+
+        def recording(model, d):
+            flavors.append(model.flavor)
+            return real(model, d)
+
+        monkeypatch.setattr(gkm, "_constraint_matrix", recording)
+        assert gkm_report(H("2,3,4,4"))["all_passed"]
+        assert flavors and set(flavors) == {"X"}
+
+    def test_y_piece_inherits_the_x_certificate(self):
+        mx, my = models("2,3,4,4")
+        for d in (0, 1):
+            cert = degree_piece(my, d).certificate
+            assert cert == {"route": "xi-transport", "x_certificate": degree_piece(mx, d).certificate}
+
+    @pytest.mark.parametrize("text", ["3,3,3", "2,3,4,4"])
+    def test_gather_sending_two_monomials_to_one_is_caught(self, monkeypatch, text):
+        monkeypatch.setattr(gkm, "_xi_gather", merged_gather(gkm._xi_gather))
+        h = H(text)
+        for d in range(h.size() + 2):
+            monkeypatch.setattr(gkm, "_space_cache", {})
+            with pytest.raises(ArithmeticError, match="permutation"):
+                degree_piece(GkmModel(h, "Y"), d)
+
+    def test_mismatched_edge_label_is_caught(self, monkeypatch):
+        h = H("3,3,3")
+        my = GkmModel(h, "Y")
+        iu, iv, a, b = my.edges[0]
+        c = next(k for k in range(1, h.n + 1) if k not in (a, b))
+        my.edges = ((iu, iv, a, c),) + my.edges[1:]
+        for d in range(h.size() + 2):
+            monkeypatch.setattr(gkm, "_space_cache", {})
+            with pytest.raises(ArithmeticError, match="xi-images"):
+                degree_piece(my, d)
+
+    def test_gather_fault_fails_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(gkm, "_xi_gather", merged_gather(gkm._xi_gather))
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        assert hessllt.cli.main(["verify", "--scope", "gkm", "--h", "3,3,3"]) == 1
+        err = capsys.readouterr().err
+        assert "computation failed" in err
+        assert "Traceback" not in err
+
+
 class TestEquivariantClasses:
     def test_one_t_x(self):
         mx, my = models("2,2")

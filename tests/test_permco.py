@@ -225,6 +225,13 @@ class TestCoinvariants:
         assert coinvariant_flag_cross_check(2)
         assert coinvariant_flag_cross_check(3)
 
+    def test_flag_cross_check_follows_the_moment_graph_budget(self, monkeypatch):
+        with pytest.raises(BudgetExceededError, match="cross-check supports n <= 4$"):
+            coinvariant_flag_cross_check(5)
+        monkeypatch.setattr(permco, "GKM_N_BUDGET", 2)
+        with pytest.raises(BudgetExceededError, match="cross-check supports n <= 2$"):
+            coinvariant_flag_cross_check(3)
+
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             coinvariant_graded_character(6)
