@@ -12,7 +12,10 @@ group actions they carry (dot on X, dagger on Y, star on the full flag),
 graded characters of the quotients by the ideals generated by the constant
 classes t_i or the tautological classes x_i, the vertexwise change of
 variables xi that identifies the two flavors, and the localization
-pushforward to a polynomial in t.
+pushforward to a polynomial in t.  Coordinates are (vertex, monomial) pairs;
+every index map between monomials (the relabelings of the actions and of
+xi, multiplication by t_i, the edge substitutions) is one array expression
+placed by multipoly.monomial_positions.
 
 Exactness strategy: every flavor-X degree piece, at every n, is pinned by
 two one-sided certificates: a mod-p nullity bound from above, and exhibited
@@ -56,7 +59,8 @@ from .linalg import (
 )
 from .multipoly import (
     MPoly,
-    monomial_index,
+    monomial_exponents,
+    monomial_positions,
     monomials,
     mp_add,
     mp_divide_linear,
@@ -76,7 +80,7 @@ from .symfunc import SymFunc
 GKM_N_BUDGET = 4
 GKM_DEGREE_SLACK = 3  # degree pieces available up to |h| + slack
 
-_EXACT_ENTRY_BOUND = 1 << 40  # basis entries are checked against this before int64 work
+_EXACT_ENTRY_BOUND = 1 << 40  # congruence sums of larger basis entries run in Python ints
 
 _VALID_QUOTIENTS = {("X", "dot", "t_vars"), ("X", "dot", "x_classes"), ("Y", "dagger", "t_vars")}
 
@@ -128,50 +132,23 @@ class GkmModel:
 def perm_monomial_map(tau: tuple[int, ...], d: int) -> np.ndarray:
     """Index form of the variable relabeling t_i -> t_tau(i) on degree-d
     monomials: out[src] is the index of the relabeled monomial."""
-    n = len(tau)
-    monos = monomials(n, d)
-    idx = monomial_index(n, d)
-    out = np.empty(len(monos), dtype=np.intp)
-    for s, e in enumerate(monos):
-        e2 = [0] * n
-        for i, x in enumerate(e):
-            e2[tau[i] - 1] = x
-        out[s] = idx[tuple(e2)]
-    return out
+    return monomial_positions(monomial_exponents(len(tau), d)[:, np.argsort(tau)], d)
 
 
 @lru_cache(maxsize=None)
 def _mono_shift_map(n: int, d: int, i: int) -> np.ndarray:
     """Index form of multiplication by t_i: degree d-1 monomials into degree d."""
-    monos = monomials(n, d - 1)
-    idx = monomial_index(n, d)
-    out = np.empty(len(monos), dtype=np.intp)
-    for s, e in enumerate(monos):
-        e2 = list(e)
-        e2[i - 1] += 1
-        out[s] = idx[tuple(e2)]
-    return out
+    return monomial_positions(monomial_exponents(n, d - 1) + np.eye(n, dtype=np.int64)[i - 1], d)
 
 
 @lru_cache(maxsize=None)
-def _subst_map(n: int, d: int, a: int, b: int) -> tuple[np.ndarray, int]:
-    """Index form of the substitution t_a := t_b on degree-d monomials.
-
-    Returns (tmap, m) where tmap[src] is a dense index in [0, m) over the
-    distinct image monomials; m = #(degree-d monomials in n-1 variables).
-    """
-    monos = monomials(n, d)
-    local: dict[tuple[int, ...], int] = {}
-    out = np.empty(len(monos), dtype=np.intp)
-    for s, e in enumerate(monos):
-        e2 = list(e)
-        e2[b - 1] += e2[a - 1]
-        e2[a - 1] = 0
-        key = tuple(e2)
-        if key not in local:
-            local[key] = len(local)
-        out[s] = local[key]
-    return out, len(local)
+def _subst_map(n: int, d: int, a: int, b: int) -> np.ndarray:
+    """Index form of the substitution t_a := t_b on degree-d monomials:
+    out[src] is the index of the image among the degree-d monomials in the
+    n - 1 variables other than t_a."""
+    exps = monomial_exponents(n, d).copy()
+    exps[:, b - 1] += exps[:, a - 1]
+    return monomial_positions(np.delete(exps, a - 1, axis=1), d)
 
 
 def _constraint_matrix(model: GkmModel, d: int) -> np.ndarray:
@@ -183,12 +160,11 @@ def _constraint_matrix(model: GkmModel, d: int) -> np.ndarray:
     """
     n = model.n
     M = len(monomials(n, d))
-    mprime = comb(d + n - 2, n - 2) if n >= 2 else (1 if d == 0 else 0)
+    mprime = len(monomials(n - 1, d))
     A = np.zeros((len(model.edges) * mprime, len(model.vertices) * M), dtype=np.int64)
     src = np.arange(M)
     for k, (iu, iv, a, b) in enumerate(model.edges):
-        tmap, m = _subst_map(n, d, a, b)
-        rows = k * mprime + tmap
+        rows = k * mprime + _subst_map(n, d, a, b)
         A[rows, iu * M + src] = 1
         A[rows, iv * M + src] = -1
     return A
@@ -199,18 +175,17 @@ def _verify_columns(model: GkmModel, d: int, mat: np.ndarray) -> None:
 
     Works per edge on the difference of the two vertex blocks, bucketing
     coefficients by image monomial of the substitution; all buckets must
-    vanish.  int64 is exact here because |entries| stays far below 2**62."""
+    vanish.  The sums run in int64 while every entry is at most
+    _EXACT_ENTRY_BOUND, far below 2**62, and in Python ints beyond."""
     n = model.n
     M = len(monomials(n, d))
-    if mat.dtype != object and mat.size:
-        peak = int(np.abs(mat).max())
-        if peak > _EXACT_ENTRY_BOUND:
-            raise ArithmeticError("basis entries too large for int64 verification")
+    mprime = len(monomials(n - 1, d))
+    if mat.dtype != object and mat.size and int(np.abs(mat).max()) > _EXACT_ENTRY_BOUND:
+        mat = mat.astype(object)
     for iu, iv, a, b in model.edges:
         diff = mat[iu * M:(iu + 1) * M, :] - mat[iv * M:(iv + 1) * M, :]
-        tmap, m = _subst_map(n, d, a, b)
-        buckets = np.zeros((m, mat.shape[1]), dtype=mat.dtype)
-        np.add.at(buckets, tmap, diff)
+        buckets = np.zeros((mprime, mat.shape[1]), dtype=mat.dtype)
+        np.add.at(buckets, _subst_map(n, d, a, b), diff)
         if np.any(buckets != 0):
             raise ArithmeticError(
                 f"column violates the degree-{d} congruence on edge "
@@ -279,13 +254,10 @@ def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
     the 0/1 indicator of one monomial per vertex.  Valid for flavor X."""
     n = model.n
     M = len(monomials(n, d))
-    idx = monomial_index(n, d)
-    exps = [e for e in monomials(n, d) if all(e[i] <= n - 1 - i for i in range(n))]
-    out = np.zeros((len(model.vertices) * M, len(exps)), dtype=np.int64)
-    for j, a in enumerate(exps):
-        src = idx[a]
-        for iw, w in enumerate(model.vertices):
-            out[iw * M + int(perm_monomial_map(w, d)[src]), j] = 1
+    src = np.flatnonzero((monomial_exponents(n, d) < np.arange(n, 0, -1)).all(axis=1))
+    rows = [iw * M + perm_monomial_map(w, d)[src] for iw, w in enumerate(model.vertices)]
+    out = np.zeros((len(model.vertices) * M, len(src)), dtype=np.int64)
+    out[rows, np.arange(len(src))] = 1
     return out
 
 
@@ -309,15 +281,10 @@ def _product_columns(model: GkmModel, prev: GkmSpace, generators: str) -> np.nda
 
 def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
     """Exact nullspace columns of the constraint matrix, lifted by
-    certified_integer_nullspace, whose count must meet the nullity bound.
-
-    Entries above _EXACT_ENTRY_BOUND are handed on as Python ints, so that
-    the caller's exact congruence check never runs in int64 near overflow."""
+    certified_integer_nullspace, whose count must meet the nullity bound."""
     mat = certified_integer_nullspace(C)
     if mat.shape[1] != k_target:
         raise ArithmeticError("lifted nullspace does not match the congruence nullity bound")
-    if mat.dtype != object and int(np.abs(mat).max()) > _EXACT_ENTRY_BOUND:
-        mat = mat.astype(object)
     return mat
 
 
@@ -688,7 +655,7 @@ def localization_equivariance_check(model: GkmModel, f: EquivariantClass, sigma:
 def betti_numbers(h: HessenbergFunction) -> list[int]:
     """Even Betti numbers, read off the graded dimension of the omega-dual
     chromatic series of the graph."""
-    series = csf(h).omega().dimension_series()
+    series = graded_dimension(csf(h).omega())
     poly = series.as_poly()
     top = poly.degree if poly.degree is not None else 0
     out = []

@@ -8,6 +8,14 @@ polynomial of the k-th entries, and every operation acts column by column.
 Integer inputs give integer results.  Homogeneous degree pieces index their
 monomials by the order of monomials(nvars, d), which is fixed (descending
 lexicographic) so coordinate vectors are reproducible.
+
+monomial_positions is the one locator of that order.  It reads an exponent
+vector of degree d as a base-(d + 1) number, first variable most
+significant.  No digit exceeds d, so distinct monomials get distinct keys
+and descending lex order is descending key order: one searchsorted against
+the keys of monomials(nvars, d) places any array of exponent rows.  The keys
+are exact in int64 while (d + 1)^nvars < 2^63, which every size budget
+keeps by far.
 """
 
 from __future__ import annotations
@@ -135,8 +143,30 @@ def monomials(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
-    return {e: k for k, e in enumerate(monomials(nvars, degree))}
+def monomial_exponents(nvars: int, degree: int) -> np.ndarray:
+    """monomials(nvars, degree) as a read-only int64 array, one row each."""
+    out = np.array(monomials(nvars, degree), dtype=np.int64).reshape(-1, nvars)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _radix_keys(nvars: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radix (d + 1)^(nvars - 1), ..., 1 and the negated, hence
+    ascending, keys of monomials(nvars, degree)."""
+    radix = (degree + 1) ** np.arange(nvars - 1, -1, -1, dtype=np.int64)
+    return radix, -(monomial_exponents(nvars, degree) @ radix)
+
+
+def monomial_positions(exps: np.ndarray, degree: int) -> np.ndarray:
+    """Index in monomials(nvars, degree) of every exponent row of exps, an
+    integer array of shape (..., nvars); raises unless each row is a
+    monomial of that degree."""
+    exps = np.asarray(exps, dtype=np.int64)
+    if (exps < 0).any() or (exps.sum(axis=-1) != degree).any():
+        raise ValueError(f"exponent rows are not monomials of degree {degree}")
+    radix, ascending = _radix_keys(exps.shape[-1], degree)
+    return np.searchsorted(ascending, -(exps @ radix))
 
 
 def mp_from_coords(coords, nvars: int, degree: int) -> MPoly:

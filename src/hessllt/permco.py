@@ -52,7 +52,7 @@ from .errors import BudgetExceededError
 from .gkm import GKM_N_BUDGET, GkmModel, perm_monomial_map, quotient_graded_character
 from .hessgraph import HessenbergFunction, lambda_of, llt, orientations
 from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
-from .multipoly import monomials
+from .multipoly import monomial_exponents, monomial_positions, monomials
 from .qrat import QPoly, QRat, format_poly
 from .symfunc import SymFunc
 
@@ -287,26 +287,18 @@ def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> dict:
 def _ideal_span_columns(n: int, d: int) -> np.ndarray:
     """Spanning columns of the degree-d piece of the ideal (e_1, ..., e_n):
     one column e_k * m per 1 <= k <= min(n, d) and monomial m of degree
-    d - k.  All coefficients are 0 or 1, in int64 (int8 overflows % p).
-
-    Each exponent vector of degree at most d is read as a base-(d + 1)
-    number, first variable most significant.  No digit exceeds d, so the
-    key of m + e is key(m) + key(e) and descending lex order is descending
-    key order: one searchsorted against the keys of monomials(n, d) places
-    every row."""
-    radix = (d + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-    def keys(deg: int) -> np.ndarray:
-        return np.array(monomials(n, deg), dtype=np.int64).reshape(-1, n) @ radix
-
-    ascending = -keys(d)
-    gens = [keys(d - k) for k in range(1, min(n, d) + 1)]
-    out = np.zeros((len(ascending), sum(map(len, gens))), dtype=np.int64)
+    d - k, its rows placed by monomial_positions.  The terms of e_k are the
+    degree-k monomials with no exponent above 1.  All coefficients are 0 or
+    1, in int64 (int8 overflows % p)."""
+    gens = range(1, min(n, d) + 1)
+    out = np.zeros((len(monomials(n, d)), sum(len(monomials(n, d - k)) for k in gens)), dtype=np.int64)
     j = 0
-    for k, m in enumerate(gens, 1):
-        e = [radix[list(S)].sum() for S in combinations(range(n), k)]
-        out[np.searchsorted(ascending, -(m[:, None] + e)), np.arange(j, j + len(m))[:, None]] = 1
-        j += len(m)
+    for k in gens:
+        terms = monomial_exponents(n, k)
+        exps = monomial_exponents(n, d - k)[:, None, :] + terms[terms.max(axis=1) <= 1]
+        rows = monomial_positions(exps, d)
+        out[rows, np.arange(j, j + len(rows))[:, None]] = 1
+        j += len(rows)
     return out
 
 
@@ -517,7 +509,7 @@ def permco_report(n: int) -> dict:
     eulerian = QRat(eulerian_polynomial(n))
     record(
         "h-series-dimensions-are-eulerian",
-        graded_dimension(H) == eulerian and llt(h_fn).dimension_series() == eulerian,
+        graded_dimension(H) == eulerian and graded_dimension(llt(h_fn)) == eulerian,
         format_poly(eulerian_polynomial(n)),
     )
     twin = _face_module_twin_check(n, F, H)

@@ -278,11 +278,6 @@ class SymFunc:
         """Apply a QRat -> QRat map to every coefficient."""
         return SymFunc(self.basis, self.n, {p: fn(c) for p, c in self.coeffs.items()})
 
-    def dimension_series(self) -> QRat:
-        """Coefficient of m_(1^n): the graded dimension of the realizing module."""
-        target = (1,) * self.n if self.n else ()
-        return self.in_basis("m").coeff(target)
-
     def is_e_positive_shifted(self) -> tuple[bool, dict[Partition, QPoly]]:
         """Shift q -> q+1 in the e expansion and test coefficient nonnegativity.
 

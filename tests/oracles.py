@@ -4,17 +4,20 @@ Each oracle recomputes an object of the library by the most literal method
 available, practical only at small n: induced Young characters by coset
 sums, csf and llt by enumerating colorings in pure Python, the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
-ideal subspace, the basis tables of symfunc by direct expansion and
-Fraction inversion, and the fixed faces of a permutation by relabeling each
-face.  frac_rref, the Fraction echelon form, is also the oracle of the
-certified mod-p engine.  The named basis elements are here for the tests
-that build symmetric functions by hand.
+ideal subspace, the index maps of the moment graphs by tuple lookup, the
+basis tables of symfunc by direct expansion and Fraction inversion, and the
+fixed faces of a permutation by relabeling each face.  frac_rref, the
+Fraction echelon form, is also the oracle of the certified mod-p engine.
+The named basis elements are here for the tests that build symmetric
+functions by hand.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from hessllt.characters import frobenius_char, graded_class_function
 from hessllt.combinat import (
@@ -41,6 +44,7 @@ from hessllt.gkm import (
     degree_piece,
 )
 from hessllt.hessgraph import HessenbergFunction, UnitIntervalGraph, _tally_poly
+from hessllt.multipoly import monomials
 from hessllt.permco import PermutohedronFace
 from hessllt.qrat import QRat
 from hessllt.symfunc import SymFunc, murnaghan_nakayama
@@ -279,3 +283,54 @@ def quotient_character_bruteforce(
         return coeffs
 
     return graded_class_function(n, series)
+
+
+def relabeling_map_by_lookup(tau: Permutation, d: int) -> np.ndarray:
+    """gkm.perm_monomial_map: t_i -> t_tau(i) on each degree-d monomial,
+    placed by tuple lookup."""
+    n = len(tau)
+    index = {e: k for k, e in enumerate(monomials(n, d))}
+    out = []
+    for e in monomials(n, d):
+        e2 = [0] * n
+        for i, x in enumerate(e):
+            e2[tau[i] - 1] = x
+        out.append(index[tuple(e2)])
+    return np.array(out, dtype=np.intp)
+
+
+def shift_map_by_lookup(n: int, d: int, i: int) -> np.ndarray:
+    """gkm._mono_shift_map: t_i times each degree d-1 monomial, placed by
+    tuple lookup among the degree-d monomials."""
+    index = {e: k for k, e in enumerate(monomials(n, d))}
+    return np.array(
+        [index[tuple(x + (k == i - 1) for k, x in enumerate(e))] for e in monomials(n, d - 1)],
+        dtype=np.intp,
+    )
+
+
+def subst_map_by_lookup(n: int, d: int, a: int, b: int) -> np.ndarray:
+    """gkm._subst_map: t_a := t_b on each degree-d monomial, the image placed
+    by tuple lookup among the degree-d monomials in the other n - 1 variables."""
+    index = {e: k for k, e in enumerate(monomials(n - 1, d))}
+    out = []
+    for e in monomials(n, d):
+        e2 = list(e)
+        e2[b - 1] += e2[a - 1]
+        del e2[a - 1]
+        out.append(index[tuple(e2)])
+    return np.array(out, dtype=np.intp)
+
+
+def staircase_columns_by_lookup(model: GkmModel, d: int) -> np.ndarray:
+    """gkm._staircase_columns: the class x^a, a_i <= n - i, takes the value
+    t^{w(a)} at vertex w, placed vertex by vertex and column by column."""
+    n = model.n
+    monos = monomials(n, d)
+    exps = [k for k, e in enumerate(monos) if all(e[i] <= n - 1 - i for i in range(n))]
+    out = np.zeros((len(model.vertices) * len(monos), len(exps)), dtype=np.int64)
+    for iw, w in enumerate(model.vertices):
+        relabel = relabeling_map_by_lookup(w, d)
+        for j, src in enumerate(exps):
+            out[iw * len(monos) + int(relabel[src]), j] = 1
+    return out

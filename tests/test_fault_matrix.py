@@ -5,16 +5,20 @@ function) and names the exact set of checks that must then read FAIL in one
 report: gkm_report of the complete graph at n = 3, permco_report(3),
 coinvariant_closed_form_check(3) or verify_identities(2,3,4,4).  Exact sets
 catch a check that silently stops failing as well as one that starts
-failing for the wrong reason.
+failing for the wrong reason.  A fault that the exact congruence check of
+the moment-graph pieces refuses makes the report raise instead; such faults
+pin the error.
 Bumps of a character are made from the named characters with +, - and
 scale only, so the table does not depend on how a character is stored.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
 
 from hessllt import gkm, hessgraph, permco, symfunc
@@ -126,6 +130,33 @@ def p2_with_doubled_h11(real):
     return doubled
 
 
+def swapped_degree_one_relabeling(real):
+    """The locator with its first two targets swapped whenever it returns a
+    degree-1 relabeling other than the identity: the map of tau is read as
+    the map of tau (1 2)."""
+
+    def located(exps, degree):
+        out = real(exps, degree)
+        identity = np.arange(out.size)
+        if degree == 1 and np.array_equal(np.sort(out), identity) and not np.array_equal(out, identity):
+            out = out.copy()
+            out[[0, 1]] = out[[1, 0]]
+        return out
+
+    return located
+
+
+def swapped_degree_two_monomials(real):
+    """The locator with t_1^2 and t_1 t_2, positions 0 and 1 of degree 2,
+    trading places."""
+
+    def located(exps, degree):
+        out = real(exps, degree)
+        return np.where(out < 2, 1 - out, out) if degree == 2 else out
+
+    return located
+
+
 def face_module_bump(i: int, delta: Callable):
     return wrap(
         permco, "face_module_character",
@@ -201,6 +232,15 @@ TABLE = (
     fault("one-orientation-dropped",
           wrap(permco, "orientations", lambda real: lambda h: list(real(h))[1:]),
           "permco", "complete-graph-agreement"),
+    # the span of the coinvariant ideal with two monomial rows traded
+    fault("span-locator-swaps-two-monomials",
+          wrap(permco, "monomial_positions", swapped_degree_two_monomials), "permco",
+          "coinvariant-closed-forms", "coinvariant-moment-graph-cross-check"),
+    fault("span-locator-swaps-two-monomials",
+          wrap(permco, "monomial_positions", swapped_degree_two_monomials), "coinvariant",
+          "closed_form_with_induced_trivial", "closed_form_with_induced_sign",
+          "q_equals_one_is_regular", "palindromicity_with_sign_twist",
+          "polynomial_ring_factors_through_invariants", "polynomial_ring_palindromicity"),
     fault("coinvariant-plus-regular", coinvariant_bump(regular_character), "permco",
           "coinvariant-closed-forms", "coinvariant-moment-graph-cross-check"),
     fault("coinvariant-plus-regular", coinvariant_bump(regular_character), "coinvariant",
@@ -266,10 +306,21 @@ REQUIRED = frozenset({
 })
 
 
+# The cached index maps of the moment graphs, which a locator fault corrupts.
+MAP_CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map)
+
+
 @pytest.fixture(autouse=True)
 def cold_caches(monkeypatch):
+    """Every row builds its pieces, tables and index maps under its own
+    fault; the maps it built are dropped after it."""
     monkeypatch.setattr(gkm, "_space_cache", {})
     monkeypatch.setattr(symfunc, "_TABLE_CACHE", {})
+    for cached in MAP_CACHES:
+        cached.cache_clear()
+    yield
+    for cached in MAP_CACHES:
+        cached.cache_clear()
 
 
 @pytest.mark.parametrize("row", TABLE, ids=lambda r: f"{r.report}:{r.name}")
@@ -288,3 +339,21 @@ def test_every_emitted_check_is_covered_or_listed_as_uncovered():
     assert covered <= names
     assert REQUIRED <= covered
     assert names - covered == UNCOVERED
+
+
+# The degree-1 relabeling maps place the staircase classes and the
+# xi-transported columns, so the exact congruence check refuses the piece
+# before any report check runs.
+REFUSED = {
+    "gkm": "column violates the degree-1 congruence on edge ((1, 2, 3), (3, 2, 1)) "
+           "with label t_3 - t_1",
+    "permco": "column violates the degree-1 congruence on edge ((1, 2, 3), (1, 3, 2)) "
+              "with label t_3 - t_2",
+}
+
+
+@pytest.mark.parametrize("report", sorted(REFUSED))
+def test_swapped_relabeling_is_refused_by_the_congruence_check(monkeypatch, report):
+    wrap(gkm, "monomial_positions", swapped_degree_one_relabeling)(monkeypatch)
+    with pytest.raises(ArithmeticError, match=re.escape(REFUSED[report])):
+        REPORTS[report]()

@@ -1,5 +1,7 @@
 """Moment-graph congruence spaces, group actions, quotients, localization."""
 
+import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +28,14 @@ from hessllt.gkm import (
 from hessllt.hessgraph import HessenbergFunction, csf, hessenberg_all, llt
 from hessllt.qrat import QRat
 from hessllt.combinat import all_permutations, transposition
-from oracles import frac_rref, quotient_character_bruteforce
+from oracles import (
+    frac_rref,
+    quotient_character_bruteforce,
+    relabeling_map_by_lookup,
+    shift_map_by_lookup,
+    staircase_columns_by_lookup,
+    subst_map_by_lookup,
+)
 
 H = HessenbergFunction.parse
 
@@ -522,3 +531,68 @@ class TestReport:
         assert "free-module-dimension-law" in names
         assert "twin-quotient-equals-x-quotient" in names
         assert "localization-integrality-and-equivariance" in names
+
+
+class TestIndexMapsAgainstLookup:
+    """The index maps, placed by multipoly.monomial_positions, against the
+    tuple-lookup oracles, entry for entry, for n <= 4 and d <= |h| + 1."""
+
+    @staticmethod
+    def degrees(n):
+        return range(n * (n - 1) // 2 + 2)
+
+    def test_relabeling(self):
+        for n in range(1, 5):
+            for tau in all_permutations(n):
+                for d in self.degrees(n):
+                    assert np.array_equal(perm_monomial_map(tau, d), relabeling_map_by_lookup(tau, d))
+
+    def test_shift(self):
+        for n in range(1, 5):
+            for i in range(1, n + 1):
+                for d in self.degrees(n)[1:]:
+                    assert np.array_equal(gkm._mono_shift_map(n, d, i), shift_map_by_lookup(n, d, i))
+
+    def test_substitution(self):
+        for n in range(2, 5):
+            for a, b in itertools.permutations(range(1, n + 1), 2):
+                for d in self.degrees(n):
+                    assert np.array_equal(gkm._subst_map(n, d, a, b), subst_map_by_lookup(n, d, a, b))
+
+    def test_staircase(self):
+        for n in range(1, 5):
+            for h in hessenberg_all(n):
+                model = GkmModel(h, "X")
+                for d in range(h.size() + 2):
+                    expected = staircase_columns_by_lookup(model, d)
+                    assert np.array_equal(gkm._staircase_columns(model, d), expected), (h, d)
+
+    def test_every_piece_matches_the_one_built_from_the_lookup_maps(self, monkeypatch):
+        cases = [(GkmModel(h, flavor), d) for n in range(1, 5) for h in hessenberg_all(n)
+                 for flavor in ("X", "Y") for d in range(h.size() + 2)]
+        fast = [degree_piece(model, d).matrix for model, d in cases]
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        monkeypatch.setattr(gkm, "perm_monomial_map", relabeling_map_by_lookup)
+        monkeypatch.setattr(gkm, "_mono_shift_map", shift_map_by_lookup)
+        monkeypatch.setattr(gkm, "_subst_map", subst_map_by_lookup)
+        monkeypatch.setattr(gkm, "_staircase_columns", staircase_columns_by_lookup)
+        for (model, d), matrix in zip(cases, fast):
+            assert np.array_equal(degree_piece(model, d).matrix, matrix), (model, d)
+
+
+class TestExactVerification:
+    """_verify_columns sums in int64 up to _EXACT_ENTRY_BOUND and in Python
+    ints beyond it."""
+
+    def test_scaled_piece_verifies_and_one_changed_entry_names_its_edge(self):
+        mx = GkmModel(H("2,3,3"), "X")
+        scaled = degree_piece(mx, 2).matrix * (1 << 41)
+        assert scaled.dtype == np.int64
+        assert int(np.abs(scaled).max()) > gkm._EXACT_ENTRY_BOUND
+        gkm._verify_columns(mx, 2, scaled)
+        iu, iv, a, b = mx.edges[0]
+        assert iu == 0
+        scaled[0, 0] += 1
+        edge = f"({mx.vertices[iu]}, {mx.vertices[iv]}) with label t_{a} - t_{b}"
+        with pytest.raises(ArithmeticError, match=re.escape(f"degree-2 congruence on edge {edge}")):
+            gkm._verify_columns(mx, 2, scaled)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hessllt.combinat import all_permutations, compose, inverse
 from hessllt.multipoly import (
-    monomial_index,
+    monomial_positions,
     monomials,
     mp_add,
     mp_divide_linear,
@@ -213,7 +213,17 @@ class TestMonomialCoordinates:
         assert monomials(2, 2) == ((2, 0), (1, 1), (0, 2))
         assert monomials(3, 1) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-    def test_monomial_index(self):
-        index = monomial_index(3, 3)
-        for k, m in enumerate(monomials(3, 3)):
-            assert index[m] == k
+    def test_positions_of_the_monomials_are_arange(self):
+        for n in range(1, 7):
+            for d in range(11):
+                exps = np.array(monomials(n, d), dtype=np.int64)
+                assert np.array_equal(monomial_positions(exps, d), np.arange(len(exps))), (n, d)
+
+    def test_positions_keep_the_shape_of_the_rows(self):
+        exps = np.array([[[0, 2, 0], [1, 0, 1]], [[2, 0, 0], [0, 0, 2]]])
+        assert monomial_positions(exps, 2).tolist() == [[3, 2], [0, 5]]
+
+    @pytest.mark.parametrize("row", [(1, 1, 1), (0, 0, 1), (3, -1, 0)])
+    def test_a_row_of_another_degree_raises(self, row):
+        with pytest.raises(ValueError, match="not monomials of degree 2"):
+            monomial_positions(np.array([(1, 1, 0), row]), 2)

@@ -20,7 +20,7 @@ from hessllt.combinat import all_permutations, compose, identity_perm
 from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.gkm import GkmModel, quotient_graded_character
 from hessllt.hessgraph import HessenbergFunction
-from hessllt.multipoly import monomial_index, monomials
+from hessllt.multipoly import monomials
 from hessllt.permco import (
     PermutohedronFace,
     coinvariant_closed_form_check,
@@ -168,7 +168,7 @@ class TestFaceModules:
 def ideal_span_columns_by_loop(n, d):
     """Oracle: one column e_k * m per k and monomial m of degree d - k,
     placed by tuple lookup."""
-    idx = monomial_index(n, d)
+    idx = {e: k for k, e in enumerate(monomials(n, d))}
     gens = [(k, m) for k in range(1, min(n, d) + 1) for m in monomials(n, d - k)]
     out = np.zeros((len(idx), len(gens)), dtype=np.int64)
     for j, (k, m) in enumerate(gens):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hessllt.characters import graded_dimension
 from hessllt.qrat import QPoly, QRat
 from hessllt.symfunc import TABLE_BUDGET, SymFunc, murnaghan_nakayama, tables
 from oracles import (
@@ -119,9 +120,11 @@ class TestOperations:
         assert f.coeff((2,)) == QRat.of(-1)
 
     def test_dimension_series(self):
-        assert schur((2, 1)).dimension_series() == QRat.of(2)
-        assert schur((2, 2)).dimension_series() == QRat.of(2)
-        assert elementary((1, 1, 1)).dimension_series() == QRat.of(6)
+        # graded_dimension reads n! [p_(1^n)] f; the oracle is the
+        # coefficient [m_(1^n)] f = <f, h_(1^n)>, the same number
+        for f, dim in ((schur((2, 1)), 2), (schur((2, 2)), 2), (elementary((1, 1, 1)), 6)):
+            assert f.in_basis("m").coeff((1,) * f.n) == QRat.of(dim)
+            assert graded_dimension(f) == QRat.of(dim)
 
     def test_subs_coeffs(self):
         f = elementary((2,)).scale(QRat.q())
