@@ -4,9 +4,11 @@ Summing a class over the vertices with alternating signs, weighted by the
 product of labels on the missing edges, and dividing by the Vandermonde
 product integrates the class to an ordinary polynomial.  The result is a
 drop of degree |h| = number of edges, it always lands in the polynomial ring
-(no denominators survive), and it commutes with the dot action.  A whole
-degree piece can be pushed forward at once as a batch class, whose
-coefficients are integer vectors with one entry per basis class.
+(no denominators survive), and it commutes with the dot action.  A class is
+a coordinate vector over (vertex, monomial) pairs, the layout of a column of
+a degree piece's basis matrix; the whole matrix is one batch class, pushed
+forward at once to a polynomial whose coefficients are integer vectors with
+one entry per basis class.
 """
 
 from hessllt import (
@@ -49,15 +51,15 @@ print(f"\nh = {h3!r}: every basis class integrates without denominators:")
 count = 0
 for d in range(h3.size() + 1):
     space = degree_piece(m3, d)
-    for col in space.basis:
-        f = EquivariantClass.from_column(m3, d, col, verify=False)
+    for col in space.matrix.T:
+        f = EquivariantClass(m3, d, col)
         localization_pushforward(m3, f)  # raises if a denominator survived
         count += 1
 print(f"  {count} classes integrated, all polynomial")
 
 d = h3.size()
 space = degree_piece(m3, d)
-batch = EquivariantClass.from_columns(m3, d, space.matrix)
+batch = EquivariantClass(m3, d, space.matrix)
 pushed = localization_pushforward(m3, batch)  # one call for the whole piece
 print(f"  integrals of the {space.dim} degree-{d} classes in one call:", list(pushed[(0, 0, 0)]))
 

@@ -12,10 +12,12 @@ group actions they carry (dot on X, dagger on Y, star on the full flag),
 graded characters of the quotients by the ideals generated by the constant
 classes t_i or the tautological classes x_i, the vertexwise change of
 variables xi that identifies the two flavors, and the localization
-pushforward to a polynomial in t.  Coordinates are (vertex, monomial) pairs;
-every index map between monomials (the relabelings of the actions and of
-xi, multiplication by t_i, the edge substitutions) is one array expression
-placed by multipoly.monomial_positions.
+pushforward to a polynomial in t.  Coordinates are (vertex, monomial) pairs,
+for basis columns and for EquivariantClass alike, so an action or xi is one
+gather on either and one exact check verifies both; every index map between
+monomials (the relabelings of the actions and of xi, multiplication by t_i,
+the edge substitutions) is one array expression placed by
+multipoly.monomial_positions.
 
 Exactness strategy: every flavor-X degree piece, at every n, is pinned by
 two one-sided certificates: a mod-p nullity bound from above, and exhibited
@@ -35,7 +37,6 @@ agree.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -64,13 +65,11 @@ from .multipoly import (
     monomials,
     mp_add,
     mp_divide_linear,
-    mp_from_coords,
     mp_is_zero,
     mp_mul,
     mp_permute,
     mp_scale,
     mp_sub,
-    mp_subst_var,
     mp_var,
     mp_zero,
 )
@@ -171,7 +170,8 @@ def _constraint_matrix(model: GkmModel, d: int) -> np.ndarray:
 
 
 def _verify_columns(model: GkmModel, d: int, mat: np.ndarray) -> None:
-    """Exact check that every column satisfies every edge congruence.
+    """Exact check that every column satisfies every edge congruence;
+    raises VerificationError naming the first edge that fails.
 
     Works per edge on the difference of the two vertex blocks, bucketing
     coefficients by image monomial of the substitution; all buckets must
@@ -187,7 +187,7 @@ def _verify_columns(model: GkmModel, d: int, mat: np.ndarray) -> None:
         buckets = np.zeros((mprime, mat.shape[1]), dtype=mat.dtype)
         np.add.at(buckets, _subst_map(n, d, a, b), diff)
         if np.any(buckets != 0):
-            raise ArithmeticError(
+            raise VerificationError(
                 f"column violates the degree-{d} congruence on edge "
                 f"({model.vertices[iu]}, {model.vertices[iv]}) with label t_{a} - t_{b}"
             )
@@ -369,88 +369,75 @@ def degree_piece(model: GkmModel, d: int) -> GkmSpace:
 
 
 class EquivariantClass:
-    """A vertexwise assignment of homogeneous degree-d polynomials that
-    satisfies the model's edge congruences."""
+    """Degree-d classes of a model in the coordinates of GkmSpace.matrix:
+    a vector is one class, a matrix with one column per class is a batch.
+    The constructor checks every edge congruence exactly (_verify_columns);
+    the actions and xi are gathers of the coordinates, and values reads them
+    back as one polynomial per vertex for the localization pushforward."""
 
-    def __init__(self, model: GkmModel, degree: int, values, verify: bool = True):
-        values = tuple(dict(v) for v in values)
-        if len(values) != len(model.vertices):
-            raise ValueError("need one polynomial per vertex")
+    def __init__(self, model: GkmModel, degree: int, coords):
+        coords = np.asarray(coords)
+        size = len(model.vertices) * len(monomials(model.n, degree))
+        if coords.ndim not in (1, 2) or len(coords) != size:
+            raise ValueError("need one coordinate per (vertex, monomial) pair")
+        _verify_columns(model, degree, coords.reshape(len(coords), -1))
         self.model = model
         self.degree = degree
-        self.values = values
-        if verify:
-            self.verify()
+        self.coords = coords
 
-    def verify(self) -> None:
-        """Raise unless every edge congruence holds exactly."""
-        for iu, iv, a, b in self.model.edges:
-            diff = mp_sub(self.values[iu], self.values[iv])
-            if not mp_is_zero(mp_subst_var(diff, a, b)):
-                raise ValueError(
-                    f"assignment violates the congruence on edge "
-                    f"({self.model.vertices[iu]}, {self.model.vertices[iv]}) "
-                    f"with label t_{a} - t_{b}"
-                )
-
-    @staticmethod
-    def from_column(model: GkmModel, degree: int, column, verify: bool = True) -> EquivariantClass:
-        M = len(monomials(model.n, degree))
-        vals = [
-            mp_from_coords([Fraction(int(x)) if not isinstance(x, Fraction) else x
-                            for x in column[iv * M:(iv + 1) * M]], model.n, degree)
-            for iv in range(len(model.vertices))
-        ]
-        return EquivariantClass(model, degree, vals, verify=verify)
-
-    @staticmethod
-    def from_columns(model: GkmModel, degree: int, matrix: np.ndarray) -> EquivariantClass:
-        """All columns of a basis matrix as one unverified batch class: each
-        monomial maps to its row of the matrix, as Python ints (see multipoly)."""
-        mons = monomials(model.n, degree)
-        blocks = matrix.astype(object).reshape(len(model.vertices), len(mons), matrix.shape[1])
-        vals = [{e: r for e, r in zip(mons, block) if r.any()} for block in blocks]
-        return EquivariantClass(model, degree, vals, verify=False)
+    @property
+    def values(self) -> tuple[MPoly, ...]:
+        """The polynomial at each vertex, with Python int coefficients, or
+        rows of them for a batch (see multipoly)."""
+        mons = monomials(self.model.n, self.degree)
+        blocks = self.coords.reshape((len(self.model.vertices), len(mons)) + self.coords.shape[1:])
+        live = blocks.reshape(blocks.shape[:2] + (-1,)).any(axis=2)
+        return tuple(
+            {mons[k]: block[k] for k in np.flatnonzero(nonzero)}
+            for block, nonzero in zip(blocks.astype(object), live)
+        )
 
     @staticmethod
     def one(model: GkmModel) -> EquivariantClass:
-        return EquivariantClass(model, 0, [{(0,) * model.n: 1} for _ in model.vertices], verify=False)
+        return EquivariantClass(model, 0, np.ones(len(model.vertices), dtype=np.int64))
 
     @staticmethod
     def t_class(model: GkmModel, i: int) -> EquivariantClass:
         """The constant assignment w -> t_i (a class of either flavor)."""
-        return EquivariantClass(model, 1, [mp_var(model.n, i) for _ in model.vertices], verify=False)
+        rows = [i - 1] * len(model.vertices)
+        return EquivariantClass(model, 1, np.eye(model.n, dtype=np.int64)[rows].ravel())
 
     @staticmethod
     def x_class(model: GkmModel, i: int) -> EquivariantClass:
         """The tautological class w -> t_{w(i)} (flavor X only)."""
         if model.flavor != "X":
             raise ValueError("x classes satisfy the flavor-X congruences only")
-        return EquivariantClass(
-            model, 1, [mp_var(model.n, w[i - 1]) for w in model.vertices], verify=False
-        )
+        rows = [w[i - 1] - 1 for w in model.vertices]
+        return EquivariantClass(model, 1, np.eye(model.n, dtype=np.int64)[rows].ravel())
 
     def act(self, sigma: tuple[int, ...], action: str) -> EquivariantClass:
-        """Apply sigma via the named action; the result is re-verified."""
+        """Apply sigma via the named action."""
         _check_action(self.model, action)
-        verts = self.model.vertices
-        vidx = self.model.vertex_index
-        sinv = inverse(sigma)
-        if action == "dot":
-            vals = [mp_permute(self.values[vidx[compose(sinv, w)]], sigma) for w in verts]
-        elif action == "dagger":
-            vals = [self.values[vidx[compose(sinv, w)]] for w in verts]
-        else:  # star
-            vals = [self.values[vidx[compose(w, sigma)]] for w in verts]
-        return EquivariantClass(self.model, self.degree, vals, verify=True)
+        src = _ambient_src(self.model, self.degree, sigma, action)
+        return EquivariantClass(self.model, self.degree, self.coords[src])
 
     def __mul__(self, other: EquivariantClass) -> EquivariantClass:
+        """Vertexwise product of two single classes, in Python ints."""
         if self.model is not other.model and (
             self.model.flavor != other.model.flavor or self.model.h != other.model.h
         ):
             raise ValueError("classes live on different models")
-        vals = [mp_mul(a, b) for a, b in zip(self.values, other.values)]
-        return EquivariantClass(self.model, self.degree + other.degree, vals, verify=False)
+        if self.coords.ndim != 1 or other.coords.ndim != 1:
+            raise ValueError("only single classes multiply")
+        n = self.model.n
+        d = self.degree + other.degree
+        nverts = len(self.model.vertices)
+        a = self.coords.astype(object).reshape(nverts, -1, 1)
+        b = other.coords.astype(object).reshape(nverts, 1, -1)
+        exps = monomial_exponents(n, self.degree)[:, None] + monomial_exponents(n, other.degree)
+        out = np.zeros((nverts, len(monomials(n, d))), dtype=object)
+        np.add.at(out, (slice(None), monomial_positions(exps, d)), a * b)
+        return EquivariantClass(self.model, d, out.ravel())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -458,7 +445,7 @@ class EquivariantClass:
             and self.model.flavor == other.model.flavor
             and self.model.h == other.model.h
             and self.degree == other.degree
-            and all(mp_is_zero(mp_sub(a, b)) for a, b in zip(self.values, other.values))
+            and np.array_equal(self.coords, other.coords)
         )
 
     def __repr__(self) -> str:
@@ -570,22 +557,19 @@ def quotient_graded_character(
 def xi_transport(f: EquivariantClass, direction: str) -> EquivariantClass:
     """The vertexwise change of variables between the flavors: from Y to X it
     applies w to the value at w (sending the constant class t_i to x_i), from
-    X to Y it applies w^{-1}.  The result is verified against the target
-    congruences."""
+    X to Y it applies w^{-1}.  Both are the gather _xi_gather or its inverse,
+    and the constructor verifies the target congruences."""
     if direction not in ("Y_to_X", "X_to_Y"):
         raise ValueError(f"direction must be 'Y_to_X' or 'X_to_Y', got {direction!r}")
     model = f.model
+    gather = _xi_gather(model, f.degree)
     if direction == "Y_to_X":
         if model.flavor != "Y":
             raise ValueError("Y_to_X transport needs a flavor-Y class")
-        target = GkmModel(model.h, "X")
-        vals = [mp_permute(v, w) for v, w in zip(f.values, model.vertices)]
-    else:
-        if model.flavor != "X":
-            raise ValueError("X_to_Y transport needs a flavor-X class")
-        target = GkmModel(model.h, "Y")
-        vals = [mp_permute(v, inverse(w)) for v, w in zip(f.values, model.vertices)]
-    return EquivariantClass(target, f.degree, vals, verify=True)
+        return EquivariantClass(GkmModel(model.h, "X"), f.degree, f.coords[np.argsort(gather)])
+    if model.flavor != "X":
+        raise ValueError("X_to_Y transport needs a flavor-X class")
+    return EquivariantClass(GkmModel(model.h, "Y"), f.degree, f.coords[gather])
 
 
 # ------------------------------------------------------------ localization
@@ -620,8 +604,8 @@ def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
     sum_w sgn(w) f(w) C_w over prod_{j<i} (t_i - t_j), where C_w is the
     product over non-arcs; the numerator must be exactly divisible, and the
     quotient is the result (degree deg f - |h|, or zero).  For a batch class
-    (EquivariantClass.from_columns) column k of the result is the pushforward
-    of column k, and one column that is not divisible makes the call raise."""
+    column k of the result is the pushforward of column k, and one column
+    that is not divisible makes the call raise."""
     if model.flavor != "X":
         raise ValueError("the pushforward is defined on flavor-X classes")
     if f.model.h != model.h or f.model.flavor != "X":
@@ -726,7 +710,7 @@ def gkm_report(h: HessenbergFunction) -> dict:
     loc_classes = equiv_classes = 0
     for d in range(size + 1):  # one batch class per degree, which passes or fails whole
         space = degree_piece(model_x, d)
-        batch = EquivariantClass.from_columns(model_x, d, space.matrix)
+        batch = EquivariantClass(model_x, d, space.matrix)
         try:
             if any(sum(e) != d - size for e in localization_pushforward(model_x, batch)):
                 break

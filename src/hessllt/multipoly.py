@@ -7,7 +7,9 @@ with vector coefficients the dict is a batch, column k of which is the
 polynomial of the k-th entries, and every operation acts column by column.
 Integer inputs give integer results.  Homogeneous degree pieces index their
 monomials by the order of monomials(nvars, d), which is fixed (descending
-lexicographic) so coordinate vectors are reproducible.
+lexicographic) so coordinate vectors are reproducible.  The moment-graph
+classes of gkm are such coordinate vectors; the dicts serve the localization
+pushforward, which reads a class as one polynomial per vertex.
 
 monomial_positions is the one locator of that order.  It reads an exponent
 vector of degree d as a base-(d + 1) number, first variable most
@@ -26,7 +28,7 @@ from operator import add
 
 import numpy as np
 
-MPoly = dict[tuple[int, ...], "int | Fraction | np.ndarray"]
+MPoly = dict[tuple[int, ...], int | Fraction | np.ndarray]
 
 
 def _nonzero(c) -> bool:
@@ -81,16 +83,6 @@ def mp_mul(a: MPoly, b: MPoly) -> MPoly:
 
 def mp_is_zero(a: MPoly) -> bool:
     return not a
-
-def mp_subst_var(a: MPoly, i: int, j: int) -> MPoly:
-    """Substitute t_i := t_j (both 1-based)."""
-    out: MPoly = {}
-    for e, c in a.items():
-        e2 = list(e)
-        e2[j - 1] += e2[i - 1]
-        e2[i - 1] = 0
-        _accumulate(out, tuple(e2), c)
-    return out
 
 def mp_permute(a: MPoly, sigma: tuple[int, ...]) -> MPoly:
     """Relabel variables t_i -> t_sigma(i)."""
@@ -168,7 +160,3 @@ def monomial_positions(exps: np.ndarray, degree: int) -> np.ndarray:
     radix, ascending = _radix_keys(exps.shape[-1], degree)
     return np.searchsorted(ascending, -(exps @ radix))
 
-
-def mp_from_coords(coords, nvars: int, degree: int) -> MPoly:
-    mons = monomials(nvars, degree)
-    return {e: Fraction(c) for e, c in zip(mons, coords) if c}

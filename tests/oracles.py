@@ -5,7 +5,8 @@ available, practical only at small n: induced Young characters by coset
 sums, csf and llt by enumerating colorings in pure Python, the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
 ideal subspace, the index maps of the moment graphs by tuple lookup, the
-basis tables of symfunc by direct expansion and Fraction inversion, and the
+congruence check, the actions, xi and the product of moment-graph classes on
+one polynomial dict per vertex, the basis tables of symfunc by direct expansion and Fraction inversion, and the
 fixed faces of a permutation by relabeling each face.  frac_rref, the
 Fraction echelon form, is also the oracle of the certified mod-p engine.
 The named basis elements are here for the tests that build symmetric
@@ -44,7 +45,7 @@ from hessllt.gkm import (
     degree_piece,
 )
 from hessllt.hessgraph import HessenbergFunction, UnitIntervalGraph, _tally_poly
-from hessllt.multipoly import monomials
+from hessllt.multipoly import MPoly, monomials, mp_mul, mp_permute, mp_sub
 from hessllt.permco import PermutohedronFace
 from hessllt.qrat import QRat
 from hessllt.symfunc import SymFunc, murnaghan_nakayama
@@ -334,3 +335,64 @@ def staircase_columns_by_lookup(model: GkmModel, d: int) -> np.ndarray:
         for j, src in enumerate(exps):
             out[iw * len(monos) + int(relabel[src]), j] = 1
     return out
+
+
+def values_by_lookup(model: GkmModel, d: int, coords) -> list[MPoly]:
+    """The per-vertex polynomials of a class in GkmSpace coordinates, or of
+    a batch with one column per class (row-vector coefficients), read
+    vertex by vertex and monomial by monomial."""
+    mons = monomials(model.n, d)
+    coords = np.asarray(coords).astype(object)
+    out = []
+    for iv in range(len(model.vertices)):
+        block = coords[iv * len(mons):(iv + 1) * len(mons)]
+        out.append({e: c for e, c in zip(mons, block) if np.any(c)})
+    return out
+
+
+def mp_subst_var(a: MPoly, i: int, j: int) -> MPoly:
+    """Substitute t_i := t_j (both 1-based)."""
+    out: MPoly = {}
+    for e, c in a.items():
+        e2 = list(e)
+        e2[j - 1] += e2[i - 1]
+        e2[i - 1] = 0
+        key = tuple(e2)
+        out[key] = out[key] + c if key in out else c
+    return {e: c for e, c in out.items() if np.any(c)}
+
+
+def first_violated_edge_by_substitution(model: GkmModel, values: list[MPoly]):
+    """The first edge (iu, iv, a, b) of the model on which the endpoint
+    difference survives the substitution t_a := t_b, or None."""
+    for iu, iv, a, b in model.edges:
+        if mp_subst_var(mp_sub(values[iu], values[iv]), a, b):
+            return iu, iv, a, b
+    return None
+
+
+def act_by_dicts(model: GkmModel, values: list[MPoly], sigma: Permutation, action: str) -> list[MPoly]:
+    """EquivariantClass.act vertex by vertex: dot moves the value at
+    sigma^-1 w to w and relabels its variables by sigma, dagger only moves
+    it, and star moves the value at w sigma to w."""
+    vidx = model.vertex_index
+    sinv = inverse(sigma)
+    if action == "dot":
+        return [mp_permute(values[vidx[compose(sinv, w)]], sigma) for w in model.vertices]
+    if action == "dagger":
+        return [values[vidx[compose(sinv, w)]] for w in model.vertices]
+    return [values[vidx[compose(w, sigma)]] for w in model.vertices]
+
+
+def xi_by_dicts(model: GkmModel, values: list[MPoly], direction: str) -> list[MPoly]:
+    """gkm.xi_transport vertex by vertex: relabel the value at w by w
+    (Y_to_X) or by w^-1 (X_to_Y)."""
+    return [
+        mp_permute(v, w if direction == "Y_to_X" else inverse(w))
+        for v, w in zip(values, model.vertices)
+    ]
+
+
+def product_by_dicts(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
+    """The vertexwise product of two classes."""
+    return [mp_mul(x, y) for x, y in zip(a, b)]

@@ -6,14 +6,15 @@ report: gkm_report of the complete graph at n = 3, permco_report(3),
 coinvariant_closed_form_check(3) or verify_identities(2,3,4,4).  Exact sets
 catch a check that silently stops failing as well as one that starts
 failing for the wrong reason.  A fault that the exact congruence check of
-the moment-graph pieces refuses makes the report raise instead; such faults
-pin the error.
+the moment-graph pieces or classes refuses makes the report raise instead;
+such faults pin the error.
 Bumps of a character are made from the named characters with +, - and
 scale only, so the table does not depend on how a character is stored.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -21,9 +22,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+import hessllt.cli
 from hessllt import gkm, hessgraph, permco, symfunc
 from hessllt.characters import regular_character, sign_character, trivial_character
 from hessllt.combinat import cycle_type
+from hessllt.errors import VerificationError
 from hessllt.hessgraph import HessenbergFunction
 from hessllt.qrat import QPoly, QRat
 from hessllt.symfunc import SymFunc
@@ -157,6 +160,11 @@ def swapped_degree_two_monomials(real):
     return located
 
 
+def first_subset_dropped(real):
+    """combinations without its first subset."""
+    return lambda pool, r: itertools.islice(real(pool, r), 1, None)
+
+
 def face_module_bump(i: int, delta: Callable):
     return wrap(
         permco, "face_module_character",
@@ -232,6 +240,8 @@ TABLE = (
     fault("one-orientation-dropped",
           wrap(permco, "orientations", lambda real: lambda h: list(real(h))[1:]),
           "permco", "complete-graph-agreement"),
+    fault("one-subset-dropped", wrap(permco, "combinations", first_subset_dropped), "permco",
+          "gaussian-binomial-sums"),
     # the span of the coinvariant ideal with two monomial rows traded
     fault("span-locator-swaps-two-monomials",
           wrap(permco, "monomial_positions", swapped_degree_two_monomials), "permco",
@@ -288,9 +298,7 @@ TABLE = (
 )
 
 # Checks the four reports emit that no row above makes fail yet.
-UNCOVERED = frozenset({
-    "gaussian-binomial-sums",
-})
+UNCOVERED: frozenset[str] = frozenset()
 
 REQUIRED = frozenset({
     "t-quotient-character-is-omega-chromatic",
@@ -357,3 +365,31 @@ def test_swapped_relabeling_is_refused_by_the_congruence_check(monkeypatch, repo
     wrap(gkm, "monomial_positions", swapped_degree_one_relabeling)(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(REFUSED[report])):
         REPORTS[report]()
+
+
+def act_without_relabeling(self, sigma, action):
+    """EquivariantClass.act whose dot action moves the vertices but keeps
+    the variables: the dagger gather applied to a flavor-X class."""
+    src = gkm._ambient_src(self.model, self.degree, sigma, "dagger" if action == "dot" else action)
+    return gkm.EquivariantClass(self.model, self.degree, self.coords[src])
+
+
+# The equivariance check of the localization acts first on the degree-0
+# piece, the unit class, which every vertex permutation fixes; the first
+# refusal is at degree 1 under the transposition (1 2).
+REFUSED_ACT = ("column violates the degree-1 congruence on edge ((1, 2, 3), (3, 2, 1)) "
+               "with label t_3 - t_1")
+
+
+def test_act_outside_the_congruences_is_refused_by_the_constructor(monkeypatch):
+    monkeypatch.setattr(gkm.EquivariantClass, "act", act_without_relabeling)
+    with pytest.raises(VerificationError, match=re.escape(REFUSED_ACT)):
+        REPORTS["gkm"]()
+
+
+def test_act_outside_the_congruences_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(gkm.EquivariantClass, "act", act_without_relabeling)
+    assert hessllt.cli.main(["verify", "--scope", "gkm", "--h", "3,3,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed: " + REFUSED_ACT)
+    assert "Traceback" not in err

@@ -29,12 +29,17 @@ from hessllt.hessgraph import HessenbergFunction, csf, hessenberg_all, llt
 from hessllt.qrat import QRat
 from hessllt.combinat import all_permutations, transposition
 from oracles import (
+    act_by_dicts,
+    first_violated_edge_by_substitution,
     frac_rref,
+    product_by_dicts,
     quotient_character_bruteforce,
     relabeling_map_by_lookup,
     shift_map_by_lookup,
     staircase_columns_by_lookup,
     subst_map_by_lookup,
+    values_by_lookup,
+    xi_by_dicts,
 )
 
 H = HessenbergFunction.parse
@@ -228,12 +233,11 @@ class TestXiCertificate:
 class TestEquivariantClasses:
     def test_one_t_x(self):
         mx, my = models("2,2")
-        one = EquivariantClass.one(mx)
-        one.verify()
-        t1 = EquivariantClass.t_class(mx, 1)
-        t1.verify()
+        assert list(EquivariantClass.one(mx).coords) == [1, 1]
+        assert list(EquivariantClass.t_class(mx, 2).coords) == [0, 1, 0, 1]
         x1 = EquivariantClass.x_class(mx, 1)
-        x1.verify()
+        assert list(x1.coords) == [1, 0, 0, 1]
+        assert x1 == EquivariantClass(mx, 1, [1, 0, 0, 1])
         assert x1.values[0] == {(1, 0): Fraction(1)}
         assert x1.values[1] == {(0, 1): Fraction(1)}
         with pytest.raises(ValueError):
@@ -241,10 +245,15 @@ class TestEquivariantClasses:
 
     def test_verify_rejects_noncongruent(self):
         mx, _ = models("2,2")
-        with pytest.raises(ValueError):
-            EquivariantClass(
-                mx, 1, [{(1, 0): Fraction(1)}, {(1, 0): Fraction(2)}]
-            )
+        # t_1 at (1, 2) and 2 t_1 at (2, 1): the difference survives t_2 := t_1
+        with pytest.raises(VerificationError, match=re.escape("on edge ((1, 2), (2, 1))")):
+            EquivariantClass(mx, 1, [1, 0, 2, 0])
+
+    def test_constructor_rejects_a_wrong_shape(self):
+        mx, _ = models("2,2")
+        for coords in ([1, 0, 1], np.zeros((4, 1, 1), dtype=np.int64)):
+            with pytest.raises(ValueError, match="one coordinate per"):
+                EquivariantClass(mx, 1, coords)
 
     def test_dot_fixes_tautological_classes(self):
         for text in ("2,2", "2,3,3", "3,3,3"):
@@ -286,7 +295,10 @@ class TestEquivariantClasses:
         x1 = EquivariantClass.x_class(mx, 1)
         sq = x1 * x1
         assert sq.degree == 2
-        sq.verify()
+        assert sq.values == ({(2, 0): 1}, {(0, 2): 1})
+        batch = EquivariantClass(mx, 1, degree_piece(mx, 1).matrix)
+        with pytest.raises(ValueError, match="single classes"):
+            batch * x1
 
 
 class TestQuotientCharacters:
@@ -365,8 +377,8 @@ class TestXiTransport:
     def test_round_trip(self):
         mx, my = models("2,3,3")
         space = degree_piece(my, 2)
-        for col in space.basis[:3]:
-            f = EquivariantClass.from_column(my, 2, col)
+        for col in space.matrix.T[:3]:
+            f = EquivariantClass(my, 2, col)
             assert xi_transport(xi_transport(f, "Y_to_X"), "X_to_Y") == f
 
     def test_intertwines_actions(self):
@@ -401,8 +413,8 @@ class TestLocalization:
         mx, _ = models("2,3,3")
         for d in range(H("2,3,3").size() + 1):
             space = degree_piece(mx, d)
-            for col in space.basis:
-                f = EquivariantClass.from_column(mx, d, col, verify=False)
+            for col in space.matrix.T:
+                f = EquivariantClass(mx, d, col)
                 localization_pushforward(mx, f)  # must not raise
 
     def test_failed_division_fails_the_report(self, monkeypatch):
@@ -447,12 +459,9 @@ class TestBatchLocalization:
     def test_batch_matches_per_class(self, text, d):
         mx, _ = models(text)
         space = degree_piece(mx, d)
-        batch = EquivariantClass.from_columns(mx, d, space.matrix)
+        batch = EquivariantClass(mx, d, space.matrix)
         pushed = localization_pushforward(mx, batch)
-        singles = [
-            EquivariantClass.from_column(mx, d, space.matrix[:, k], verify=False)
-            for k in range(space.dim)
-        ]
+        singles = [EquivariantClass(mx, d, col) for col in space.matrix.T]
         for k, f in enumerate(singles):
             assert column(pushed, k) == localization_pushforward(mx, f), k
         assert all(type(x) is int for c in pushed.values() for x in c)
@@ -464,12 +473,12 @@ class TestBatchLocalization:
     def test_batch_values_are_the_basis_rows(self):
         mx, _ = models("2,3,3")
         space = degree_piece(mx, 2)
-        batch = EquivariantClass.from_columns(mx, 2, space.matrix)
+        batch = EquivariantClass(mx, 2, space.matrix)
         for k in range(space.dim):
-            single = EquivariantClass.from_column(mx, 2, space.matrix[:, k])
+            single = EquivariantClass(mx, 2, space.matrix[:, k])
             assert [column(v, k) for v in batch.values] == list(single.values)
-        assert batch == EquivariantClass.from_columns(mx, 2, space.matrix.astype(object))
-        assert batch != EquivariantClass.from_columns(mx, 2, space.matrix * 2)
+        assert batch == EquivariantClass(mx, 2, space.matrix.astype(object))
+        assert batch != EquivariantClass(mx, 2, space.matrix * 2)
 
     def test_one_nondivisible_column_raises(self):
         mx, _ = models("2,3,3")
@@ -477,20 +486,110 @@ class TestBatchLocalization:
         bad = np.zeros((space.matrix.shape[0], 1), dtype=space.matrix.dtype)
         bad[0, 0] = 1  # t_1 at the first vertex only: violates the congruences
         matrix = np.concatenate([space.matrix[:, :1], bad, space.matrix[:, 1:]], axis=1)
-        localization_pushforward(mx, EquivariantClass.from_columns(mx, 1, space.matrix))
+        localization_pushforward(mx, EquivariantClass(mx, 1, space.matrix))
+        # the constructor refuses the batch before any division;
+        # test_failed_division_fails_the_report covers a failed division
         with pytest.raises(VerificationError):
-            localization_pushforward(mx, EquivariantClass.from_columns(mx, 1, matrix))
+            EquivariantClass(mx, 1, matrix)
 
     def test_big_entries_stay_exact(self):
         mx, _ = models("2,3,3")
         space = degree_piece(mx, 2)
         big = (1 << 64) + 7
         matrix = space.matrix.astype(object) * big
-        pushed = localization_pushforward(mx, EquivariantClass.from_columns(mx, 2, matrix))
-        plain = localization_pushforward(mx, EquivariantClass.from_columns(mx, 2, space.matrix))
+        pushed = localization_pushforward(mx, EquivariantClass(mx, 2, matrix))
+        plain = localization_pushforward(mx, EquivariantClass(mx, 2, space.matrix))
         assert pushed.keys() == plain.keys()
         for e, c in pushed.items():
             assert list(c) == [x * big for x in plain[e]]
+
+
+def dict_cases():
+    """(h, d) for every h with n <= 3 at every d <= |h| + 1, and 2,3,4,4 at d <= 2."""
+    hs = [h for n in (1, 2, 3) for h in hessenberg_all(n)]
+    cases = [(",".join(map(str, h.values)), d) for h in hs for d in range(h.size() + 2)]
+    return cases + [("2,3,4,4", d) for d in range(3)]
+
+
+def product_cases():
+    """The (h, d) of dict_cases whose products with degree-1 classes stay in
+    dict_cases."""
+    cases = dict_cases()
+    return [(text, d) for text, d in cases if (text, d + 1) in cases]
+
+
+def valid_actions(model):
+    if model.flavor == "Y":
+        return ["dagger"]
+    return ["dot", "star"] if model.h.is_full() else ["dot"]
+
+
+def assert_same_values(got, expected):
+    """Two lists of per-vertex dicts agree monomial for monomial, with
+    scalar or row-vector coefficients."""
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.keys() == e.keys()
+        for mono, c in g.items():
+            assert np.array_equal(c, e[mono]), mono
+
+
+class TestCoordinatesAgainstDicts:
+    """The coordinate verifier, actions, xi and product of EquivariantClass
+    against the per-vertex dict oracles, entry for entry, on every basis
+    column of every piece of dict_cases, in both flavors."""
+
+    @pytest.mark.parametrize("flavor", ["X", "Y"])
+    @pytest.mark.parametrize("text, d", dict_cases())
+    def test_verifier_names_the_same_first_edge(self, text, d, flavor):
+        model = GkmModel(H(text), flavor)
+        basis = degree_piece(model, d).matrix
+        size = basis.shape[0]
+        units = np.eye(size, dtype=np.int64)
+        mons = basis.shape[0] // len(model.vertices)
+        across = [units[iu * mons + m] - units[iv * mons + m]
+                  for iu, iv, _, _ in model.edges for m in range(mons)]
+        for col in list(basis.T) + list(units) + across:
+            edge = first_violated_edge_by_substitution(model, values_by_lookup(model, d, col))
+            if edge is None:
+                EquivariantClass(model, d, col)  # must not raise
+                continue
+            iu, iv, a, b = edge
+            named = f"on edge ({model.vertices[iu]}, {model.vertices[iv]}) with label t_{a} - t_{b}"
+            with pytest.raises(VerificationError, match=re.escape(named)):
+                EquivariantClass(model, d, col)
+
+    @pytest.mark.parametrize("flavor", ["X", "Y"])
+    @pytest.mark.parametrize("text, d", dict_cases())
+    def test_actions_and_xi(self, text, d, flavor):
+        model = GkmModel(H(text), flavor)
+        space = degree_piece(model, d)
+        batch = EquivariantClass(model, d, space.matrix)
+        values = values_by_lookup(model, d, space.matrix)
+        assert_same_values(batch.values, values)
+        for action in valid_actions(model):
+            for sigma in all_permutations(model.n):
+                moved = batch.act(sigma, action)
+                expected = act_by_dicts(model, values, sigma, action)
+                assert_same_values(values_by_lookup(model, d, moved.coords), expected)
+        direction = "X_to_Y" if flavor == "X" else "Y_to_X"
+        moved = xi_transport(batch, direction)
+        assert moved.model.flavor != flavor
+        assert_same_values(values_by_lookup(model, d, moved.coords), xi_by_dicts(model, values, direction))
+
+    @pytest.mark.parametrize("flavor", ["X", "Y"])
+    @pytest.mark.parametrize("text, d", product_cases())
+    def test_product(self, text, d, flavor):
+        model = GkmModel(H(text), flavor)
+        factors = [EquivariantClass(model, 1, col) for col in degree_piece(model, 1).matrix.T]
+        factors += [EquivariantClass.t_class(model, i) for i in range(1, model.n + 1)]
+        if flavor == "X":
+            factors += [EquivariantClass.x_class(model, i) for i in range(1, model.n + 1)]
+        for col in degree_piece(model, d).matrix.T:
+            f = EquivariantClass(model, d, col)
+            for g in factors:
+                expected = product_by_dicts(values_by_lookup(model, d, col), values_by_lookup(model, 1, g.coords))
+                assert_same_values(values_by_lookup(model, d + 1, (f * g).coords), expected)
 
 
 class TestTopology:

@@ -19,10 +19,10 @@ from hessllt.multipoly import (
     mp_permute,
     mp_scale,
     mp_sub,
-    mp_subst_var,
     mp_var,
     mp_zero,
 )
+from oracles import mp_subst_var
 
 
 def t(i, n=3):
