@@ -6,11 +6,11 @@ sums, csf and llt by enumerating colorings in pure Python, the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
 ideal subspace, the index maps of the moment graphs by tuple lookup, the
 congruence check, the actions, xi and the product of moment-graph classes on
-one polynomial dict per vertex, the basis tables of symfunc by direct expansion and Fraction inversion, and the
-fixed faces of a permutation by relabeling each face.  frac_rref, the
-Fraction echelon form, is also the oracle of the certified mod-p engine.
-The named basis elements are here for the tests that build symmetric
-functions by hand.
+one polynomial dict per vertex, the basis tables of symfunc by direct
+expansion and Fraction inversion, and the fixed faces of a permutation by
+relabeling each face.  frac_rref, the Fraction echelon form, is also the
+oracle of the certified mod-p engine.  The named basis elements are here
+for the tests that build symmetric functions by hand.
 """
 
 from __future__ import annotations
