@@ -37,7 +37,6 @@ print("\ngraded dimension of F:", graded_dimension(F))
 print("graded dimension of H = F(q-1):", graded_dimension(H))
 print("Eulerian polynomial:          ", format_poly(eulerian_polynomial(n)))
 
-out = face_module_twin_check(n)
 print("\ntwin law via face modules:")
-for name, entry in out["checks"].items():
-    print(f"  {name}: {'pass' if entry['passed'] else 'FAIL ' + entry['detail']}")
+for c in face_module_twin_check(n):
+    print(f"  {c['name']}: {'pass' if c['passed'] else 'FAIL ' + c['detail']}")

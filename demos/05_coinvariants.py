@@ -27,17 +27,17 @@ print("graded dimension equals the q-factorial:",
       graded_dimension(chi).as_poly() == q_factorial(n))
 print("q-factorial:", format_poly(q_factorial(n)), "\n")
 
-out = coinvariant_closed_form_check(4)
 print("closed-form checks at n = 4:")
-for name, entry in out["checks"].items():
-    print(f"  {name}: {'pass' if entry['passed'] else 'FAIL ' + entry['detail']}")
+for c in coinvariant_closed_form_check(4):
+    print(f"  {c['name']}: {'pass' if c['passed'] else 'FAIL ' + c['detail']}")
 
 print("\nGaussian binomial subset sums, n up to 8:")
 ok = all(q_binomial_sum_check(n, i) for n in range(2, 9) for i in range(1, n))
 print("  all subset sums match the product formula:", ok)
 
-out = complete_graph_agreement(4)
+checks = complete_graph_agreement(4)
 print("\ncomplete-graph orientation counts against the subset formula (n = 4):")
-for key, row in out["partitions"].items():
-    print(f"  lambda = {key}: {row['orientation_side']}")
-print("  all partitions agree:", out["all_passed"])
+for c in checks[:-1]:  # one check per partition, then the totals
+    lam = c["name"].removeprefix("complete-graph partition ")
+    print(f"  lambda = {lam}: {c['detail'].split(' vs ')[0]}")
+print("  all partitions agree:", all(c["passed"] for c in checks))

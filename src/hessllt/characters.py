@@ -36,17 +36,6 @@ def frobenius_inverse(f: SymFunc) -> dict[Partition, QRat]:
     return {mu: g.coeff(mu) * z_mu(mu) for mu in partitions_of(f.n)}
 
 
-def character_json(f: SymFunc) -> dict:
-    """Every class value of f, zeros included, as {"n", "classes"}."""
-    return {
-        "n": f.n,
-        "classes": [
-            {"type": list(mu), "value": v.to_string()}
-            for mu, v in frobenius_inverse(f).items()
-        ],
-    }
-
-
 def graded_class_function(n: int, series) -> SymFunc:
     """The character whose value on cycle type mu is the q-polynomial with
     coefficient list series(sigma), evaluated on every representative sigma

@@ -88,47 +88,23 @@ def _expansion_command(name: str, args: argparse.Namespace) -> int:
 
 
 def _checks_for_scope(scope: str, h: HessenbergFunction | None, n: int | None) -> list[dict]:
-    checks: list[dict] = []
+    """The check records of every report the scope runs, in order, each name
+    prefixed by the h or the n it ran on."""
 
-    def add(prefix: str, name: str, passed: bool, detail: str = "") -> None:
-        label = f"{prefix}: {name}" if prefix else name
-        checks.append({"name": label, "passed": bool(passed), "detail": detail})
+    def each_h(report):
+        return [("h=" + ",".join(map(str, fn.values)), report, fn)
+                for fn in ([h] if h is not None else hessenberg_all(n))]
 
-    def run_identities(fn: HessenbergFunction) -> None:
-        prefix = "h=" + ",".join(map(str, fn.values))
-        for c in verify_identities(fn):
-            add(prefix, c.name, c.passed, c.detail)
-
-    def run_gkm(fn: HessenbergFunction) -> None:
-        rep = gkm_report(fn)
-        prefix = "h=" + ",".join(map(str, fn.values))
-        for c in rep["checks"]:
-            add(prefix, c["name"], c["passed"], c["detail"])
-
+    runs = []  # (prefix, report, argument), in output order
     if scope in ("identities", "all"):
-        for fn in [h] if h is not None else hessenberg_all(n):
-            run_identities(fn)
-    if scope == "gkm":
-        for fn in [h] if h is not None else hessenberg_all(n):
-            run_gkm(fn)
-    elif scope == "all" and (h is not None or n <= 3):
-        for fn in [h] if h is not None else hessenberg_all(n):
-            run_gkm(fn)
+        runs += each_h(verify_identities)
+    if scope == "gkm" or (scope == "all" and (h is not None or n <= 3)):
+        runs += each_h(gkm_report)
     if scope in ("permutohedron", "all") and h is None:
-        rep = permco_report(n)
-        for c in rep["checks"]:
-            add(f"n={n}", c["name"], c["passed"], c["detail"])
+        runs.append((f"n={n}", permco_report, n))
     if scope in ("complete-graph", "all") and h is None:
-        rep = complete_graph_agreement(n)
-        for mu, row in rep["partitions"].items():
-            add(
-                f"n={n}",
-                f"complete-graph partition {mu}",
-                row["passed"],
-                f"{row['orientation_side']} vs {row['formula_side']}",
-            )
-        add(f"n={n}", "complete-graph totals", rep["totals_match_binomial_expansion"])
-    return checks
+        runs.append((f"n={n}", complete_graph_agreement, n))
+    return [dict(c, name=f"{prefix}: {c['name']}") for prefix, report, arg in runs for c in report(arg)]
 
 
 def _verify_command(args: argparse.Namespace) -> int:

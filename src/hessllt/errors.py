@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and the check record that every verification
+report returns and the CLI prints."""
 
 
 class BudgetExceededError(ValueError):
@@ -11,3 +12,8 @@ class PoleError(ZeroDivisionError):
 
 class VerificationError(ArithmeticError):
     """A built-in self-check of a computed result failed."""
+
+
+def check(name: str, passed: bool, detail: str = "") -> dict:
+    """One verification record: {"name", "passed", "detail"}."""
+    return {"name": name, "passed": bool(passed), "detail": detail}

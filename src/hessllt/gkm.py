@@ -42,7 +42,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .characters import character_json, graded_class_function, graded_dimension, palindromicity_check
+from .characters import graded_class_function, graded_dimension, palindromicity_check
 from .combinat import (
     all_permutations,
     compose,
@@ -50,7 +50,7 @@ from .combinat import (
     inverse,
     transposition,
 )
-from .errors import BudgetExceededError, VerificationError
+from .errors import BudgetExceededError, VerificationError, check
 from .hessgraph import HessenbergFunction, csf, llt
 from .linalg import (
     SMALL_PRIMES,
@@ -212,11 +212,6 @@ class GkmSpace:
         self.certificate = certificate
         self._tracer: SubspaceTracer | None = None
         self._lock = threading.Lock()
-
-    @property
-    def basis(self) -> list[list[int]]:
-        """Basis columns as exact integer vectors."""
-        return [list(map(int, self.matrix[:, j])) for j in range(self.dim)]
 
     def trace(self, sigma: tuple[int, ...], action: str) -> int:
         """Exact trace of the action of sigma on this piece."""
@@ -666,9 +661,11 @@ def equivariant_palindromicity_check(h: HessenbergFunction) -> bool:
     return palindromicity_check(ring_char, shift, True, scale)
 
 
-def gkm_report(h: HessenbergFunction) -> dict:
-    """Machine-checkable report for one Hessenberg function: Betti numbers,
-    the three quotient graded characters, and pass/fail for every law."""
+def gkm_report(h: HessenbergFunction) -> list[dict]:
+    """The check records of one Hessenberg function: the free-module
+    dimension law of both flavors, the three quotient graded characters
+    against csf, llt and each other, equivariant palindromicity, and the
+    localization pushforward."""
     n = h.n
     size = h.size()
     max_d = size + 1  # one degree above the top, to witness vanishing
@@ -677,33 +674,30 @@ def gkm_report(h: HessenbergFunction) -> dict:
     model_y = GkmModel(h, "Y")
     checks: list[dict] = []
 
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
     dims_x = [degree_piece(model_x, d).dim for d in range(max_d + 1)]
     dims_y = [degree_piece(model_y, d).dim for d in range(max_d + 1)]
     law = [
         sum(betti[k] * comb(d - k + n - 1, n - 1) for k in range(min(d, len(betti) - 1) + 1))
         for d in range(max_d + 1)
     ]
-    record(
+    checks.append(check(
         "free-module-dimension-law",
         dims_x == law and dims_y == law,
         f"dims {dims_x} vs law {law}",
-    )
+    ))
 
     q_t = quotient_graded_character(model_x, "dot", "t_vars", max_d)
     q_x = quotient_graded_character(model_x, "dot", "x_classes", max_d)
     q_y = quotient_graded_character(model_y, "dagger", "t_vars", max_d)
 
-    record("t-quotient-character-is-omega-chromatic", q_t == csf(h).omega())
-    record("x-quotient-character-is-llt", q_x == llt(h))
-    record("twin-quotient-equals-x-quotient", q_y == q_x)
-    record(
+    checks.append(check("t-quotient-character-is-omega-chromatic", q_t == csf(h).omega()))
+    checks.append(check("x-quotient-character-is-llt", q_x == llt(h)))
+    checks.append(check("twin-quotient-equals-x-quotient", q_y == q_x))
+    checks.append(check(
         "total-quotient-dimension-is-n-factorial",
         all(graded_dimension(ch).evaluate(1) == factorial(n) for ch in (q_t, q_x, q_y)),
-    )
-    record("equivariant-palindromicity", equivariant_palindromicity_check(h))
+    ))
+    checks.append(check("equivariant-palindromicity", equivariant_palindromicity_check(h)))
 
     gens = [transposition(n, 1, 2), tuple(range(2, n + 1)) + (1,)] if n >= 2 else []
     loc_ok = False
@@ -723,24 +717,9 @@ def gkm_report(h: HessenbergFunction) -> dict:
             equiv_classes += space.dim
     else:
         loc_ok = True
-    record(
+    checks.append(check(
         "localization-integrality-and-equivariance",
         loc_ok,
         f"integral on {loc_classes} basis classes, equivariant on {equiv_classes}",
-    )
-
-    return {
-        "h": list(h.values),
-        "n": n,
-        "edge_count": size,
-        "betti_numbers": betti,
-        "max_degree": max_d,
-        "degree_dimensions": dims_x,
-        "quotient_characters": {
-            "dot_t_quotient": character_json(q_t),
-            "dot_x_quotient": character_json(q_x),
-            "dagger_t_quotient": character_json(q_y),
-        },
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
-    }
+    ))
+    return checks

@@ -32,7 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .combinat import Partition, sort_to_partition
-from .errors import BudgetExceededError, VerificationError
+from .characters import palindromicity_check
+from .errors import BudgetExceededError, VerificationError, check
 from .qrat import QPoly, QRat
 from .symfunc import SymFunc
 
@@ -99,9 +100,6 @@ class HessenbergFunction:
 class UnitIntervalGraph:
     n: int
     edges: tuple[tuple[int, int], ...]  # (a, b) with a < b
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
 
 
 @lru_cache(maxsize=None)
@@ -286,15 +284,9 @@ def orientation_e_expansion(h: HessenbergFunction) -> SymFunc:
     return SymFunc.from_q_table("e", h.n, qtable)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def verify_identities(h: HessenbergFunction) -> list[IdentityCheck]:
-    """The finite identities tying csf, llt, omega, and plethysm together.
+def verify_identities(h: HessenbergFunction) -> list[dict]:
+    """The finite identities tying csf, llt, omega, and plethysm together,
+    as check records.
 
     Exact checks, in order: palindromicity of X_h and of LLT_h, the
     Carlson-Mellit relation, both plethystic inversions between the omega
@@ -308,18 +300,18 @@ def verify_identities(h: HessenbergFunction) -> list[IdentityCheck]:
     qsize = q ** size
     checks = []
 
-    checks.append(IdentityCheck(
+    checks.append(check(
         "csf palindromicity",
-        x.subs_coeffs(lambda c: qsize * c.subs_q_inverse()) == x,
+        palindromicity_check(x, qsize, False, 1),
         "q^|h| X(1/q) = X(q)",
     ))
-    checks.append(IdentityCheck(
+    checks.append(check(
         "llt palindromicity",
-        y.subs_coeffs(lambda c: qsize * c.subs_q_inverse()) == y.omega(),
+        palindromicity_check(y, qsize, True, 1),
         "q^|h| LLT(1/q) = omega LLT(q)",
     ))
     qm1 = q - QRat.one()
-    checks.append(IdentityCheck(
+    checks.append(check(
         "carlson-mellit relation",
         x == y.plethysm_scale(qm1).scale(qm1 ** (-n)),
         "X = (q-1)^-n LLT[(q-1)Z; q]",
@@ -327,23 +319,23 @@ def verify_identities(h: HessenbergFunction) -> list[IdentityCheck]:
     xt = x.omega()
     yt = y
     one_minus_q = QRat.one() - q
-    checks.append(IdentityCheck(
+    checks.append(check(
         "plethystic inversion, contracted",
         yt == xt.plethysm_scale(QRat.one() / one_minus_q).scale(one_minus_q ** n),
         "omega-twisted LLT = (1-q)^n (omega X)[Z/(1-q); q]",
     ))
-    checks.append(IdentityCheck(
+    checks.append(check(
         "plethystic inversion, expanded",
         xt == yt.plethysm_scale(one_minus_q).scale(one_minus_q ** (-n)),
         "omega X = (1-q)^-n (omega-twisted LLT)[(1-q)Z; q]",
     ))
     regular = SymFunc.basis_element("p", (1,) * n)
-    checks.append(IdentityCheck(
+    checks.append(check(
         "llt at q=1 is the regular representation",
         y.subs_coeffs(lambda c: QRat.of(c.evaluate(1))) == regular,
         "LLT(z; 1) = p_1^n",
     ))
-    checks.append(IdentityCheck(
+    checks.append(check(
         "orientation model of the shifted e expansion",
         orientation_e_expansion(h) == y.subs_coeffs(lambda c: c.subs_q_plus_one()),
         "sum_theta q^asc e_lambda(theta) = LLT(z; q+1)",

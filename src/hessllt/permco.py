@@ -48,9 +48,9 @@ from .combinat import (
     subsets_of_interval,
     young_subgroup_order,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check
 from .gkm import GKM_N_BUDGET, GkmModel, perm_monomial_map, quotient_graded_character
-from .hessgraph import HessenbergFunction, lambda_of, llt, orientations
+from .hessgraph import HessenbergFunction, llt, orientation_e_expansion
 from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
 from .multipoly import monomial_exponents, monomial_positions, monomials
 from .qrat import QPoly, QRat, format_poly
@@ -230,9 +230,25 @@ def _first_discrepancy(a: SymFunc, b: SymFunc) -> str | None:
     return None
 
 
-def face_module_twin_check(n: int) -> dict:
-    """The shifted face series against its closed form and against the twin
-    cohomology characters.
+def _agreement(name: str, a: SymFunc, b: SymFunc) -> dict:
+    """The check that a equals b classwise, its detail the first discrepancy."""
+    diff = _first_discrepancy(a, b)
+    return check(name, diff is None, diff or "")
+
+
+def _folded(name: str, checks: list[dict]) -> dict:
+    """One check for a whole sub-report: it passes when every check passes,
+    and its detail names the failing ones."""
+    return check(
+        name,
+        all(c["passed"] for c in checks),
+        "; ".join(c["name"] for c in checks if not c["passed"]),
+    )
+
+
+def face_module_twin_check(n: int) -> list[dict]:
+    """The check records of the shifted face series against its closed form
+    and against the twin cohomology characters.
 
     Checks, classwise and exactly: H(q) equals the alternating closed form
     sum_I Ind(1) (q-1)^{n-1-|I|}; the closed form tensored with sign equals
@@ -247,7 +263,7 @@ def face_module_twin_check(n: int) -> dict:
     return _face_module_twin_check(n, *face_and_h_series(n))
 
 
-def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> dict:
+def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> list[dict]:
     """face_module_twin_check on the series F, H of face_and_h_series(n)."""
     qm1 = QRat.q() - QRat.one()
     closed = SymFunc.zero(n, "p")
@@ -256,29 +272,24 @@ def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> dict:
     h = HessenbergFunction(tuple(range(2, n + 1)) + (n,) if n >= 2 else (1,))
     llt_h = llt(h)
 
-    report: dict = {"n": n, "h": list(h.values), "checks": {}}
-
-    def record(name: str, a: SymFunc, b: SymFunc) -> None:
-        diff = _first_discrepancy(a, b)
-        report["checks"][name] = {"passed": diff is None, "detail": diff or ""}
-
-    record("h_series_equals_closed_form", H, closed)
-    record("closed_form_sign_twist_is_twin_character", closed.omega(), llt_h)
+    checks = [
+        _agreement("h_series_equals_closed_form", H, closed),
+        _agreement("closed_form_sign_twist_is_twin_character", closed.omega(), llt_h),
+    ]
     if n <= GKM_N_BUDGET:
         q_y = quotient_graded_character(GkmModel(h, "Y"), "dagger", "t_vars")
-        record("moment_graph_route_matches_twin_character", q_y, llt_h)
+        checks.append(_agreement("moment_graph_route_matches_twin_character", q_y, llt_h))
     shifted = SymFunc.zero(n, "e")
     for I in subsets_of_interval(n):
         shifted = shifted + SymFunc.basis_element(
             "e", partition_from_subset(I, n)
         ).scale(QRat.q() ** (n - 1 - len(I)))
     llt_shifted = llt_h.subs_coeffs(lambda c: c.subs_q_plus_one())
-    report["checks"]["shifted_face_series_is_llt_at_q_plus_one"] = {
-        "passed": shifted == llt_shifted and F.omega() == shifted,
-        "detail": "",
-    }
-    report["all_passed"] = all(c["passed"] for c in report["checks"].values())
-    return report
+    checks.append(check(
+        "shifted_face_series_is_llt_at_q_plus_one",
+        shifted == llt_shifted and F.omega() == shifted,
+    ))
+    return checks
 
 
 # ------------------------------------------------------------ coinvariants
@@ -345,9 +356,9 @@ def q_factorial(n: int) -> QPoly:
     return out
 
 
-def coinvariant_closed_form_check(n: int) -> dict:
-    """The brute-force coinvariant character against its closed forms and
-    degenerations.
+def coinvariant_closed_form_check(n: int) -> list[dict]:
+    """The check records of the brute-force coinvariant character against its
+    closed forms and degenerations.
 
     Classwise exact checks: the alternating closed form over subsets with
     induced trivial characters; the dual closed form with induced sign
@@ -377,38 +388,30 @@ def coinvariant_closed_form_check(n: int) -> dict:
         form_trivial = form_trivial + induced_young(I, n, "trivial").scale(coef_t)
         form_sign = form_sign + induced_young(I, n, "sign").scale(coef_s)
 
-    report: dict = {"n": n, "checks": {}}
-
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        report["checks"][name] = {"passed": bool(passed), "detail": detail}
-
-    diff = _first_discrepancy(R, form_trivial)
-    record("closed_form_with_induced_trivial", diff is None, diff or "")
-    diff = _first_discrepancy(R, form_sign)
-    record("closed_form_with_induced_sign", diff is None, diff or "")
-    record(
-        "q_equals_one_is_regular",
-        R.subs_coeffs(lambda v: QRat.of(v.evaluate(1))) == regular_character(n),
-    )
-    record("identity_value_is_q_factorial", graded_dimension(R).as_poly() == q_factorial(n))
-    record(
-        "palindromicity_with_sign_twist",
-        palindromicity_check(R, QRat.q() ** (n * (n - 1) // 2), True, QRat.one()),
-    )
     invariant_factor = QRat.one()
     for k in range(1, n + 1):
         invariant_factor = invariant_factor / (QRat.one() - QRat.q() ** k)
     ring = R.scale(invariant_factor)
-    diff = _first_discrepancy(polynomial_algebra_series(n), ring)
-    record("polynomial_ring_factors_through_invariants", diff is None, diff or "")
-    # q^{n(n+1)/2} prod_k 1/(1 - q^{-k}) = (-1)^n prod_k 1/(1 - q^k), so the
-    # coinvariant law carries over with shift 1 and scale (-q)^n
-    record(
-        "polynomial_ring_palindromicity",
-        palindromicity_check(ring, QRat.one(), True, QRat.q() ** n * ((-1) ** n)),
-    )
-    report["all_passed"] = all(c["passed"] for c in report["checks"].values())
-    return report
+    return [
+        _agreement("closed_form_with_induced_trivial", R, form_trivial),
+        _agreement("closed_form_with_induced_sign", R, form_sign),
+        check(
+            "q_equals_one_is_regular",
+            R.subs_coeffs(lambda v: QRat.of(v.evaluate(1))) == regular_character(n),
+        ),
+        check("identity_value_is_q_factorial", graded_dimension(R).as_poly() == q_factorial(n)),
+        check(
+            "palindromicity_with_sign_twist",
+            palindromicity_check(R, QRat.q() ** (n * (n - 1) // 2), True, QRat.one()),
+        ),
+        _agreement("polynomial_ring_factors_through_invariants", polynomial_algebra_series(n), ring),
+        # q^{n(n+1)/2} prod_k 1/(1 - q^{-k}) = (-1)^n prod_k 1/(1 - q^k), so the
+        # coinvariant law carries over with shift 1 and scale (-q)^n
+        check(
+            "polynomial_ring_palindromicity",
+            palindromicity_check(ring, QRat.one(), True, QRat.q() ** n * ((-1) ** n)),
+        ),
+    ]
 
 
 def coinvariant_flag_cross_check(n: int) -> bool:
@@ -436,24 +439,24 @@ def q_binomial_sum_check(n: int, i: int) -> bool:
     return rhs.is_polynomial() and rhs.as_poly() == lhs
 
 
-def complete_graph_agreement(n: int) -> dict:
-    """Orientation counting on the complete graph against the product
-    formula, partition by partition.
+def complete_graph_agreement(n: int) -> list[dict]:
+    """The check records of orientation counting on the complete graph
+    against the product formula, partition by partition.
 
-    For each partition P of n: the sum of q^(ascent count) over orientations
-    of K_n whose sink-component partition is P must equal the sum over
-    subsets I of [n-1] with sorted composition P of
-    prod_{j not in I} ((q+1)^j - 1).  The two sides are aggregated by
-    partition because distinct subsets can sort to the same partition; both
-    totals are also checked against (1+q)^(number of edges)."""
+    For each partition P of n, the check "complete-graph partition P": the
+    sum of q^(ascent count) over orientations of K_n whose sink-component
+    partition is P, read from orientation_e_expansion, must equal the sum
+    over subsets I of [n-1] with sorted composition P of
+    prod_{j not in I} ((q+1)^j - 1); its detail is "<orientation side> vs
+    <formula side>".  The two sides are aggregated by partition because
+    distinct subsets can sort to the same partition; "complete-graph totals"
+    checks both totals against (1+q)^(number of edges)."""
     if not 1 <= n <= COMPLETE_GRAPH_BUDGET:
         raise BudgetExceededError(
             f"the complete-graph check supports n <= {COMPLETE_GRAPH_BUDGET}, got n = {n}"
         )
-    h = HessenbergFunction((n,) * n)
-    orient_side: dict[tuple[int, ...], QPoly] = {mu: QPoly.zero() for mu in partitions_of(n)}
-    for theta in orientations(h):
-        orient_side[lambda_of(theta)] = orient_side[lambda_of(theta)] + QPoly.monomial(theta.asc())
+    orientation = orientation_e_expansion(HessenbergFunction((n,) * n))
+    orient_side = {mu: orientation.coeff(mu).as_poly() for mu in partitions_of(n)}
     formula_side: dict[tuple[int, ...], QPoly] = {mu: QPoly.zero() for mu in partitions_of(n)}
     qp1 = QPoly.q() + QPoly.one()
     for I in subsets_of_interval(n):
@@ -463,80 +466,57 @@ def complete_graph_agreement(n: int) -> dict:
                 term = term * (qp1**j - QPoly.one())
         P = partition_from_subset(I, n)
         formula_side[P] = formula_side[P] + term
-    report: dict = {"n": n, "partitions": {}, "all_passed": True}
-    for mu in partitions_of(n):
-        ok = orient_side[mu] == formula_side[mu]
-        report["partitions"][".".join(map(str, mu))] = {
-            "passed": ok,
-            "orientation_side": format_poly(orient_side[mu]),
-            "formula_side": format_poly(formula_side[mu]),
-        }
-        report["all_passed"] = report["all_passed"] and ok
-    total = QPoly.one()
-    for _ in range(n * (n - 1) // 2):
-        total = total * qp1
-    sums_match = (
+    checks = [
+        check(
+            f"complete-graph partition {'.'.join(map(str, mu))}",
+            orient_side[mu] == formula_side[mu],
+            f"{format_poly(orient_side[mu])} vs {format_poly(formula_side[mu])}",
+        )
+        for mu in partitions_of(n)
+    ]
+    total = qp1 ** (n * (n - 1) // 2)
+    checks.append(check(
+        "complete-graph totals",
         sum(orient_side.values(), QPoly.zero()) == total
-        and sum(formula_side.values(), QPoly.zero()) == total
-    )
-    report["totals_match_binomial_expansion"] = sums_match
-    report["all_passed"] = report["all_passed"] and sums_match
-    return report
+        and sum(formula_side.values(), QPoly.zero()) == total,
+    ))
+    return checks
 
 
-def permco_report(n: int) -> dict:
-    """Machine-checkable report: f-vector plus every face-module and
-    coinvariant law available at this n."""
+def permco_report(n: int) -> list[dict]:
+    """The check records of every face-module and coinvariant law available
+    at this n; each sub-report is folded into one check whose detail names
+    its failing checks."""
     if not 1 <= n <= FACE_MODULE_BUDGET:
         raise BudgetExceededError(
             f"reports support 1 <= n <= {FACE_MODULE_BUDGET}, got n = {n}"
         )
-    checks: list[dict] = []
-
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        checks.append({"name": name, "passed": bool(passed), "detail": detail})
-
     fv = f_vector(n)
     chains = sum(factorial(n) // young_subgroup_order(I, n) for I in subsets_of_interval(n))
-    record("face-count-identity", sum(fv) == chains, f"{sum(fv)} faces")
+    checks = [check("face-count-identity", sum(fv) == chains, f"{sum(fv)} faces")]
     F, H = face_and_h_series(n)
     dims = graded_dimension(F).as_poly()
-    record(
+    checks.append(check(
         "face-module-dimensions-match-f-vector",
         all(dims.coeff(i) == fv[i] for i in range(n)),
-    )
+    ))
     h_fn = HessenbergFunction(tuple(range(2, n + 1)) + (n,) if n >= 2 else (1,))
     eulerian = QRat(eulerian_polynomial(n))
-    record(
+    checks.append(check(
         "h-series-dimensions-are-eulerian",
         graded_dimension(H) == eulerian and graded_dimension(llt(h_fn)) == eulerian,
         format_poly(eulerian_polynomial(n)),
-    )
-    twin = _face_module_twin_check(n, F, H)
-    record(
-        "face-module-twin-law",
-        twin["all_passed"],
-        "; ".join(k for k, v in twin["checks"].items() if not v["passed"]),
-    )
+    ))
+    checks.append(_folded("face-module-twin-law", _face_module_twin_check(n, F, H)))
     if n <= COINVARIANT_BUDGET:
-        closed = coinvariant_closed_form_check(n)
-        record(
-            "coinvariant-closed-forms",
-            closed["all_passed"],
-            "; ".join(k for k, v in closed["checks"].items() if not v["passed"]),
-        )
+        checks.append(_folded("coinvariant-closed-forms", coinvariant_closed_form_check(n)))
     if n <= GKM_N_BUDGET:
-        record("coinvariant-moment-graph-cross-check", coinvariant_flag_cross_check(n))
+        checks.append(check("coinvariant-moment-graph-cross-check", coinvariant_flag_cross_check(n)))
     if n >= 2:
-        record(
+        checks.append(check(
             "gaussian-binomial-sums",
             all(q_binomial_sum_check(n, i) for i in range(1, n)),
-        )
+        ))
     if n <= COMPLETE_GRAPH_BUDGET:
-        record("complete-graph-agreement", complete_graph_agreement(n)["all_passed"])
-    return {
-        "n": n,
-        "f_vector": list(fv),
-        "checks": checks,
-        "all_passed": all(c["passed"] for c in checks),
-    }
+        checks.append(_folded("complete-graph-agreement", complete_graph_agreement(n)))
+    return checks

@@ -263,7 +263,7 @@ def quotient_character_bruteforce(
     # echelon bases of each piece and of its ideal subspace, per degree
     bases = [
         (
-            echelon_basis(spaces[d].basis),
+            echelon_basis(spaces[d].matrix.T.tolist()),
             echelon_basis(ideal_piece(spaces[d - 1], generators) if d else []),
         )
         for d in range(max_d + 1)

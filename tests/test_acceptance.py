@@ -42,8 +42,8 @@ def test_criterion_1_identity_suite_all_h_up_to_n6():
     for n in range(1, 7):
         for h in hessenberg_all(n):
             for check in verify_identities(h):
-                if not check.passed:
-                    failures.append((h.values, check.name, check.detail))
+                if not check["passed"]:
+                    failures.append((h.values, check["name"], check["detail"]))
     _conclude("identity suite, every h with n <= 6", failures, started, limit=120)
 
 
@@ -72,14 +72,12 @@ def test_criterion_3_moment_graph_laws():
     started = time.monotonic()
     failures = []
     for h in hessenberg_all(3):
-        rep = gkm_report(h)
-        for check in rep["checks"]:
+        for check in gkm_report(h):
             if not check["passed"]:
                 failures.append((h.values, check["name"], check["detail"]))
     n4_started = time.monotonic()
     for text in ("2,3,4,4", "4,4,4,4"):
-        rep = gkm_report(H(text))
-        for check in rep["checks"]:
+        for check in gkm_report(H(text)):
             if not check["passed"]:
                 failures.append((text, check["name"], check["detail"]))
     n4_elapsed = time.monotonic() - n4_started
@@ -92,8 +90,7 @@ def test_criterion_4_permutohedron_reports():
     started = time.monotonic()
     failures = []
     for n in range(2, 7):
-        rep = permco_report(n)
-        for check in rep["checks"]:
+        for check in permco_report(n):
             if not check["passed"]:
                 failures.append((n, check["name"], check["detail"]))
     _conclude("permutohedron face modules, n = 2..6", failures, started)
@@ -103,10 +100,9 @@ def test_criterion_5_coinvariant_closed_forms():
     started = time.monotonic()
     failures = []
     for n in range(2, 6):
-        out = coinvariant_closed_form_check(n)
-        for name, entry in out["checks"].items():
-            if not entry["passed"]:
-                failures.append((n, name, entry["detail"]))
+        for check in coinvariant_closed_form_check(n):
+            if not check["passed"]:
+                failures.append((n, check["name"], check["detail"]))
     for n in (2, 3):
         if not coinvariant_flag_cross_check(n):
             failures.append((n, "flag cross-check"))
@@ -115,8 +111,7 @@ def test_criterion_5_coinvariant_closed_forms():
             if not q_binomial_sum_check(n, i):
                 failures.append((n, i, "gaussian binomial sum"))
     for n in range(2, 6):
-        out = complete_graph_agreement(n)
-        if not out["all_passed"]:
+        if not all(check["passed"] for check in complete_graph_agreement(n)):
             failures.append((n, "complete graph agreement"))
     _conclude(
         "coinvariant closed forms, gaussian binomials, complete graphs",

@@ -3,7 +3,6 @@
 import pytest
 
 from hessllt.characters import (
-    character_json,
     frobenius_char,
     graded_class_function,
     frobenius_inverse,
@@ -132,19 +131,3 @@ class TestPalindromicity:
     def test_detects_failure(self):
         chi = trivial_character(2).subs_coeffs(lambda v: v * (QRat.q() + 2))
         assert not palindromicity_check(chi, QRat.q(), False, QRat.one())
-
-    def test_serialization(self):
-        obj = character_json(trivial_character(2))
-        assert obj["n"] == 2
-        assert {"type": [1, 1], "value": "(1)/(1)"} in obj["classes"]
-
-    def test_serialization_lists_every_class_with_zeros(self):
-        obj = character_json(regular_character(3))
-        assert obj == {
-            "n": 3,
-            "classes": [
-                {"type": [3], "value": "(0)/(1)"},
-                {"type": [2, 1], "value": "(0)/(1)"},
-                {"type": [1, 1, 1], "value": "(6)/(1)"},
-            ],
-        }

@@ -2,14 +2,24 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from hessllt.cli import main
-from hessllt.hessgraph import HessenbergFunction, IdentityCheck, llt
+from hessllt.errors import check
+from hessllt.gkm import gkm_report
+from hessllt.hessgraph import HessenbergFunction, llt, verify_identities
+from hessllt.permco import (
+    coinvariant_closed_form_check,
+    complete_graph_agreement,
+    face_module_twin_check,
+    permco_report,
+)
 from hessllt.qrat import QPoly
 
 TIMING = re.compile(r'"timing_seconds": [-+0-9.eE]+')
+GOLDEN_VERIFY_ALL_N3 = Path(__file__).with_name("verify_all_n3.json")
 
 
 def run(capsys, *argv):
@@ -120,7 +130,7 @@ class TestVerifyCommand:
     def test_failure_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(
             "hessllt.cli.verify_identities",
-            lambda h: [IdentityCheck("synthetic", False, "forced failure")],
+            lambda h: [check("synthetic", False, "forced failure")],
         )
         code, obj, _ = run_json(capsys, "verify", "--scope", "identities", "--h", "2,2")
         assert code == 1
@@ -135,6 +145,33 @@ class TestVerifyCommand:
         verdicts = {c["name"]: c["passed"] for c in obj["checks"]}
         relation = [v for name, v in verdicts.items() if name.endswith("carlson-mellit relation")]
         assert relation and not any(relation)
+
+
+class TestReportRecords:
+    def test_verify_all_n3_golden(self, capsys):
+        """Every report function feeds this scope; its JSON, without
+        timing_seconds, is pinned byte for byte."""
+        code, obj, _ = run_json(capsys, "verify", "--scope", "all", "--n", "3")
+        assert code == 0
+        obj.pop("timing_seconds")
+        assert len(obj["checks"]) == 82
+        assert json.dumps(obj, indent=2) + "\n" == GOLDEN_VERIFY_ALL_N3.read_text()
+
+    def test_reports_return_check_records(self):
+        h = HessenbergFunction((2, 3, 3))
+        for checks in (
+            verify_identities(h),
+            gkm_report(h),
+            permco_report(3),
+            face_module_twin_check(3),
+            coinvariant_closed_form_check(3),
+            complete_graph_agreement(3),
+        ):
+            assert isinstance(checks, list) and checks
+            for c in checks:
+                assert list(c) == ["name", "passed", "detail"]
+                assert type(c["passed"]) is bool and isinstance(c["detail"], str)
+            assert len({c["name"] for c in checks}) == len(checks)
 
 
 class TestExitCodes:

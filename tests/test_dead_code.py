@@ -6,6 +6,12 @@ another definition or statement of src/hessllt, a demo, a line of the
 README, or an entry of hessllt.__all__.  A method counts as named by any
 attribute of that name, whatever object it is read from.  Tests do not
 count; an oracle that only the tests call belongs in tests/oracles.py.
+
+Blind spot: methods are matched by name alone, so a dead method stays
+hidden while a method or attribute of the same name on another class is
+read (a dead UnitIntervalGraph.to_json_obj was hidden by
+SymFunc.to_json_obj, and a GkmSpace.basis read only by the tests by the
+SymFunc.basis attribute).  Such a method has to be found by reading.
 """
 
 import ast

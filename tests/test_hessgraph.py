@@ -167,7 +167,7 @@ class TestOrientations:
 
 class TestIdentitySuite:
     def test_check_names(self):
-        names = [c.name for c in verify_identities(H("2,2"))]
+        names = [c["name"] for c in verify_identities(H("2,2"))]
         assert names == [
             "csf palindromicity",
             "llt palindromicity",
@@ -182,4 +182,4 @@ class TestIdentitySuite:
         for n in (1, 2, 3, 4):
             for h in hessenberg_all(n):
                 for check in verify_identities(h):
-                    assert check.passed, (h, check.name, check.detail)
+                    assert check["passed"], (h, check["name"], check["detail"])

@@ -153,9 +153,8 @@ class TestFaceModules:
 
     def test_twin_checks(self):
         for n in (2, 3, 4):
-            out = face_module_twin_check(n)
-            assert out["all_passed"], out
-            checks = out["checks"]
+            checks = {c["name"]: c for c in face_module_twin_check(n)}
+            assert all(c["passed"] for c in checks.values()), checks
             for name in (
                 "h_series_equals_closed_form",
                 "closed_form_sign_twist_is_twin_character",
@@ -218,8 +217,8 @@ class TestCoinvariants:
 
     def test_closed_forms(self):
         for n in (2, 3, 4):
-            out = coinvariant_closed_form_check(n)
-            assert out["all_passed"], out
+            checks = coinvariant_closed_form_check(n)
+            assert all(c["passed"] for c in checks), checks
 
     def test_flag_cross_check(self):
         assert coinvariant_flag_cross_check(2)
@@ -251,15 +250,16 @@ class TestGaussianBinomials:
 class TestCompleteGraph:
     def test_agreement(self):
         for n in (2, 3, 4):
-            out = complete_graph_agreement(n)
-            assert out["all_passed"], out
-            assert out["totals_match_binomial_expansion"]
-            for row in out["partitions"].values():
-                assert row["passed"]
+            checks = complete_graph_agreement(n)
+            assert all(c["passed"] for c in checks), checks
 
     def test_partition_keys(self):
-        out = complete_graph_agreement(3)
-        assert set(out["partitions"]) == {"3", "2.1", "1.1.1"}
+        assert [c["name"] for c in complete_graph_agreement(3)] == [
+            "complete-graph partition 3",
+            "complete-graph partition 2.1",
+            "complete-graph partition 1.1.1",
+            "complete-graph totals",
+        ]
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
@@ -268,10 +268,10 @@ class TestCompleteGraph:
 
 class TestReport:
     def test_report_n4(self):
-        rep = permco_report(4)
-        assert rep["all_passed"]
-        assert rep["f_vector"] == [24, 36, 14, 1]
-        names = [c["name"] for c in rep["checks"]]
+        checks = permco_report(4)
+        assert all(c["passed"] for c in checks)
+        assert f_vector(4) == (24, 36, 14, 1)
+        names = [c["name"] for c in checks]
         assert names == [
             "face-count-identity",
             "face-module-dimensions-match-f-vector",
@@ -284,9 +284,9 @@ class TestReport:
         ]
 
     def test_report_n6_drops_oversized_scopes(self):
-        rep = permco_report(6)
-        assert rep["all_passed"]
-        names = [c["name"] for c in rep["checks"]]
+        checks = permco_report(6)
+        assert all(c["passed"] for c in checks)
+        names = [c["name"] for c in checks]
         assert "coinvariant-moment-graph-cross-check" not in names
         assert "complete-graph-agreement" not in names
 
