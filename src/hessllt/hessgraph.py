@@ -13,7 +13,10 @@ before any monomial coefficient is read off.  All n^n colorings with n
 colors, which is enough in degree n, are enumerated with exact integer numpy
 counting: each coloring becomes one int64 key, its content vector read as a
 radix-(n+1) number times (|h| + 1) plus its ascents, and one 1-D sort with
-counts groups them.
+counts groups them.  The tally read off the dominant exponent vectors is
+the m expansion; it is converted to the p basis once and cached there,
+because omega and plethysm act diagonally on p (Macdonald, ch. I), so every
+identity of verify_identities is checked without leaving p.
 
 Orientations of G_h carry the ascent statistic asc(theta) (number of edges
 directed from the smaller to the larger endpoint) and the highest reachable
@@ -167,7 +170,7 @@ def _coloring_weights(h: HessenbergFunction):
     return group(key), group(key[proper])
 
 
-def _assert_symmetric(weights: dict[tuple[int, ...], dict[int, int]], n: int) -> None:
+def _assert_symmetric(weights: dict[tuple[int, ...], dict[int, int]]) -> None:
     """Every exponent vector in the same sorted orbit must carry equal weights."""
     by_shape: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for exp in weights:
@@ -200,21 +203,23 @@ def _weights_to_symfunc(weights, n: int) -> SymFunc:
 @lru_cache(maxsize=None)
 def _coloring_symfuncs(h: HessenbergFunction) -> tuple[SymFunc, SymFunc]:
     weights_all, weights_proper = _coloring_weights(h)
-    _assert_symmetric(weights_all, h.n)
-    _assert_symmetric(weights_proper, h.n)
+    _assert_symmetric(weights_all)
+    _assert_symmetric(weights_proper)
     return (
-        _weights_to_symfunc(weights_all, h.n),
-        _weights_to_symfunc(weights_proper, h.n),
+        _weights_to_symfunc(weights_all, h.n).in_basis("p"),
+        _weights_to_symfunc(weights_proper, h.n).in_basis("p"),
     )
 
 
 def llt(h: HessenbergFunction) -> SymFunc:
-    """Unicellular LLT polynomial LLT_h(z; q) in the m basis."""
+    """Unicellular LLT polynomial LLT_h(z; q) in the p basis, converted once
+    from the m-basis tally of all colorings."""
     return _coloring_symfuncs(h)[0]
 
 
 def csf(h: HessenbergFunction) -> SymFunc:
-    """Chromatic quasisymmetric function X_h(z; q) in the m basis."""
+    """Chromatic quasisymmetric function X_h(z; q) in the p basis, converted
+    once from the m-basis tally of the proper colorings."""
     return _coloring_symfuncs(h)[1]
 
 

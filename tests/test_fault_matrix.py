@@ -213,8 +213,9 @@ TABLE = (
     fault("localization-sign-off-at-vertex-0",
           wrap(gkm, "_complement_factors", first_vertex_sign_flip), "gkm",
           "localization-integrality-and-equivariance"),
-    # csf and llt are stored in the m basis and reach p through the tables;
-    # the other checks compare characters that are built in p
+    # csf and llt are tallied in the m basis and converted to p through the
+    # tables when they are built; the other checks compare characters that
+    # are built in p
     fault("p2-in-h-with-doubled-h11", wrap(symfunc, "_p_in_h", p2_with_doubled_h11), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt"),
     fault("vertex-module-plus-regular", face_module_bump(0, regular_character), "permco",
@@ -310,20 +311,23 @@ REQUIRED = frozenset({
 })
 
 
-# The cached index maps of the moment graphs, which a locator fault corrupts.
-MAP_CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map)
+# The cached index maps of the moment graphs, which a locator fault corrupts,
+# and the cached csf and llt, which a table fault corrupts as they are
+# converted to p.
+CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map,
+          hessgraph._coloring_symfuncs)
 
 
 @pytest.fixture(autouse=True)
 def cold_caches(monkeypatch):
-    """Every row builds its pieces, tables and index maps under its own
-    fault; the maps it built are dropped after it."""
+    """Every row builds its pieces, tables, index maps, csf and llt under its
+    own fault; the cached values it built are dropped after it."""
     monkeypatch.setattr(gkm, "_space_cache", {})
     monkeypatch.setattr(symfunc, "_TABLE_CACHE", {})
-    for cached in MAP_CACHES:
+    for cached in CACHES:
         cached.cache_clear()
     yield
-    for cached in MAP_CACHES:
+    for cached in CACHES:
         cached.cache_clear()
 
 

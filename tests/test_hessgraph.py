@@ -1,6 +1,7 @@
 """Unit interval graphs, coloring expansions, orientations, and identities."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from hessllt.hessgraph import (
     verify_identities,
 )
 from hessllt.qrat import QPoly, QRat
+from hessllt.symfunc import SymFunc
 from oracles import asc_coloring, coloring_expansion_bruteforce, elementary, is_proper, power_sum
 
 H = HessenbergFunction.parse
@@ -107,6 +109,13 @@ def _tally_colorings(h):
     return weights_all, weights_proper
 
 
+@pytest.fixture
+def fresh_coloring_cache():
+    hessgraph._coloring_symfuncs.cache_clear()
+    yield
+    hessgraph._coloring_symfuncs.cache_clear()
+
+
 class TestColoringKernel:
     @pytest.mark.parametrize(
         "h",
@@ -116,12 +125,6 @@ class TestColoringKernel:
     def test_full_tables_match_python_tally(self, h):
         # every exponent vector, dominant or not, in both tables
         assert hessgraph._coloring_weights(h) == _tally_colorings(h)
-
-    @pytest.fixture
-    def fresh_coloring_cache(self):
-        hessgraph._coloring_symfuncs.cache_clear()
-        yield
-        hessgraph._coloring_symfuncs.cache_clear()
 
     def test_asymmetric_weights_fail_verification(self, monkeypatch, capsys, fresh_coloring_cache):
         kernel = hessgraph._coloring_weights
@@ -137,6 +140,34 @@ class TestColoringKernel:
             llt(H("2,3,3"))
         assert cli.main(["llt", "--h", "2,3,3", "--basis", "e"]) == 1
         assert "computation failed" in capsys.readouterr().err
+
+
+class TestPowerSumStorage:
+    @pytest.mark.parametrize(
+        "h", [h for n in (1, 2, 3, 4) for h in hessenberg_all(n)] + [H("2,3,4,5,5")], ids=repr
+    )
+    def test_stored_in_p_and_exact_in_m(self, h):
+        # the m expansion the CLI prints is the coloring tally, entry for entry
+        weights_all, weights_proper = hessgraph._coloring_weights(h)
+        for f, weights in ((llt(h), weights_all), (csf(h), weights_proper)):
+            assert f.basis == "p"
+            tally = hessgraph._weights_to_symfunc(weights, h.n)
+            assert tally.basis == "m"
+            assert f.in_basis("m").coeffs == tally.coeffs
+
+    def test_identity_suite_converts_only_the_tallies(self, monkeypatch, fresh_coloring_cache):
+        # one m -> p per coloring tally, one e -> p for the orientation model
+        real = SymFunc.in_basis
+        conversions = Counter()
+
+        def counted(f, basis):
+            if basis != f.basis:
+                conversions[f.basis, basis] += 1
+            return real(f, basis)
+
+        monkeypatch.setattr(SymFunc, "in_basis", counted)
+        assert all(c["passed"] for c in verify_identities(H("2,3,4,4")))
+        assert conversions == {("m", "p"): 2, ("e", "p"): 1}
 
 
 class TestOrientations:
