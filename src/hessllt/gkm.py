@@ -8,7 +8,7 @@ edge: the two endpoint values must agree modulo the edge label, which is
 t_{w(i)} - t_{w(j)} in flavor X and the constant form t_i - t_j in flavor Y.
 
 The module computes exact bases of these congruence spaces, the symmetric
-group actions they carry (dot on X, dagger on Y, star on the full flag),
+group actions they carry (dot on X, dagger on Y),
 graded characters of the quotients by the ideals generated by the constant
 classes t_i or the tautological classes x_i, the vertexwise change of
 variables xi that identifies the two flavors, and the localization
@@ -454,14 +454,8 @@ def _check_action(model: GkmModel, action: str) -> None:
     elif action == "dagger":
         if model.flavor != "Y":
             raise ValueError("the dagger action preserves the flavor-Y congruences only")
-    elif action == "star":
-        if model.flavor != "X" or not model.h.is_full():
-            raise ValueError(
-                "the star action preserves the congruences only for flavor X "
-                "with h = (n, ..., n)"
-            )
     else:
-        raise ValueError(f"action must be 'dot', 'dagger' or 'star', got {action!r}")
+        raise ValueError(f"action must be 'dot' or 'dagger', got {action!r}")
 
 
 def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...], action: str) -> np.ndarray:
@@ -471,15 +465,8 @@ def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...], action: str) -
     verts = model.vertices
     vidx = model.vertex_index
     sinv = inverse(sigma)
-    if action == "dot":
-        vmap = np.array([vidx[compose(sinv, w)] for w in verts], dtype=np.intp)
-        mmap = perm_monomial_map(sinv, d)
-    elif action == "dagger":
-        vmap = np.array([vidx[compose(sinv, w)] for w in verts], dtype=np.intp)
-        mmap = np.arange(M, dtype=np.intp)
-    else:  # star
-        vmap = np.array([vidx[compose(w, sigma)] for w in verts], dtype=np.intp)
-        mmap = np.arange(M, dtype=np.intp)
+    vmap = np.array([vidx[compose(sinv, w)] for w in verts], dtype=np.intp)
+    mmap = perm_monomial_map(sinv, d) if action == "dot" else np.arange(M, dtype=np.intp)
     return (vmap[:, None] * M + mmap[None, :]).ravel()
 
 

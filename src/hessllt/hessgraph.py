@@ -23,13 +23,15 @@ directed from the smaller to the larger endpoint) and the highest reachable
 vertex hrv(theta, v), the largest vertex reachable from v along ascending
 directed edges only; grouping vertices by hrv gives the partition
 lambda(theta), and sum_theta q^asc(theta) e_lambda(theta) equals the LLT
-polynomial with q shifted to q+1.
+polynomial with q shifted to q+1.  The sum is one integer pass: an
+orientation is a bit mask over h.edge_pairs(), and no graph or orientation
+object is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -83,12 +85,6 @@ class HessenbergFunction:
             for i in range(j + 1, self.values[j - 1] + 1)
         )
 
-    def graph(self) -> UnitIntervalGraph:
-        return UnitIntervalGraph(self.n, self.edge_pairs())
-
-    def is_full(self) -> bool:
-        return all(v == self.n for v in self.values)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HessenbergFunction) and self.values == other.values
 
@@ -97,12 +93,6 @@ class HessenbergFunction:
 
     def __repr__(self) -> str:
         return f"HessenbergFunction({','.join(map(str, self.values))})"
-
-
-@dataclass(frozen=True)
-class UnitIntervalGraph:
-    n: int
-    edges: tuple[tuple[int, int], ...]  # (a, b) with a < b
 
 
 @lru_cache(maxsize=None)
@@ -223,68 +213,33 @@ def csf(h: HessenbergFunction) -> SymFunc:
     return _coloring_symfuncs(h)[1]
 
 
-class Orientation:
-    """A direction for every edge of a unit interval graph.
+def orientation_e_expansion(h: HessenbergFunction) -> SymFunc:
+    """sum over orientations of q^asc(theta) e_lambda(theta), in the e basis.
 
-    directions[k] is True when edge (a, b) with a < b is directed a -> b,
-    which makes it an ascending edge.
+    The orientations are the integers 0 <= bits < 2^|h|: bit k directs edge k
+    of h.edge_pairs() upward, so asc is the bit count.  The edges are sorted
+    by their lower end, so one pass over them in reverse order finishes
+    hrv(b) before hrv(a) reads it.  Orientations are tallied by (hrv, asc),
+    and the hrv block sizes of each distinct hrv give lambda.
     """
-
-    __slots__ = ("graph", "directions")
-
-    def __init__(self, graph: UnitIntervalGraph, directions: tuple[bool, ...]):
-        if len(directions) != len(graph.edges):
-            raise ValueError("one direction per edge required")
-        self.graph = graph
-        self.directions = tuple(bool(d) for d in directions)
-
-    def asc(self) -> int:
-        return sum(self.directions)
-
-    def ascending_arcs(self) -> list[tuple[int, int]]:
-        return [e for e, d in zip(self.graph.edges, self.directions) if d]
-
-
-def orientations(h: HessenbergFunction):
-    """All 2^|h| orientations of G_h."""
     m = h.size()
     if m > ORIENTATION_BUDGET:
         raise BudgetExceededError(
             f"orientation enumeration supports 2^|h| <= 2^{ORIENTATION_BUDGET}, got |h| = {m}"
         )
-    graph = h.graph()
-    for bits in itertools.product((False, True), repeat=m):
-        yield Orientation(graph, bits)
-
-
-def hrv_blocks(theta: Orientation) -> list[tuple[int, list[int]]]:
-    """Blocks of the hrv partition as (hrv value, sorted vertices), ascending."""
-    n = theta.graph.n
-    out: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for a, b in theta.ascending_arcs():
-        out[a].append(b)
-    best: dict[int, int] = {}
-    for i in range(n, 0, -1):
-        best[i] = max([i] + [best[j] for j in out[i]])
-    blocks: dict[int, list[int]] = {}
-    for i in range(1, n + 1):
-        blocks.setdefault(best[i], []).append(i)
-    return sorted((k, sorted(v)) for k, v in blocks.items())
-
-
-def lambda_of(theta: Orientation) -> Partition:
-    """Sorted block sizes of the hrv partition."""
-    return sort_to_partition(tuple(len(b) for _, b in hrv_blocks(theta)))
-
-
-def orientation_e_expansion(h: HessenbergFunction) -> SymFunc:
-    """sum over orientations of q^asc(theta) e_lambda(theta), in the e basis."""
+    arcs = [(1 << k, a, b) for k, (a, b) in reversed(list(enumerate(h.edge_pairs())))]
+    tally: dict[tuple[tuple[int, ...], int], int] = {}
+    for bits in range(1 << m):
+        hrv = list(range(h.n + 1))
+        for bit, a, b in arcs:
+            if bits & bit and hrv[b] > hrv[a]:
+                hrv[a] = hrv[b]
+        key = (tuple(hrv[1:]), bits.bit_count())
+        tally[key] = tally.get(key, 0) + 1
     table: dict[Partition, dict[int, int]] = {}
-    for theta in orientations(h):
-        lam = lambda_of(theta)
-        a = theta.asc()
-        table.setdefault(lam, {})
-        table[lam][a] = table[lam].get(a, 0) + 1
+    for (hrv, asc), count in tally.items():
+        by_asc = table.setdefault(sort_to_partition(tuple(Counter(hrv).values())), {})
+        by_asc[asc] = by_asc.get(asc, 0) + count
     qtable = {lam: _tally_poly(by_asc) for lam, by_asc in table.items()}
     return SymFunc.from_q_table("e", h.n, qtable)
 

@@ -242,19 +242,6 @@ class SymFunc:
         c = QRat.of(c)
         return SymFunc(self.basis, self.n, {p: v * c for p, v in self.coeffs.items()})
 
-    def __mul__(self, other: SymFunc) -> SymFunc:
-        """Product, computed in the p basis where p_lam p_mu = p_(lam union mu)."""
-        n = self.n + other.n
-        if n > TABLE_BUDGET:
-            raise BudgetExceededError(f"product degree {n} exceeds the table budget {TABLE_BUDGET}")
-        a, b = self.in_basis("p"), other.in_basis("p")
-        out: dict[Partition, QRat] = {}
-        for pa, ca in a.coeffs.items():
-            for pb, cb in b.coeffs.items():
-                key = sort_to_partition(pa + pb)
-                out[key] = out.get(key, QRat.zero()) + ca * cb
-        return SymFunc("p", n, out)
-
     def omega(self) -> SymFunc:
         """The involution fixing p_k up to sign: p_lam -> (-1)^(n-l(lam)) p_lam."""
         f = self.in_basis("p")
@@ -300,10 +287,6 @@ class SymFunc:
         if self.n != other.n:
             return False
         return self.in_basis("p").coeffs == other.in_basis("p").coeffs
-
-    def __hash__(self) -> int:
-        f = self.in_basis("p")
-        return hash((self.n, tuple(sorted(f.coeffs.items()))))
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -44,7 +44,7 @@ from hessllt.gkm import (
     _product_columns,
     degree_piece,
 )
-from hessllt.hessgraph import HessenbergFunction, UnitIntervalGraph, _tally_poly
+from hessllt.hessgraph import HessenbergFunction, _tally_poly
 from hessllt.multipoly import MPoly, monomials, mp_mul, mp_permute, mp_sub
 from hessllt.permco import PermutohedronFace
 from hessllt.qrat import QRat
@@ -198,27 +198,27 @@ def face_image(face: PermutohedronFace, sigma: Permutation) -> PermutohedronFace
     return PermutohedronFace(face.n, [frozenset(sigma[i - 1] for i in a) for a in face.chain])
 
 
-def asc_coloring(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> int:
-    """Edges {a, b} with a < b and kappa(a) < kappa(b)."""
-    return sum(1 for a, b in graph.edges if kappa[a - 1] < kappa[b - 1])
+def asc_coloring(kappa: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> int:
+    """Edges (a, b) with a < b and kappa(a) < kappa(b)."""
+    return sum(1 for a, b in edges if kappa[a - 1] < kappa[b - 1])
 
 
-def is_proper(kappa: tuple[int, ...], graph: UnitIntervalGraph) -> bool:
-    return all(kappa[a - 1] != kappa[b - 1] for a, b in graph.edges)
+def is_proper(kappa: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> bool:
+    return all(kappa[a - 1] != kappa[b - 1] for a, b in edges)
 
 
 def coloring_expansion_bruteforce(h: HessenbergFunction, proper_only: bool) -> SymFunc:
     """csf (proper_only) or llt by enumerating colorings in pure Python,
     practical for n <= 4."""
     n = h.n
-    graph = h.graph()
+    edges = h.edge_pairs()
     table: dict[Partition, dict[int, int]] = {}
     for kappa in itertools.product(range(n), repeat=n):
-        if proper_only and not is_proper(kappa, graph):
+        if proper_only and not is_proper(kappa, edges):
             continue
         exp = tuple(sorted((kappa.count(c) for c in range(n)), reverse=True))
         lam = tuple(x for x in exp if x > 0)
-        a = asc_coloring(kappa, graph)
+        a = asc_coloring(kappa, edges)
         table.setdefault(lam, {})
         table[lam][a] = table[lam].get(a, 0) + 1
     qtable = {}
@@ -373,15 +373,13 @@ def first_violated_edge_by_substitution(model: GkmModel, values: list[MPoly]):
 
 def act_by_dicts(model: GkmModel, values: list[MPoly], sigma: Permutation, action: str) -> list[MPoly]:
     """EquivariantClass.act vertex by vertex: dot moves the value at
-    sigma^-1 w to w and relabels its variables by sigma, dagger only moves
-    it, and star moves the value at w sigma to w."""
+    sigma^-1 w to w and relabels its variables by sigma, and dagger only
+    moves it."""
     vidx = model.vertex_index
     sinv = inverse(sigma)
     if action == "dot":
         return [mp_permute(values[vidx[compose(sinv, w)]], sigma) for w in model.vertices]
-    if action == "dagger":
-        return [values[vidx[compose(sinv, w)]] for w in model.vertices]
-    return [values[vidx[compose(w, sigma)]] for w in model.vertices]
+    return [values[vidx[compose(sinv, w)]] for w in model.vertices]
 
 
 def xi_by_dicts(model: GkmModel, values: list[MPoly], direction: str) -> list[MPoly]:

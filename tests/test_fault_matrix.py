@@ -76,6 +76,12 @@ def other_h(real):
     return lambda h: real(OTHER)
 
 
+def all_descending_dropped(real):
+    """The orientation model without the all-descending orientation, whose
+    hrv blocks are singletons: its term is e_(1^n)."""
+    return lambda h: real(h) - SymFunc.basis_element("e", (1,) * h.n)
+
+
 def trace_bump(action: str, on: Callable):
     """The degree-0 trace of `action` off by one on the permutations `on`
     selects (degree 0 keeps the quotient zero above the top degree)."""
@@ -235,7 +241,7 @@ TABLE = (
           "permco", "h-series-dimensions-are-eulerian", "face-module-twin-law"),
     # complete_graph_agreement reads its orientation side from orientation_e_expansion
     fault("one-orientation-dropped",
-          wrap(hessgraph, "orientations", lambda real: lambda h: list(real(h))[1:]),
+          wrap(permco, "orientation_e_expansion", all_descending_dropped),
           "permco", "complete-graph-agreement"),
     fault("one-subset-dropped", wrap(permco, "combinations", first_subset_dropped), "permco",
           "gaussian-binomial-sums"),
@@ -272,7 +278,7 @@ TABLE = (
           wrap(permco, "regular_character", lambda real: lambda n: real(n) + odd_classes(n)),
           "coinvariant", "q_equals_one_is_regular"),
     fault("one-orientation-dropped",
-          wrap(hessgraph, "orientations", lambda real: lambda h: list(real(h))[1:]),
+          wrap(hessgraph, "orientation_e_expansion", all_descending_dropped),
           "identities", "orientation model of the shifted e expansion"),
     fault("csf-of-another-h",
           wrap(hessgraph, "csf", lambda real: lambda h: real(IDENTITY_OTHER)), "identities",

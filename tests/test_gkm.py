@@ -284,11 +284,8 @@ class TestEquivariantClasses:
             one_x.act((2, 1, 3), "dagger")
         with pytest.raises(ValueError):
             one_y.act((2, 1, 3), "dot")
-        with pytest.raises(ValueError):
-            one_x.act((2, 1, 3), "star")  # h not full
-        full_x, _ = models("3,3,3")
-        one_full = EquivariantClass.one(full_x)
-        assert one_full.act((2, 1, 3), "star") == one_full
+        with pytest.raises(ValueError, match="'dot' or 'dagger'"):
+            one_x.act((2, 1, 3), "star")
 
     def test_multiplication(self):
         mx, _ = models("2,2")
@@ -299,6 +296,22 @@ class TestEquivariantClasses:
         batch = EquivariantClass(mx, 1, degree_piece(mx, 1).matrix)
         with pytest.raises(ValueError, match="single classes"):
             batch * x1
+
+    def test_multiplication_across_models(self):
+        # classes on two equal models built separately multiply like classes
+        # on one model; a different h or flavor is refused
+        mx, my = models("2,3,3")
+        again = GkmModel(H("2,3,3"), "X")
+        assert again is not mx
+        x1, t2 = EquivariantClass.x_class(mx, 1), EquivariantClass.t_class(mx, 2)
+        assert x1 * EquivariantClass.t_class(again, 2) == x1 * t2
+        assert EquivariantClass.x_class(again, 1) * t2 == x1 * t2
+        for other in (EquivariantClass.t_class(my, 2),
+                      EquivariantClass.t_class(GkmModel(H("3,3,3"), "X"), 2)):
+            with pytest.raises(ValueError, match="classes live on different models"):
+                x1 * other
+            with pytest.raises(ValueError, match="classes live on different models"):
+                other * x1
 
 
 class TestQuotientCharacters:
@@ -518,12 +531,6 @@ def product_cases():
     return [(text, d) for text, d in cases if (text, d + 1) in cases]
 
 
-def valid_actions(model):
-    if model.flavor == "Y":
-        return ["dagger"]
-    return ["dot", "star"] if model.h.is_full() else ["dot"]
-
-
 def assert_same_values(got, expected):
     """Two lists of per-vertex dicts agree monomial for monomial, with
     scalar or row-vector coefficients."""
@@ -567,11 +574,11 @@ class TestCoordinatesAgainstDicts:
         batch = EquivariantClass(model, d, space.matrix)
         values = values_by_lookup(model, d, space.matrix)
         assert_same_values(batch.values, values)
-        for action in valid_actions(model):
-            for sigma in all_permutations(model.n):
-                moved = batch.act(sigma, action)
-                expected = act_by_dicts(model, values, sigma, action)
-                assert_same_values(values_by_lookup(model, d, moved.coords), expected)
+        action = "dot" if flavor == "X" else "dagger"
+        for sigma in all_permutations(model.n):
+            moved = batch.act(sigma, action)
+            expected = act_by_dicts(model, values, sigma, action)
+            assert_same_values(values_by_lookup(model, d, moved.coords), expected)
         direction = "X_to_Y" if flavor == "X" else "Y_to_X"
         moved = xi_transport(batch, direction)
         assert moved.model.flavor != flavor

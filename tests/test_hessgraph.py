@@ -1,6 +1,7 @@
-"""Unit interval graphs, coloring expansions, orientations, and identities."""
+"""Hessenberg functions, coloring expansions, the orientation model, and identities."""
 
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -11,10 +12,8 @@ from hessllt.hessgraph import (
     HessenbergFunction,
     csf,
     hessenberg_all,
-    lambda_of,
     llt,
     orientation_e_expansion,
-    orientations,
     verify_identities,
 )
 from hessllt.qrat import QPoly, QRat
@@ -31,8 +30,6 @@ class TestHessenbergFunction:
         assert h(1) == 2 and h(3) == 3
         assert h.size() == 2
         assert h.edge_pairs() == ((1, 2), (2, 3))
-        assert not h.is_full()
-        assert H("3,3,3").is_full()
         assert H("3,3,3").edge_pairs() == ((1, 2), (1, 3), (2, 3))
 
     def test_validation(self):
@@ -97,12 +94,12 @@ class TestExpansions:
 
 def _tally_colorings(h):
     """(weights_all, weights_proper) by a pure Python pass over every coloring."""
-    n, graph = h.n, h.graph()
+    n, edges = h.n, h.edge_pairs()
     weights_all, weights_proper = {}, {}
     for kappa in itertools.product(range(n), repeat=n):
         exp = tuple(kappa.count(c) for c in range(n))
-        a = asc_coloring(kappa, graph)
-        tables = [weights_all] + ([weights_proper] if is_proper(kappa, graph) else [])
+        a = asc_coloring(kappa, edges)
+        tables = [weights_all] + ([weights_proper] if is_proper(kappa, edges) else [])
         for table in tables:
             by_asc = table.setdefault(exp, {})
             by_asc[a] = by_asc.get(a, 0) + 1
@@ -171,23 +168,29 @@ class TestPowerSumStorage:
 
 
 class TestOrientations:
-    def test_orientation_count(self):
-        assert len(list(orientations(H("2,3,3")))) == 4
-        assert len(list(orientations(H("3,3,3")))) == 8
-
     def test_ascent_generating_function(self):
-        # sum over orientations of q^asc = (1+q)^edges
-        for h in hessenberg_all(3):
-            poly = QPoly.zero()
-            for theta in orientations(h):
-                poly = poly + QPoly.monomial(theta.asc())
-            assert poly == (QPoly.q() + QPoly.one()) ** h.size()
+        # every orientation adds q^asc to one e coefficient, so the
+        # coefficients sum to (1+q)^|h|
+        for h in (h for n in range(1, 6) for h in hessenberg_all(n)):
+            f = orientation_e_expansion(h)
+            assert f.basis == "e"
+            total = sum((c.as_poly() for c in f.coeffs.values()), QPoly.zero())
+            assert total == (QPoly.q() + QPoly.one()) ** h.size(), h
 
-    def test_lambda_of_is_partition(self):
-        for theta in orientations(H("2,3,4,4")):
-            lam = lambda_of(theta)
-            assert sum(lam) == 4
-            assert list(lam) == sorted(lam, reverse=True)
+    def test_every_lambda_is_a_partition_of_n(self):
+        for h in (h for n in range(1, 6) for h in hessenberg_all(n)):
+            for lam in orientation_e_expansion(h).coeffs:
+                assert sum(lam) == h.n and min(lam) > 0, h
+                assert list(lam) == sorted(lam, reverse=True), h
+
+    def test_budget_refused_before_enumerating(self):
+        # the complete graph at n = 7 has |h| = 21 > ORIENTATION_BUDGET
+        h = H("7,7,7,7,7,7,7")
+        assert h.size() == 21
+        started = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match=r"2\^20, got \|h\| = 21"):
+            orientation_e_expansion(h)
+        assert time.perf_counter() - started < 1.0
 
     def test_orientation_expansion_equals_shifted_llt(self):
         for n in (1, 2, 3, 4):

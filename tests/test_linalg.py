@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -317,6 +318,16 @@ class TestReconstruction:
                 x = Fraction(num, den)
                 residue = (num * pow(den, -1, m)) % m
                 assert rational_reconstruct(residue, m) == x
+
+    def test_rational_reconstruct_acceptance_bound(self):
+        # |num| and den up to isqrt(m // 2) = 1448 reconstruct; 1449 does not
+        m = SMALL_PRIMES[0]
+        assert isqrt(m // 2) == 1448
+        for x in (Fraction(1, 1448), Fraction(1448), Fraction(-1448), Fraction(1448, 1447)):
+            residue = x.numerator * pow(x.denominator, -1, m) % m
+            assert rational_reconstruct(residue, m) == x
+        assert rational_reconstruct(pow(1449, -1, m), m) is None
+        assert rational_reconstruct(1449, m) is None
 
     def test_lift_vector(self):
         xs = [Fraction(1, 3), Fraction(-5, 2), Fraction(4)]

@@ -102,11 +102,6 @@ class TestOperations:
     def test_omega_fixes_self_conjugate_schur(self):
         assert schur((2, 1)).omega() == schur((2, 1))
 
-    def test_pieri_multiplication(self):
-        prod = schur((1,)) * schur((1,))
-        assert prod == schur((2,)) + schur((1, 1))
-        assert elementary((1,)) * elementary((1,)) == elementary((1, 1))
-
     def test_scale_and_linear(self):
         f = elementary((2,))
         assert f + f == f.scale(QRat.of(2))
