@@ -7,74 +7,51 @@ homogeneous degree-d polynomial in t_1..t_n, subject to one congruence per
 edge: the two endpoint values must agree modulo the edge label, which is
 t_{w(i)} - t_{w(j)} in flavor X and the constant form t_i - t_j in flavor Y.
 
-The module computes exact bases of these congruence spaces, the symmetric
-group actions they carry (dot on X, dagger on Y),
-graded characters of the quotients by the ideals generated by the constant
-classes t_i or the tautological classes x_i, the vertexwise change of
-variables xi that identifies the two flavors, and the localization
-pushforward to a polynomial in t.  Coordinates are (vertex, monomial) pairs,
-for basis columns and for EquivariantClass alike, so an action or xi is one
-gather on either and one exact check verifies both; every index map between
-monomials (the relabelings of the actions and of xi, multiplication by t_i,
-the edge substitutions) is one array expression placed by
-multipoly.monomial_positions.
+The module computes exact bases of the flavor-X spaces, the flavor-Y
+spaces split by irreducible representations, the actions (dot on X, dagger
+on Y), graded characters of the quotients by the ideals generated by the
+constant classes t_i or the tautological classes x_i, the vertexwise change
+of variables xi between the flavors, and the localization pushforward to a
+polynomial in t.  Coordinates are (vertex, monomial) pairs, for basis
+columns and for EquivariantClass alike, so an action or xi is one gather on
+either and one exact check verifies both; every index map between monomials
+is one array expression placed by multipoly.monomial_positions.
 
-Exactness strategy: every flavor-X degree piece, at every n, is pinned by
-two one-sided certificates: a mod-p nullity bound from above, and exhibited
-exact solution columns that are independent mod p from below (products with
-the previous degree, or a CRT-lifted nullspace).  A flavor-Y piece is the
-xi-transport of the X basis, checked to map X_d onto Y_d, so the X
-certificates pin its dimension.  Every basis column is verified against
-every edge congruence in exact integer arithmetic before use.  Each piece
-keeps one SubspaceTracer: the reduced echelon form of its basis mod the
-first prime at which the basis is independent, from which every trace is a
-sum at the permuted pivots, exact without retrying.
-characters.graded_class_function assembles the traces into the Frobenius
-images of the quotient characters, checking that class representatives
-agree.
+Exactness strategy: Y_d = sum_lam S^lam (x) K_lam(d) (TwinPiece), where
+K_lam(d) is the kernel of one integer matrix built from Young's seminormal
+form, pinned from both sides by certified_integer_nullspace.  So
+dim Y_d = sum_lam f^lam dim K_lam(d) and the dagger trace of sigma is
+sum_lam chi^lam(sigma) dim K_lam(d), with no basis.  xi, checked to be a
+coordinate permutation that matches the edges, maps X_d onto Y_d, so exact
+X columns, verified against every edge congruence and independent mod p
+(products with the previous degree, or a CRT-lifted nullspace), must meet
+the same number.  Each X piece keeps one SubspaceTracer: the reduced echelon
+form of its basis mod the first prime at which it is independent, from which
+every trace is a sum at the permuted pivots, exact without retrying.
+characters.graded_class_function assembles the traces into Frobenius images,
+checking that class representatives agree.  The twin law thus compares two
+independent computations: the X tracers and the irreducibles.
 """
 
 from __future__ import annotations
 
 import threading
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
-from .characters import graded_class_function, graded_dimension, palindromicity_check
-from .combinat import (
-    all_permutations,
-    compose,
-    cycle_type,
-    inverse,
-    transposition,
-)
+from .characters import (graded_class_function, graded_dimension, palindromicity_check,
+                         seminormal_matrices, word_product)
+from .combinat import all_permutations, compose, cycle_type, inverse, partitions_of, transposition
 from .errors import BudgetExceededError, VerificationError, check
 from .hessgraph import HessenbergFunction, csf, llt
-from .linalg import (
-    SMALL_PRIMES,
-    SubspaceTracer,
-    blocked_rref,
-    certified_integer_nullspace,
-)
-from .multipoly import (
-    MPoly,
-    monomial_exponents,
-    monomial_positions,
-    monomials,
-    mp_add,
-    mp_divide_linear,
-    mp_is_zero,
-    mp_mul,
-    mp_permute,
-    mp_scale,
-    mp_sub,
-    mp_var,
-    mp_zero,
-)
+from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
+from .multipoly import (MPoly, monomial_exponents, monomial_positions, monomials, mp_add,
+                        mp_divide_linear, mp_is_zero, mp_mul, mp_permute, mp_scale, mp_sub,
+                        mp_var, mp_zero)
 from .qrat import QRat
-from .symfunc import SymFunc
+from .symfunc import SymFunc, murnaghan_nakayama
 
 GKM_N_BUDGET = 4
 GKM_DEGREE_SLACK = 3  # degree pieces available up to |h| + slack
@@ -223,13 +200,10 @@ class GkmSpace:
         return self._tracer.trace(src)
 
     def __repr__(self) -> str:
-        return (
-            f"GkmSpace({self.model.h!r}, {self.model.flavor}, "
-            f"degree={self.degree}, dim={self.dim})"
-        )
+        return f"GkmSpace({self.model.h!r}, {self.model.flavor}, degree={self.degree}, dim={self.dim})"
 
 
-_space_cache: dict[tuple, GkmSpace] = {}
+_space_cache: dict[tuple, GkmSpace | TwinPiece] = {}
 _space_lock = threading.Lock()
 
 
@@ -238,9 +212,8 @@ def _check_degree_budget(model: GkmModel, d: int) -> None:
         raise ValueError("degree must be nonnegative")
     top = model.h.size() + GKM_DEGREE_SLACK
     if d > top:
-        raise BudgetExceededError(
-            f"degree pieces are available for d <= |h| + {GKM_DEGREE_SLACK} = {top}, got d = {d}"
-        )
+        raise BudgetExceededError(f"degree pieces are available for d <= |h| + {GKM_DEGREE_SLACK} "
+                                  f"= {top}, got d = {d}")
 
 
 def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
@@ -276,46 +249,42 @@ def _product_columns(model: GkmModel, prev: GkmSpace, generators: str) -> np.nda
 
 def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
     """Exact nullspace columns of the constraint matrix, lifted by
-    certified_integer_nullspace, whose count must meet the nullity bound."""
+    certified_integer_nullspace, whose count must meet the twin dimension."""
     mat = certified_integer_nullspace(C)
     if mat.shape[1] != k_target:
-        raise ArithmeticError("lifted nullspace does not match the congruence nullity bound")
+        raise ArithmeticError(f"the lifted nullspace has {mat.shape[1]} columns, the twin dimension is {k_target}")
     return mat
 
 
 def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     """Certified construction for flavor X.
 
-    Upper bound: mod-p nullity of the constraint matrix, since the mod-p
-    rank of an integer matrix never exceeds its rank over Q.  Lower bound:
-    exhibited columns, verified exactly and independent mod p: the products
-    t_i * f of the previous degree's basis with the staircase classes x^a
-    (at d = 0 just the unit class), or, when those fall short of the bound,
-    the CRT-lifted nullspace, independent by its canonical unit structure.
-    The two bounds must meet, which pins the dimension."""
+    xi maps X_d onto Y_d (_check_xi), so dim X_d is the twin dimension
+    that twin_piece certifies.  Exhibited columns, verified exactly and
+    independent mod p, must meet it: the products t_i * f of the previous
+    degree's basis with the staircase classes x^a (at d = 0 just the unit
+    class), or, when those fall short, the CRT-lifted nullspace of the
+    constraint matrix, which certified_integer_nullspace pins by itself."""
+    twin = model.twin()
+    _check_xi(model, twin, d)
+    k_target = twin_piece(twin, d).dim
     p = SMALL_PRIMES[0]
-    C = _constraint_matrix(model, d)
-    k_target = C.shape[1] - blocked_rref(C, p, full=False)[0]
     cand = _staircase_columns(model, d)
     if d:
         prods = _product_columns(model, degree_piece(model, d - 1), "t_vars")
         cand = np.concatenate([prods, cand], axis=1)
     rank, pivots, _ = blocked_rref(cand, p, full=False)
     if rank > k_target:
-        raise ArithmeticError("independent solutions exceed the congruence nullity")
+        raise ArithmeticError("independent solutions exceed the twin dimension")
     if rank == k_target:
         mat = np.ascontiguousarray(cand[:, pivots])
         route = "products"
     else:
-        mat = _lifted_nullspace(C, k_target)
+        mat = _lifted_nullspace(_constraint_matrix(model, d), k_target)
         route = "crt-lift"
     _verify_columns(model, d, mat)
-    return GkmSpace(
-        model,
-        d,
-        mat,
-        {"route": route, "prime": p, "nullity_bound": k_target, "exhibited": int(mat.shape[1])},
-    )
+    cert = {"route": route, "prime": p, "twin_dimension": k_target, "exhibited": int(mat.shape[1])}
+    return GkmSpace(model, d, mat, cert)
 
 
 def _xi_gather(model: GkmModel, d: int) -> np.ndarray:
@@ -324,40 +293,83 @@ def _xi_gather(model: GkmModel, d: int) -> np.ndarray:
     return np.concatenate([iw * M + perm_monomial_map(w, d) for iw, w in enumerate(model.vertices)])
 
 
-def _transported_space(model: GkmModel, d: int) -> GkmSpace:
-    """Flavor-Y piece obtained from the flavor-X piece by the vertexwise
-    change of variables xi^{-1}: the Y value at w is w^{-1} applied to the X
-    value at w.  xi^{-1} maps X_d onto Y_d once its gather is a coordinate
+def _check_xi(model: GkmModel, twin: GkmModel, d: int) -> None:
+    """Raise unless xi^{-1} maps X_d onto Y_d: its gather is a coordinate
     permutation and the edges match (same vertex pairs, the X label is w
-    applied to the Y label at the endpoint w); with the exact Y congruence
-    check, the inherited X certificate then pins dim Y_d."""
-    xspace = degree_piece(GkmModel(model.h, "X"), d)
-    gather = _xi_gather(model, d)
+    applied to the Y label at the endpoint w).  As (i j) fixes polynomials
+    modulo t_i - t_j, f(w) = f(w (i j)) mod t_i - t_j iff w f(w) and
+    w (i j) f(w (i j)) agree modulo w(t_i - t_j)."""
+    gather = _xi_gather(twin, d)
     if not (np.bincount(gather, minlength=gather.size) == 1).all():
         raise ArithmeticError(f"the degree-{d} xi gather is not a permutation of the coordinates")
-    verts = model.vertices
-    images = [(iu, iv, verts[iu][a - 1], verts[iu][b - 1]) for iu, iv, a, b in model.edges]
-    if images != list(xspace.model.edges):
+    verts = twin.vertices
+    images = [(iu, iv, verts[iu][a - 1], verts[iu][b - 1]) for iu, iv, a, b in twin.edges]
+    if images != list(model.edges):
         raise ArithmeticError("the flavor-Y edges are not the xi-images of the flavor-X edges")
-    mat = xspace.matrix[gather, :]
-    _verify_columns(model, d, mat)
-    return GkmSpace(model, d, mat, {"route": "xi-transport", "x_certificate": xspace.certificate})
 
 
-def degree_piece(model: GkmModel, d: int) -> GkmSpace:
-    """Exact basis of the degree-d piece of the model's congruence space."""
+def _cached_piece(model: GkmModel, d: int, flavor: str, build):
+    """The degree-d piece of a model of the given flavor, built once per h."""
+    if model.flavor != flavor:
+        raise ValueError(f"degree_piece builds flavor X and twin_piece flavor Y, not {model.flavor}")
     _check_degree_budget(model, d)
-    key = (model.h.values, model.flavor, d)
+    key = (model.h.values, flavor, d)
     with _space_lock:
         if key in _space_cache:
             return _space_cache[key]
-    if model.flavor == "X":
-        space = _certified_space(model, d)
-    else:
-        space = _transported_space(model, d)
+    piece = build(model, d)
     with _space_lock:
-        _space_cache.setdefault(key, space)
-        return _space_cache[key]
+        return _space_cache.setdefault(key, piece)
+
+
+def degree_piece(model: GkmModel, d: int) -> GkmSpace:
+    """Exact basis of the degree-d piece of a flavor-X congruence space."""
+    return _cached_piece(model, d, "X", _certified_space)
+
+
+# ------------------------------------------------------------ flavor Y
+
+
+class TwinPiece:
+    """The degree-d piece of flavor Y split by irreducibles: with
+    f^(rho) = sum_w f(w) rho(w), f is a Y class iff every row v of every
+    f^(rho_lam) has v (I - rho_lam((i j))) = 0 mod t_i - t_j on every arc
+    (j, i), so Y_d = sum_lam S^lam (x) K_lam(d), kernel_dims[lam] = dim K_lam(d),
+    and dagger, sigma f^(rho) = rho(sigma) f^(rho), acts on the first factor."""
+
+    def __init__(self, model: GkmModel, degree: int):
+        self.model = model
+        self.degree = degree
+        self.kernel_dims = {lam: _kernel_dim(model.h, lam, degree) for lam in partitions_of(model.n)}
+        self.dim = self.trace(tuple(range(1, model.n + 1)), "dagger")
+
+    def trace(self, sigma: tuple[int, ...], action: str) -> int:
+        """Exact dagger trace: sum_lam chi^lam(sigma) dim K_lam(d)."""
+        _check_action(self.model, action)
+        return sum(murnaghan_nakayama(lam, cycle_type(sigma)) * k for lam, k in self.kernel_dims.items())
+
+
+def _kernel_dim(h: HessenbergFunction, lam: tuple[int, ...], d: int) -> int:
+    """dim K_lam(d), pinned from both sides by certified_integer_nullspace.
+    Unknown r * M + m is the coefficient of monomial m in entry r of v; each
+    arc (j, i) adds the rows of v A, A = I - rho_lam((i j)) with denominators
+    cleared, reduced by t_i := t_j: A^T (x) the 0/1 substitution matrix."""
+    n = h.n
+    M = len(monomials(n, d))
+    f = murnaghan_nakayama(lam, (1,) * n)
+    blocks = [np.zeros((0, f * M), dtype=np.int64)]
+    for j, i in h.edge_pairs():
+        A = np.identity(f, dtype=object) - np.array(word_product(seminormal_matrices(lam), transposition(n, i, j)))
+        den = lcm(*(x.denominator for x in A.flat))
+        S = np.eye(len(monomials(n - 1, d)), dtype=np.int64)[:, _subst_map(n, d, i, j)]
+        blocks.append(np.kron(np.array([[int(x * den) for x in row] for row in A.T]), S))
+    C = np.concatenate(blocks)
+    return certified_integer_nullspace(C[C.any(axis=1)]).shape[1]
+
+
+def twin_piece(model: GkmModel, d: int) -> TwinPiece:
+    """The degree-d piece of the flavor-Y congruence space, by irreducibles."""
+    return _cached_piece(model, d, "Y", TwinPiece)
 
 
 # ------------------------------------------------------------ classes
@@ -379,18 +391,20 @@ class EquivariantClass:
         self.model = model
         self.degree = degree
         self.coords = coords
+        self._model_key = (model.flavor, model.h)  # equal keys: one model, built twice
 
-    @property
-    def values(self) -> tuple[MPoly, ...]:
-        """The polynomial at each vertex, with Python int coefficients, or
-        rows of them for a batch (see multipoly)."""
+    def _vertex_polys(self, dtype=object) -> tuple[MPoly, ...]:
+        """The polynomial at each vertex, with coefficients of the dtype
+        (object: Python ints), or rows of them for a batch (see multipoly)."""
         mons = monomials(self.model.n, self.degree)
         blocks = self.coords.reshape((len(self.model.vertices), len(mons)) + self.coords.shape[1:])
         live = blocks.reshape(blocks.shape[:2] + (-1,)).any(axis=2)
         return tuple(
             {mons[k]: block[k] for k in np.flatnonzero(nonzero)}
-            for block, nonzero in zip(blocks.astype(object), live)
+            for block, nonzero in zip(blocks.astype(dtype), live)
         )
+
+    values = property(_vertex_polys)
 
     @staticmethod
     def one(model: GkmModel) -> EquivariantClass:
@@ -418,9 +432,7 @@ class EquivariantClass:
 
     def __mul__(self, other: EquivariantClass) -> EquivariantClass:
         """Vertexwise product of two single classes, in Python ints."""
-        if self.model is not other.model and (
-            self.model.flavor != other.model.flavor or self.model.h != other.model.h
-        ):
+        if self.model is not other.model and self._model_key != other._model_key:
             raise ValueError("classes live on different models")
         if self.coords.ndim != 1 or other.coords.ndim != 1:
             raise ValueError("only single classes multiply")
@@ -435,27 +447,19 @@ class EquivariantClass:
         return EquivariantClass(self.model, d, out.ravel())
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, EquivariantClass)
-            and self.model.flavor == other.model.flavor
-            and self.model.h == other.model.h
-            and self.degree == other.degree
-            and np.array_equal(self.coords, other.coords)
-        )
+        return (isinstance(other, EquivariantClass) and self._model_key == other._model_key
+                and self.degree == other.degree and np.array_equal(self.coords, other.coords))
 
     def __repr__(self) -> str:
         return f"EquivariantClass({self.model!r}, degree={self.degree})"
 
 
 def _check_action(model: GkmModel, action: str) -> None:
-    if action == "dot":
-        if model.flavor != "X":
-            raise ValueError("the dot action preserves the flavor-X congruences only")
-    elif action == "dagger":
-        if model.flavor != "Y":
-            raise ValueError("the dagger action preserves the flavor-Y congruences only")
-    else:
+    flavor = {"dot": "X", "dagger": "Y"}.get(action)
+    if flavor is None:
         raise ValueError(f"action must be 'dot' or 'dagger', got {action!r}")
+    if model.flavor != flavor:
+        raise ValueError(f"the {action} action preserves the flavor-{flavor} congruences only")
 
 
 def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...], action: str) -> np.ndarray:
@@ -504,10 +508,8 @@ def quotient_graded_character(
     representative whenever the class has one."""
     combo = (model.flavor, action, generators)
     if combo not in _VALID_QUOTIENTS:
-        raise ValueError(
-            f"quotients support (X, dot, t_vars), (X, dot, x_classes) and "
-            f"(Y, dagger, t_vars); got {combo}"
-        )
+        raise ValueError(f"quotients support (X, dot, t_vars), (X, dot, x_classes) and "
+                         f"(Y, dagger, t_vars); got {combo}")
     n = model.n
     size = model.h.size()
     if max_d is None:
@@ -515,7 +517,8 @@ def quotient_graded_character(
     if max_d < size:
         raise ValueError(f"max_d must be at least |h| = {size}")
     _check_degree_budget(model, max_d)
-    spaces = [degree_piece(model, d) for d in range(max_d + 1)]
+    piece = degree_piece if model.flavor == "X" else twin_piece
+    spaces = [piece(model, d) for d in range(max_d + 1)]
     permuted = generators == "t_vars" and action == "dot"
 
     def series(sigma: tuple[int, ...]) -> list[int]:
@@ -567,15 +570,12 @@ def _complement_factors(h_values: tuple[int, ...]) -> tuple[tuple[MPoly, ...], t
     non_arcs = [(j, i) for j in range(1, n + 1) for i in range(j + 1, n + 1) if (j, i) not in arcs]
     verts = all_permutations(n)
     factors = []
-    signs = []
     for w in verts:
         poly: MPoly = {(0,) * n: 1}
         for j, i in non_arcs:
-            lin = mp_sub(mp_var(n, w[i - 1]), mp_var(n, w[j - 1]))
-            poly = mp_mul(poly, lin)
+            poly = mp_mul(poly, mp_sub(mp_var(n, w[i - 1]), mp_var(n, w[j - 1])))
         factors.append(poly)
-        signs.append((-1) ** (n - len(cycle_type(w))))
-    return tuple(factors), tuple(signs)
+    return tuple(factors), tuple((-1) ** (n - len(cycle_type(w))) for w in verts)
 
 
 def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
@@ -585,17 +585,29 @@ def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
     (t_{w(i)} - t_{w(j)}) and clearing the common denominator gives
     sum_w sgn(w) f(w) C_w over prod_{j<i} (t_i - t_j), where C_w is the
     product over non-arcs; the numerator must be exactly divisible, and the
-    quotient is the result (degree deg f - |h|, or zero).  For a batch class
-    column k of the result is the pushforward of column k, and one column
-    that is not divisible makes the call raise."""
+    quotient is the result (degree deg f - |h|, or zero), in Python ints.
+    For a batch class column k of the result is the pushforward of column
+    k, and one column that is not divisible makes the call raise.
+
+    It runs on int64 rows when this a-priori bound is below 2**62.  With B
+    the largest entry of f and M the number of degree-d monomials, no sum
+    building the numerator exceeds L = B M sum_w |C_w|_1.  Dividing a
+    degree-D polynomial a by t_i - t_j, each quotient coefficient is a sum
+    of distinct ones of a, so |quotient|_1 <= D |a|_1, and each intermediate
+    is a coefficient of a plus one of the quotient: no value exceeds
+    2 L D^(n(n-1)/2)."""
     if model.flavor != "X":
         raise ValueError("the pushforward is defined on flavor-X classes")
     if f.model.h != model.h or f.model.flavor != "X":
         raise ValueError("class does not belong to the model")
     n = model.n
+    pairs = n * (n - 1) // 2
     factors, signs = _complement_factors(model.h.values)
+    peak = int(np.abs(f.coords).max()) if f.coords.size else 0
+    l1 = peak * len(monomials(n, f.degree)) * sum(sum(map(abs, cw.values())) for cw in factors)
+    small = 2 * l1 * max(f.degree + pairs - model.h.size(), 1) ** pairs < 2**62
     num: MPoly = mp_zero()
-    for val, cw, sign in zip(f.values, factors, signs):
+    for val, cw, sign in zip(f._vertex_polys(np.int64 if small else object), factors, signs):
         num = mp_add(num, mp_mul(val, mp_scale(cw, sign)))
     try:
         for j in range(1, n + 1):
@@ -605,7 +617,7 @@ def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
         raise VerificationError(
             "localization sum is not a polynomial; the assignment violates the congruences"
         ) from exc
-    return num
+    return {e: c.astype(object) if isinstance(c, np.ndarray) else int(c) for e, c in num.items()}
 
 
 def localization_equivariance_check(model: GkmModel, f: EquivariantClass, sigma: tuple[int, ...]) -> bool:
@@ -623,14 +635,10 @@ def betti_numbers(h: HessenbergFunction) -> list[int]:
     chromatic series of the graph."""
     series = graded_dimension(csf(h).omega())
     poly = series.as_poly()
-    top = poly.degree if poly.degree is not None else 0
-    out = []
-    for k in range(top + 1):
-        c = poly.coeff(k)
-        if c.denominator != 1:
-            raise ArithmeticError("graded dimension series is not integral")
-        out.append(int(c))
-    return out
+    coeffs = [poly.coeff(k) for k in range((poly.degree or 0) + 1)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("graded dimension series is not integral")
+    return [int(c) for c in coeffs]
 
 
 def equivariant_palindromicity_check(h: HessenbergFunction) -> bool:
@@ -659,32 +667,24 @@ def gkm_report(h: HessenbergFunction) -> list[dict]:
     betti = betti_numbers(h)
     model_x = GkmModel(h, "X")
     model_y = GkmModel(h, "Y")
-    checks: list[dict] = []
-
     dims_x = [degree_piece(model_x, d).dim for d in range(max_d + 1)]
-    dims_y = [degree_piece(model_y, d).dim for d in range(max_d + 1)]
+    dims_y = [twin_piece(model_y, d).dim for d in range(max_d + 1)]
     law = [
         sum(betti[k] * comb(d - k + n - 1, n - 1) for k in range(min(d, len(betti) - 1) + 1))
         for d in range(max_d + 1)
     ]
-    checks.append(check(
-        "free-module-dimension-law",
-        dims_x == law and dims_y == law,
-        f"dims {dims_x} vs law {law}",
-    ))
-
     q_t = quotient_graded_character(model_x, "dot", "t_vars", max_d)
     q_x = quotient_graded_character(model_x, "dot", "x_classes", max_d)
     q_y = quotient_graded_character(model_y, "dagger", "t_vars", max_d)
-
-    checks.append(check("t-quotient-character-is-omega-chromatic", q_t == csf(h).omega()))
-    checks.append(check("x-quotient-character-is-llt", q_x == llt(h)))
-    checks.append(check("twin-quotient-equals-x-quotient", q_y == q_x))
-    checks.append(check(
-        "total-quotient-dimension-is-n-factorial",
-        all(graded_dimension(ch).evaluate(1) == factorial(n) for ch in (q_t, q_x, q_y)),
-    ))
-    checks.append(check("equivariant-palindromicity", equivariant_palindromicity_check(h)))
+    checks = [
+        check("free-module-dimension-law", dims_x == law and dims_y == law, f"dims {dims_x} vs law {law}"),
+        check("t-quotient-character-is-omega-chromatic", q_t == csf(h).omega()),
+        check("x-quotient-character-is-llt", q_x == llt(h)),
+        check("twin-quotient-equals-x-quotient", q_y == q_x),
+        check("total-quotient-dimension-is-n-factorial",
+              all(graded_dimension(ch).evaluate(1) == factorial(n) for ch in (q_t, q_x, q_y))),
+        check("equivariant-palindromicity", equivariant_palindromicity_check(h)),
+    ]
 
     gens = [transposition(n, 1, 2), tuple(range(2, n + 1)) + (1,)] if n >= 2 else []
     loc_ok = False
@@ -704,9 +704,6 @@ def gkm_report(h: HessenbergFunction) -> list[dict]:
             equiv_classes += space.dim
     else:
         loc_ok = True
-    checks.append(check(
-        "localization-integrality-and-equivariance",
-        loc_ok,
-        f"integral on {loc_classes} basis classes, equivariant on {equiv_classes}",
-    ))
+    checks.append(check("localization-integrality-and-equivariance", loc_ok,
+                        f"integral on {loc_classes} basis classes, equivariant on {equiv_classes}"))
     return checks

@@ -6,7 +6,8 @@ sums, csf and llt by enumerating colorings in pure Python, the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
 ideal subspace, the index maps of the moment graphs by tuple lookup, the
 congruence check, the actions, xi and the product of moment-graph classes on
-one polynomial dict per vertex, the basis tables of symfunc by direct
+one polynomial dict per vertex, the flavor-Y pieces as the xi-transport of
+the X bases, with their dagger traces by SubspaceTracer, the basis tables of symfunc by direct
 expansion and Fraction inversion, and the fixed faces of a permutation by
 relabeling each face.  frac_rref, the Fraction echelon form, is also the
 oracle of the certified mod-p engine.  The named basis elements are here
@@ -42,6 +43,8 @@ from hessllt.gkm import (
     _ambient_src,
     _check_degree_budget,
     _product_columns,
+    _verify_columns,
+    _xi_gather,
     degree_piece,
 )
 from hessllt.hessgraph import HessenbergFunction, _tally_poly
@@ -230,6 +233,19 @@ def coloring_expansion_bruteforce(h: HessenbergFunction, proper_only: bool) -> S
     return SymFunc.from_q_table("m", n, qtable)
 
 
+def transported_space(model: GkmModel, d: int) -> GkmSpace:
+    """The flavor-Y piece as the xi^{-1}-transport of the flavor-X basis: the
+    Y value at w is w^{-1} applied to the X value at w, so the Y coordinate
+    c reads the X coordinate _xi_gather[c].  Every column is verified
+    against every Y congruence; GkmSpace.trace then gives its dagger traces
+    by SubspaceTracer."""
+    if model.flavor != "Y":
+        raise ValueError("the transported piece is a flavor-Y piece")
+    mat = degree_piece(model.twin(), d).matrix[_xi_gather(model, d), :]
+    _verify_columns(model, d, mat)
+    return GkmSpace(model, d, mat, {"route": "xi-transport"})
+
+
 def ideal_piece(space_dminus1: GkmSpace, generators: str) -> list[list[int]]:
     """Exact spanning columns of sum_g g * (degree d-1 piece) inside the
     degree-d coordinate space, for g over t_1..t_n or x_1..x_n."""
@@ -252,7 +268,8 @@ def quotient_character_bruteforce(
     if max_d is None:
         max_d = model.h.size()
     _check_degree_budget(model, max_d)
-    spaces = [degree_piece(model, d) for d in range(max_d + 1)]
+    piece = degree_piece if model.flavor == "X" else transported_space
+    spaces = [piece(model, d) for d in range(max_d + 1)]
 
     def echelon_basis(columns: list[list[int]]) -> tuple[list[list[Fraction]], list[int]]:
         if not columns:

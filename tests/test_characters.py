@@ -1,8 +1,15 @@
-"""Characters as Frobenius images, class values, and induced characters."""
+"""Characters as Frobenius images, class values, induced characters, and
+Young's seminormal form."""
 
+import re
+from fractions import Fraction
+from math import factorial, prod
+
+import numpy as np
 import pytest
 
 from hessllt.characters import (
+    check_seminormal,
     frobenius_char,
     graded_class_function,
     frobenius_inverse,
@@ -11,10 +18,13 @@ from hessllt.characters import (
     palindromicity_check,
     polynomial_algebra_series,
     regular_character,
+    seminormal_matrices,
     sign_character,
+    standard_tableaux,
     trivial_character,
+    word_product,
 )
-from hessllt.combinat import partitions_of, subsets_of_interval
+from hessllt.combinat import all_permutations, compose, partitions_of, subsets_of_interval, transposition
 from hessllt.errors import VerificationError
 from hessllt.qrat import QRat
 from oracles import (
@@ -131,3 +141,64 @@ class TestPalindromicity:
     def test_detects_failure(self):
         chi = trivial_character(2).subs_coeffs(lambda v: v * (QRat.q() + 2))
         assert not palindromicity_check(chi, QRat.q(), False, QRat.one())
+
+
+def hook_length_count(lam):
+    """f^lam by the hook length formula."""
+    conj = [sum(1 for part in lam if part > c) for c in range(lam[0])] if lam else []
+    return factorial(sum(lam)) // prod(lam[r] - c + conj[c] - r - 1 for r in range(len(lam)) for c in range(lam[r]))
+
+
+class TestSeminormalForm:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_shape_up_to_n5(self, n):
+        # the constructor's own check has run; the tableaux, dimensions and
+        # Wedderburn count are checked here independently
+        total = 0
+        for lam in partitions_of(n):
+            tabs = standard_tableaux(lam)
+            assert len(tabs) == len(set(tabs)) == hook_length_count(lam)
+            for t in tabs:
+                assert sorted(t) == [(r, c) for r in range(len(lam)) for c in range(lam[r])]
+                cells = {cell: k for k, cell in enumerate(t)}
+                assert all(cells[(r, c)] < cells[(r, c + 1)] for (r, c) in t if (r, c + 1) in cells)
+                assert all(cells[(r, c)] < cells[(r + 1, c)] for (r, c) in t if (r + 1, c) in cells)
+            mats = seminormal_matrices(lam)
+            assert len(mats) == n - 1
+            assert all(np.array(m).shape == (len(tabs), len(tabs)) for m in mats)
+            assert all(isinstance(x, Fraction) for m in mats for row in m for x in row)
+            total += len(tabs) ** 2
+        assert total == factorial(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_word_product_is_a_homomorphism(self, n):
+        perms = all_permutations(n)
+        for lam in partitions_of(n):
+            mats = seminormal_matrices(lam)
+            rho = {w: np.array(word_product(mats, w), dtype=object) for w in perms}
+            for u in perms:
+                for w in perms:
+                    assert (rho[u] @ rho[w] == rho[compose(u, w)]).all(), (lam, u, w)
+            for i in range(1, n):
+                assert word_product(mats, transposition(n, i, i + 1)) == mats[i - 1]
+
+    def test_a_corrupted_entry_raises(self):
+        lam = (2, 1)
+        mats = [np.array(m, dtype=object) for m in seminormal_matrices(lam)]
+        mats[0][0, 0] += 1
+        mats = tuple(tuple(map(tuple, m)) for m in mats)
+        with pytest.raises(VerificationError, match=re.escape("seminormal form of (2, 1): s_1^2 is not 1")):
+            check_seminormal(lam, mats)
+
+    def test_a_broken_braid_relation_raises(self):
+        lam = (2, 1)
+        s1, _ = seminormal_matrices(lam)
+        with pytest.raises(VerificationError, match=re.escape("s_1, s_2 break a braid relation")):
+            check_seminormal(lam, (s1, tuple(tuple(-x for x in row) for row in s1)))
+
+    def test_a_wrong_character_raises(self):
+        # s_2 := s_1 keeps the relations but sends the 3-cycle to the identity
+        lam = (2, 1)
+        s1, _ = seminormal_matrices(lam)
+        with pytest.raises(VerificationError, match=re.escape("trace on class (3,) is not chi^lam")):
+            check_seminormal(lam, (s1, s1))

@@ -6,8 +6,9 @@ report: gkm_report of the complete graph at n = 3, permco_report(3),
 coinvariant_closed_form_check(3) or verify_identities(2,3,4,4).  Exact sets
 catch a check that silently stops failing as well as one that starts
 failing for the wrong reason.  A fault that the exact congruence check of
-the moment-graph pieces or classes refuses makes the report raise instead;
-such faults pin the error.
+the moment-graph pieces or classes, or the X certificate against the twin
+dimension, refuses makes the report raise instead; such faults pin the
+error.
 Bumps of a character are made from the named characters with +, - and
 scale only, so the table does not depend on how a character is stored.
 """
@@ -82,9 +83,10 @@ def all_descending_dropped(real):
     return lambda h: real(h) - SymFunc.basis_element("e", (1,) * h.n)
 
 
-def trace_bump(action: str, on: Callable):
-    """The degree-0 trace of `action` off by one on the permutations `on`
-    selects (degree 0 keeps the quotient zero above the top degree)."""
+def trace_bump(owner, action: str, on: Callable):
+    """The degree-0 trace of `action` on the pieces of class `owner` off by
+    one on the permutations `on` selects (degree 0 keeps the quotient zero
+    above the top degree)."""
 
     def make(real):
         def bumped(self, sigma, act):
@@ -93,7 +95,19 @@ def trace_bump(action: str, on: Callable):
 
         return bumped
 
-    return wrap(gkm.GkmSpace, "trace", make)
+    return wrap(owner, "trace", make)
+
+
+def kernel_dim_moved_to_sign(real):
+    """dim K_(3)(0) moved to K_(1,1,1)(0): both irreducibles have dimension 1,
+    so every dim Y_d, and with it every X piece, stays as it was, while the
+    degree-0 dagger trace becomes the sign character."""
+
+    def moved(h, lam, d):
+        k = real(h, lam, d)
+        return k + (d == 0) * ((lam == (1, 1, 1)) - (lam == (3,)))
+
+    return moved
 
 
 def quotient_series_bump(real):
@@ -202,13 +216,16 @@ TABLE = (
     # betti_numbers reads csf too
     fault("gkm-csf-of-another-h", wrap(gkm, "csf", other_h), "gkm",
           "free-module-dimension-law", "t-quotient-character-is-omega-chromatic"),
-    fault("dagger-trace-off-on-n-cycles", trace_bump("dagger", is_n_cycle), "gkm",
+    fault("dagger-trace-off-on-n-cycles", trace_bump(gkm.TwinPiece, "dagger", is_n_cycle), "gkm",
           "twin-quotient-equals-x-quotient", "equivariant-palindromicity"),
-    fault("dot-trace-off-on-n-cycles", trace_bump("dot", is_n_cycle), "gkm",
+    # the twin quotient alone reads the split of Y by irreducibles
+    fault("kernel-dim-moved-to-sign", wrap(gkm, "_kernel_dim", kernel_dim_moved_to_sign), "gkm",
+          "twin-quotient-equals-x-quotient"),
+    fault("dot-trace-off-on-n-cycles", trace_bump(gkm.GkmSpace, "dot", is_n_cycle), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt",
           "twin-quotient-equals-x-quotient"),
     # a bump of one piece adds q^d (1 - q)^n to the quotient: 0 at q = 1
-    fault("dot-trace-off-at-identity", trace_bump("dot", is_identity), "gkm",
+    fault("dot-trace-off-at-identity", trace_bump(gkm.GkmSpace, "dot", is_identity), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt",
           "twin-quotient-equals-x-quotient"),
     # all three quotients move alike, so the twin comparison still holds
@@ -355,14 +372,16 @@ def test_every_emitted_check_is_covered_or_listed_as_uncovered():
     assert names - covered == UNCOVERED
 
 
-# The degree-1 relabeling maps place the staircase classes and the
-# xi-transported columns, so the exact congruence check refuses the piece
-# before any report check runs.
+# The degree-1 relabeling maps place the staircase classes, so the exact
+# congruence check refuses the X piece before any report check runs.  The
+# permco report builds no moment-graph basis (its twin side is split by
+# irreducibles); the relabeling its coinvariant tracer reads is swapped for
+# some permutations of a class and not for others, so the class
+# representatives of its graded character disagree.
 REFUSED = {
     "gkm": "column violates the degree-1 congruence on edge ((1, 2, 3), (3, 2, 1)) "
            "with label t_3 - t_1",
-    "permco": "column violates the degree-1 congruence on edge ((1, 2, 3), (1, 3, 2)) "
-              "with label t_3 - t_2",
+    "permco": "class representatives of cycle type (2, 1) disagree: [1, 2, 0, -1] vs [1, -1, 0, -1]",
 }
 
 
@@ -371,6 +390,15 @@ def test_swapped_relabeling_is_refused_by_the_congruence_check(monkeypatch, repo
     wrap(gkm, "monomial_positions", swapped_degree_one_relabeling)(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(REFUSED[report])):
         REPORTS[report]()
+
+
+def test_kernel_dim_off_by_one_is_refused_by_the_x_certificate(monkeypatch):
+    # dim K_(2,1)(0) + 1 raises dim Y_0 by f^(2,1) = 2; the unit class falls
+    # short of it, and the lifted nullspace of C_X pins dim X_0 = 1
+    wrap(gkm, "_kernel_dim", lambda real: lambda h, lam, d: real(h, lam, d) + (lam == (2, 1) and d == 0))(
+        monkeypatch)
+    with pytest.raises(ArithmeticError, match="the lifted nullspace has 1 columns, the twin dimension is 3"):
+        REPORTS["gkm"]()
 
 
 def act_without_relabeling(self, sigma, action):

@@ -10,7 +10,7 @@ import pytest
 import hessllt.cli
 import hessllt.linalg
 from hessllt import gkm
-from hessllt.characters import frobenius_inverse
+from hessllt.characters import frobenius_inverse, standard_tableaux
 from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.gkm import (
     EquivariantClass,
@@ -23,11 +23,12 @@ from hessllt.gkm import (
     localization_pushforward,
     perm_monomial_map,
     quotient_graded_character,
+    twin_piece,
     xi_transport,
 )
 from hessllt.hessgraph import HessenbergFunction, csf, hessenberg_all, llt
 from hessllt.qrat import QRat
-from hessllt.combinat import all_permutations, transposition
+from hessllt.combinat import all_permutations, class_representatives, partitions_of, transposition
 from oracles import (
     act_by_dicts,
     first_violated_edge_by_substitution,
@@ -38,11 +39,24 @@ from oracles import (
     shift_map_by_lookup,
     staircase_columns_by_lookup,
     subst_map_by_lookup,
+    transported_space,
     values_by_lookup,
     xi_by_dicts,
 )
 
 H = HessenbergFunction.parse
+
+
+def piece(model, d):
+    """The degree-d piece of either flavor: a basis for X, the split by
+    irreducibles for Y."""
+    return (degree_piece if model.flavor == "X" else twin_piece)(model, d)
+
+
+def basis(model, d):
+    """Basis columns of either flavor: the Y basis is the oracle's
+    xi-transport of the X basis."""
+    return (degree_piece if model.flavor == "X" else transported_space)(model, d).matrix
 
 
 def models(text):
@@ -74,15 +88,15 @@ class TestDegreePieces:
         # one linear condition per degree, so dims 2(d+1) - 1
         mx, my = models("2,2")
         for model in (mx, my):
-            assert degree_piece(model, 0).dim == 1
-            assert degree_piece(model, 1).dim == 3
-            assert degree_piece(model, 2).dim == 5
+            assert piece(model, 0).dim == 1
+            assert piece(model, 1).dim == 3
+            assert piece(model, 2).dim == 5
 
     def test_identity_trace_is_dimension(self):
         mx, my = models("2,3,3")
         for model, action in ((mx, "dot"), (my, "dagger")):
             for d in range(3):
-                space = degree_piece(model, d)
+                space = piece(model, d)
                 assert space.trace((1, 2, 3), action) == space.dim
 
     def test_transposition_traces_two_vertices(self):
@@ -90,8 +104,8 @@ class TestDegreePieces:
         mx, my = models("2,2")
         assert degree_piece(mx, 0).trace((2, 1), "dot") == 1
         assert degree_piece(mx, 1).trace((2, 1), "dot") == 1
-        assert degree_piece(my, 0).trace((2, 1), "dagger") == 1
-        assert degree_piece(my, 1).trace((2, 1), "dagger") == 1
+        assert twin_piece(my, 0).trace((2, 1), "dagger") == 1
+        assert twin_piece(my, 1).trace((2, 1), "dagger") == 1
 
     def test_degree_budget(self):
         mx, _ = models("2,2")
@@ -103,7 +117,7 @@ class TestDegreePieces:
         space = degree_piece(mx, 1)
         assert space.dim == 15
         cert = space.certificate
-        assert cert["nullity_bound"] == 15
+        assert cert["twin_dimension"] == 15
         assert cert["exhibited"] == 15
         assert cert["route"] == "crt-lift"
 
@@ -141,7 +155,8 @@ class TestDegreePieces:
 
 class TestSmallPiecesAgainstFraction:
     """At n <= 3 every degree piece is checked against an exact Fraction
-    elimination of its constraint matrix."""
+    elimination of its constraint matrix: the X basis, and for Y the
+    dimension from the irreducibles and the oracle's transported basis."""
 
     def test_every_piece_matches_its_fraction_nullity(self, monkeypatch):
         monkeypatch.setattr(gkm, "_space_cache", {})
@@ -151,17 +166,17 @@ class TestSmallPiecesAgainstFraction:
                 for flavor in ("X", "Y"):
                     model = GkmModel(h, flavor)
                     for d in range(h.size() + 2):
-                        space = degree_piece(model, d)
-                        routes.add(space.certificate["route"])
+                        if flavor == "X":
+                            routes.add(degree_piece(model, d).certificate["route"])
                         C = gkm._constraint_matrix(model, d)
                         rows = [[Fraction(int(x)) for x in row] for row in C]
                         rank = frac_rref(rows)[0] if rows else 0
-                        assert space.dim == C.shape[1] - rank, (h, flavor, d)
-                        B = space.matrix.astype(object)
+                        assert piece(model, d).dim == C.shape[1] - rank, (h, flavor, d)
+                        B = basis(model, d).astype(object)
                         assert not np.any(C.astype(object) @ B), (h, flavor, d)
                         cols = [[Fraction(int(x)) for x in col] for col in B.T]
-                        assert frac_rref(cols)[0] == space.dim, (h, flavor, d)
-        assert {"crt-lift", "xi-transport"} <= routes
+                        assert frac_rref(cols)[0] == C.shape[1] - rank, (h, flavor, d)
+        assert {"crt-lift", "products"} <= routes
         edgeless = degree_piece(GkmModel(H("1,2,3"), "X"), 0)
         assert edgeless.dim == 6
         assert edgeless.certificate["route"] == "crt-lift"
@@ -179,8 +194,9 @@ def merged_gather(real):
 
 
 class TestXiCertificate:
-    """Flavor Y is certified through the xi bijection, not by a rank of its
-    own constraint matrix."""
+    """Flavor X is certified through the xi bijection with flavor Y, whose
+    dimension comes from the irreducibles, not by a rank of its own
+    constraint matrix."""
 
     def test_report_builds_flavor_x_constraint_matrices_only(self, monkeypatch):
         monkeypatch.setattr(gkm, "_space_cache", {})
@@ -195,11 +211,20 @@ class TestXiCertificate:
         assert all(c["passed"] for c in gkm_report(H("2,3,4,4")))
         assert flavors and set(flavors) == {"X"}
 
-    def test_y_piece_inherits_the_x_certificate(self):
+    def test_x_piece_meets_the_twin_dimension(self):
         mx, my = models("2,3,4,4")
-        for d in (0, 1):
-            cert = degree_piece(my, d).certificate
-            assert cert == {"route": "xi-transport", "x_certificate": degree_piece(mx, d).certificate}
+        for d in range(H("2,3,4,4").size() + 2):
+            cert = degree_piece(mx, d).certificate
+            assert cert["twin_dimension"] == cert["exhibited"] == twin_piece(my, d).dim
+            assert twin_piece(my, d).dim == sum(
+                len(standard_tableaux(lam)) * k for lam, k in twin_piece(my, d).kernel_dims.items())
+
+    def test_each_flavor_has_its_own_piece(self):
+        mx, my = models("2,3,3")
+        with pytest.raises(ValueError, match="degree_piece builds flavor X and twin_piece flavor Y, not Y"):
+            degree_piece(my, 1)
+        with pytest.raises(ValueError, match="degree_piece builds flavor X and twin_piece flavor Y, not X"):
+            twin_piece(mx, 1)
 
     @pytest.mark.parametrize("text", ["3,3,3", "2,3,4,4"])
     def test_gather_sending_two_monomials_to_one_is_caught(self, monkeypatch, text):
@@ -208,18 +233,18 @@ class TestXiCertificate:
         for d in range(h.size() + 2):
             monkeypatch.setattr(gkm, "_space_cache", {})
             with pytest.raises(ArithmeticError, match="permutation"):
-                degree_piece(GkmModel(h, "Y"), d)
+                degree_piece(GkmModel(h, "X"), d)
 
     def test_mismatched_edge_label_is_caught(self, monkeypatch):
         h = H("3,3,3")
-        my = GkmModel(h, "Y")
-        iu, iv, a, b = my.edges[0]
+        mx = GkmModel(h, "X")
+        iu, iv, a, b = mx.edges[0]
         c = next(k for k in range(1, h.n + 1) if k not in (a, b))
-        my.edges = ((iu, iv, a, c),) + my.edges[1:]
+        mx.edges = ((iu, iv, a, c),) + mx.edges[1:]
         for d in range(h.size() + 2):
             monkeypatch.setattr(gkm, "_space_cache", {})
             with pytest.raises(ArithmeticError, match="xi-images"):
-                degree_piece(my, d)
+                degree_piece(mx, d)
 
     def test_gather_fault_fails_the_cli(self, monkeypatch, capsys):
         monkeypatch.setattr(gkm, "_xi_gather", merged_gather(gkm._xi_gather))
@@ -228,6 +253,32 @@ class TestXiCertificate:
         err = capsys.readouterr().err
         assert "computation failed" in err
         assert "Traceback" not in err
+
+
+def twin_cases():
+    """Every h with n <= 3, and 2,3,4,4 and 4,4,4,4."""
+    hs = [h for n in (1, 2, 3) for h in hessenberg_all(n)] + [H("2,3,4,4"), H("4,4,4,4")]
+    return [",".join(map(str, h.values)) for h in hs]
+
+
+class TestTwinAgainstTransport:
+    """The flavor-Y pieces from the irreducibles against the oracle's
+    xi-transported bases and their SubspaceTracer traces: the dimension and
+    the dagger trace of every class representative at every degree up to
+    |h| + 1, and the dimension against the mod-p nullity of the Y
+    constraint matrix."""
+
+    @pytest.mark.parametrize("text", twin_cases())
+    def test_dims_and_dagger_traces(self, text):
+        my = GkmModel(H(text), "Y")
+        for d in range(my.h.size() + 2):
+            twin, transported = twin_piece(my, d), transported_space(my, d)
+            C = gkm._constraint_matrix(my, d)
+            nullity = C.shape[1] - hessllt.linalg.blocked_rref(C, hessllt.linalg.SMALL_PRIMES[1], full=False)[0]
+            assert twin.dim == transported.dim == nullity, d
+            for mu in partitions_of(my.n):
+                for sigma in class_representatives(mu):
+                    assert twin.trace(sigma, "dagger") == transported.trace(sigma, "dagger"), (d, sigma)
 
 
 class TestEquivariantClasses:
@@ -389,7 +440,7 @@ class TestXiTransport:
 
     def test_round_trip(self):
         mx, my = models("2,3,3")
-        space = degree_piece(my, 2)
+        space = transported_space(my, 2)
         for col in space.matrix.T[:3]:
             f = EquivariantClass(my, 2, col)
             assert xi_transport(xi_transport(f, "Y_to_X"), "X_to_Y") == f
@@ -550,13 +601,13 @@ class TestCoordinatesAgainstDicts:
     @pytest.mark.parametrize("text, d", dict_cases())
     def test_verifier_names_the_same_first_edge(self, text, d, flavor):
         model = GkmModel(H(text), flavor)
-        basis = degree_piece(model, d).matrix
-        size = basis.shape[0]
+        columns = basis(model, d)
+        size = columns.shape[0]
         units = np.eye(size, dtype=np.int64)
-        mons = basis.shape[0] // len(model.vertices)
+        mons = columns.shape[0] // len(model.vertices)
         across = [units[iu * mons + m] - units[iv * mons + m]
                   for iu, iv, _, _ in model.edges for m in range(mons)]
-        for col in list(basis.T) + list(units) + across:
+        for col in list(columns.T) + list(units) + across:
             edge = first_violated_edge_by_substitution(model, values_by_lookup(model, d, col))
             if edge is None:
                 EquivariantClass(model, d, col)  # must not raise
@@ -570,9 +621,9 @@ class TestCoordinatesAgainstDicts:
     @pytest.mark.parametrize("text, d", dict_cases())
     def test_actions_and_xi(self, text, d, flavor):
         model = GkmModel(H(text), flavor)
-        space = degree_piece(model, d)
-        batch = EquivariantClass(model, d, space.matrix)
-        values = values_by_lookup(model, d, space.matrix)
+        columns = basis(model, d)
+        batch = EquivariantClass(model, d, columns)
+        values = values_by_lookup(model, d, columns)
         assert_same_values(batch.values, values)
         action = "dot" if flavor == "X" else "dagger"
         for sigma in all_permutations(model.n):
@@ -588,11 +639,11 @@ class TestCoordinatesAgainstDicts:
     @pytest.mark.parametrize("text, d", product_cases())
     def test_product(self, text, d, flavor):
         model = GkmModel(H(text), flavor)
-        factors = [EquivariantClass(model, 1, col) for col in degree_piece(model, 1).matrix.T]
+        factors = [EquivariantClass(model, 1, col) for col in basis(model, 1).T]
         factors += [EquivariantClass.t_class(model, i) for i in range(1, model.n + 1)]
         if flavor == "X":
             factors += [EquivariantClass.x_class(model, i) for i in range(1, model.n + 1)]
-        for col in degree_piece(model, d).matrix.T:
+        for col in basis(model, d).T:
             f = EquivariantClass(model, d, col)
             for g in factors:
                 expected = product_by_dicts(values_by_lookup(model, d, col), values_by_lookup(model, 1, g.coords))
@@ -672,16 +723,19 @@ class TestIndexMapsAgainstLookup:
                     assert np.array_equal(gkm._staircase_columns(model, d), expected), (h, d)
 
     def test_every_piece_matches_the_one_built_from_the_lookup_maps(self, monkeypatch):
-        cases = [(GkmModel(h, flavor), d) for n in range(1, 5) for h in hessenberg_all(n)
-                 for flavor in ("X", "Y") for d in range(h.size() + 2)]
+        # the X bases entry for entry, the Y kernel dimensions irreducible by irreducible
+        cases = [(GkmModel(h, "X"), d) for n in range(1, 5) for h in hessenberg_all(n)
+                 for d in range(h.size() + 2)]
         fast = [degree_piece(model, d).matrix for model, d in cases]
+        kernels = [twin_piece(model.twin(), d).kernel_dims for model, d in cases]
         monkeypatch.setattr(gkm, "_space_cache", {})
         monkeypatch.setattr(gkm, "perm_monomial_map", relabeling_map_by_lookup)
         monkeypatch.setattr(gkm, "_mono_shift_map", shift_map_by_lookup)
         monkeypatch.setattr(gkm, "_subst_map", subst_map_by_lookup)
         monkeypatch.setattr(gkm, "_staircase_columns", staircase_columns_by_lookup)
-        for (model, d), matrix in zip(cases, fast):
+        for (model, d), matrix, dims in zip(cases, fast, kernels):
             assert np.array_equal(degree_piece(model, d).matrix, matrix), (model, d)
+            assert twin_piece(model.twin(), d).kernel_dims == dims, (model, d)
 
 
 class TestExactVerification:
