@@ -2,8 +2,10 @@
 
 A class function chi, graded or not, is the p-basis SymFunc
 ch(chi) = sum_mu chi(mu) p_mu / z_mu (Macdonald, ch. I §7).  A graded
-character R(A;q) = sum_i trace(.|A_i) q^i has QRat coefficients, and
-infinite-dimensional graded traces simply have non-polynomial ones.  Sums,
+character R(A;q) = sum_i trace(.|A_i) q^i of a finite-dimensional graded
+module has polynomial coefficients, and every check compares polynomials:
+an identity with a rational function of q, such as the character of a
+polynomial ring, is compared with its denominators cleared.  Sums,
 scalars and equality are SymFunc's own, the sign twist is omega, and a
 Q-algebra map of q commutes with the factors 1/z_mu, so applying it to every
 value is subs_coeffs.  frobenius_char is the one constructor from class
@@ -80,22 +82,15 @@ def induced_young(I: tuple[int, ...], n: int, rep: str = "trivial") -> SymFunc:
     return SymFunc.basis_element(basis, partition_from_subset(I, n)).in_basis("p")
 
 
-def polynomial_algebra_series(n: int) -> SymFunc:
-    """Graded trace of S_n on C[t_1..t_n]: prod over parts k of 1/(1 - q^k)."""
-    values = {}
-    for mu in partitions_of(n):
-        acc = QRat.one()
-        for k in mu:
-            acc = acc / (QRat.one() - QRat.q() ** k)
-        values[mu] = acc
-    return frobenius_char(n, values)
-
-
-def palindromicity_check(chi: SymFunc, shift: QRat, twist: bool, scale: QRat) -> bool:
-    """Whether shift * chi(1/q) equals scale * chi (tensored with sign if twist),
-    as exact rational functions."""
-    rhs = chi.omega() if twist else chi
-    return chi.subs_coeffs(lambda c: shift * c.subs_q_inverse()) == rhs.scale(scale)
+def palindromicity_check(chi: SymFunc, degree: int, twist: bool) -> bool:
+    """Whether q^degree chi(1/q) equals chi, or omega chi if twist: each
+    coefficient, a polynomial in q, is reversed to degree.  A coefficient of
+    degree above `degree` has no polynomial reversal, and the check is False."""
+    polys = {mu: c.as_poly() for mu, c in chi.coeffs.items()}
+    if any(p.degree > degree for p in polys.values()):
+        return False
+    reversal = {mu: p.reversed_to(degree) for mu, p in polys.items()}
+    return SymFunc.from_q_table(chi.basis, chi.n, reversal) == (chi.omega() if twist else chi)
 
 
 def graded_dimension(chi: SymFunc) -> QRat:

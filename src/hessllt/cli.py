@@ -68,9 +68,9 @@ def _expansion_command(name: str, args: argparse.Namespace) -> int:
     code = 0
     if name == "llt" and args.shifted:
         report["inputs"]["shifted"] = True
-        shifted = llt(h).subs_coeffs(lambda c: c.subs_q_plus_one()).in_basis("e")
+        positive, table = llt(h).is_e_positive_shifted()
+        shifted = SymFunc.from_q_table("e", h.n, table)
         orient = orientation_e_expansion(h).in_basis("e")
-        positive, _ = llt(h).is_e_positive_shifted()
         verdict = shifted == orient and positive
         report["shifted_e_expansion"] = shifted.to_json_obj()
         report["orientation_expansion"] = orient.to_json_obj()

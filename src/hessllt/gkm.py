@@ -50,7 +50,6 @@ from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_intege
 from .multipoly import (MPoly, monomial_exponents, monomial_positions, monomials, mp_add,
                         mp_divide_linear, mp_is_zero, mp_mul, mp_permute, mp_scale, mp_sub,
                         mp_var, mp_zero)
-from .qrat import QRat
 from .symfunc import SymFunc, murnaghan_nakayama
 
 GKM_N_BUDGET = 4
@@ -645,15 +644,11 @@ def equivariant_palindromicity_check(h: HessenbergFunction) -> bool:
     """Palindromicity of the equivariant graded character: with R(q) the
     dagger character of the full flavor-Y congruence ring (quotient series
     divided by (1-q)^n), q^{|h|} R(1/q) must equal (-q)^n R(q) tensor sign,
-    classwise."""
-    model = GkmModel(h, "Y")
-    quotient = quotient_graded_character(model, "dagger", "t_vars")
-    n = h.n
-    denom = (QRat.one() - QRat.q()) ** n
-    ring_char = quotient.subs_coeffs(lambda v: v / denom)
-    shift = QRat.q() ** h.size()
-    scale = QRat.q() ** n * ((-1) ** n)
-    return palindromicity_check(ring_char, shift, True, scale)
+    classwise.  Since (1 - 1/q)^n = (-1/q)^n (1-q)^n, the factors (1-q)^n
+    and (-q)^n cancel: the check is the palindromicity of the quotient with
+    shift |h| and sign twist."""
+    quotient = quotient_graded_character(GkmModel(h, "Y"), "dagger", "t_vars")
+    return palindromicity_check(quotient, h.size(), True)
 
 
 def gkm_report(h: HessenbergFunction) -> list[dict]:

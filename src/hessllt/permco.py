@@ -37,8 +37,8 @@ from .characters import (
     graded_dimension,
     induced_young,
     palindromicity_check,
-    polynomial_algebra_series,
     regular_character,
+    trivial_character,
 )
 from .combinat import (
     all_permutations,
@@ -198,9 +198,8 @@ def face_and_h_series(n: int) -> tuple[SymFunc, SymFunc]:
     sf = H.in_basis("s")
     for k in range(n):
         for lam in partitions_of(n):
-            c = sf.coeff(lam)
-            value = c.as_poly().coeff(k) if c.is_polynomial() else None
-            if value is None or value.denominator != 1 or value < 0:
+            value = sf.coeff(lam).as_poly().coeff(k)
+            if value.denominator != 1 or value < 0:
                 raise ArithmeticError(
                     f"degree-{k} coefficient of the shifted face series is not a "
                     f"genuine character (multiplicity {value} at {lam})"
@@ -221,11 +220,9 @@ def _first_discrepancy(a: SymFunc, b: SymFunc) -> str | None:
     for mu, va in values_a.items():
         vb = values_b[mu]
         if va != vb:
-            d = 0
-            if va.is_polynomial() and vb.is_polynomial():
-                pa, pb = va.as_poly(), vb.as_poly()
-                top = max(pa.degree or 0, pb.degree or 0)
-                d = next(k for k in range(top + 1) if pa.coeff(k) != pb.coeff(k))
+            pa, pb = va.as_poly(), vb.as_poly()
+            top = max(pa.degree or 0, pb.degree or 0)
+            d = next(k for k in range(top + 1) if pa.coeff(k) != pb.coeff(k))
             return f"class {mu}: {va} != {vb} (first difference at degree {d})"
     return None
 
@@ -366,7 +363,7 @@ def coinvariant_closed_form_check(n: int) -> list[dict]:
     identity value is the q-factorial; palindromicity (top-degree shift with
     sign twist); and the polynomial-ring factorization through the invariant
     subalgebra, together with the palindromicity of the coinvariant character
-    times prod_k 1/(1 - q^k)."""
+    times prod_k 1/(1 - q^k), both compared with denominators cleared."""
     if not 1 <= n <= COINVARIANT_BUDGET:
         raise BudgetExceededError(
             f"the closed-form check supports n <= {COINVARIANT_BUDGET}, got n = {n}"
@@ -388,10 +385,13 @@ def coinvariant_closed_form_check(n: int) -> list[dict]:
         form_trivial = form_trivial + induced_young(I, n, "trivial").scale(coef_t)
         form_sign = form_sign + induced_young(I, n, "sign").scale(coef_s)
 
-    invariant_factor = QRat.one()
+    ring_factor = QRat.one()
     for k in range(1, n + 1):
-        invariant_factor = invariant_factor / (QRat.one() - QRat.q() ** k)
-    ring = R.scale(invariant_factor)
+        ring_factor = ring_factor * (QRat.one() - q**k)
+    # With P(q) = prod_k (1 - q^k), P(1/q) = (-1)^n q^{-n(n+1)/2} P(q), so
+    # the law ring(1/q) = (-q)^n omega ring(q) of ring = R / P, times
+    # (-1)^n q^{-n} P(q), is the coinvariant law: one comparison, two records.
+    palindromic = palindromicity_check(R, n * (n - 1) // 2, True)
     return [
         _agreement("closed_form_with_induced_trivial", R, form_trivial),
         _agreement("closed_form_with_induced_sign", R, form_sign),
@@ -400,17 +400,15 @@ def coinvariant_closed_form_check(n: int) -> list[dict]:
             R.subs_coeffs(lambda v: QRat.of(v.evaluate(1))) == regular_character(n),
         ),
         check("identity_value_is_q_factorial", graded_dimension(R).as_poly() == q_factorial(n)),
-        check(
-            "palindromicity_with_sign_twist",
-            palindromicity_check(R, QRat.q() ** (n * (n - 1) // 2), True, QRat.one()),
+        check("palindromicity_with_sign_twist", palindromic),
+        # C[t] = R (x) C[t]^{S_n} has character h_n[Z/(1-q)] = R / P; the
+        # plethysm Z -> (1-q) Z clears it to h_n P = R[(1-q)Z]
+        _agreement(
+            "polynomial_ring_factors_through_invariants",
+            trivial_character(n).scale(ring_factor),
+            R.plethysm_scale(QRat.one() - q),
         ),
-        _agreement("polynomial_ring_factors_through_invariants", polynomial_algebra_series(n), ring),
-        # q^{n(n+1)/2} prod_k 1/(1 - q^{-k}) = (-1)^n prod_k 1/(1 - q^k), so the
-        # coinvariant law carries over with shift 1 and scale (-q)^n
-        check(
-            "polynomial_ring_palindromicity",
-            palindromicity_check(ring, QRat.one(), True, QRat.q() ** n * ((-1) ** n)),
-        ),
+        check("polynomial_ring_palindromicity", palindromic),
     ]
 
 

@@ -1,4 +1,4 @@
-"""Exact rational-function arithmetic in one grading variable q.
+"""Exact polynomial and rational-function arithmetic in one grading variable q.
 
 All coefficients are arbitrary-precision rationals (fractions.Fraction);
 nothing in this package touches floating point.  A QPoly is a dense tuple
@@ -9,26 +9,15 @@ form:
 
     gcd(numerator, denominator) = 1 and the denominator is monic.
 
-Equality and hashing are therefore structural.  Laurent behavior needs no
-separate type: substituting q -> 1/q returns a QRat whose denominator is a
-power of q.  A float is refused with TypeError (0.1 would enter as
-3602879701896397/36028797018963968).  The public constructors QPoly(...) and
-QRat(num, den) convert every coefficient and cancel by a full Euclid gcd.
-The arithmetic skips that work where its inputs guarantee canonical form:
-
-- QPoly results are built from Fractions without re-wrapping them, and
-  QPoly.gcd returns 1 at once when either operand is a nonzero constant.
-- -x, x * c (c an int or Fraction) and x ** k: unit multiples and powers of a
-  coprime pair are coprime; for k < 0 den is only made monic.
-- subs_q_power, subs_q_shift: q -> q^k and q -> q + c are injective ring
-  maps, so u*num + v*den = 1 survives them, and leading coefficients stay.
-- subs_q_inverse: reversal to d = max(deg num, deg den) keeps num, den
-  coprime (a common irreducible f != q reverses to a common factor, and the
-  side of degree d gets a nonzero constant term); den is only made monic.
-- a/b + c/b = (a + c)/b needs one gcd against b and no product of dens.
-- a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d) and
-  g2 = gcd(c, b) (Henrici) cancels every common factor, and b/g2 and d/g1
-  stay monic.  Division multiplies by d/c.
+Equality and hashing are therefore structural.  Every QRat is built by the
+constructor QRat(num, den), which converts every coefficient and cancels by
+a full Euclid gcd; QPoly.gcd returns 1 at once when either operand is a
+nonzero constant, so a polynomial value costs no Euclid loop.  The checks of
+the package compare polynomials only: an identity with a rational function
+of q is compared with its denominators cleared.  A sum over a shared
+denominator, a/b + c/b = (a + c)/b, forms no product of denominators, and a
+scalar multiple scales the numerator alone.  A float is refused with
+TypeError (0.1 would enter as 3602879701896397/36028797018963968).
 """
 
 from __future__ import annotations
@@ -137,7 +126,7 @@ class QPoly:
 
     def __pow__(self, k: int) -> QPoly:
         if k < 0:
-            raise ValueError("negative power of a QPoly; use QRat")
+            raise ValueError("negative power of a polynomial")
         out, base = QPoly.one(), self
         while k:
             if k & 1:
@@ -272,18 +261,6 @@ class QRat:
         self.num, self.den = num, den
 
     @staticmethod
-    def _coprime(num: QPoly, den: QPoly) -> QRat:
-        """num/den with gcd(num, den) = 1 known: only makes den monic."""
-        lead = den.coeffs[-1]
-        if not num.coeffs:
-            den = QPoly.one()
-        elif lead != 1:
-            num, den = num.scale(1 / lead), den.scale(1 / lead)
-        r = QRat.__new__(QRat)
-        r.num, r.den = num, den
-        return r
-
-    @staticmethod
     def zero() -> QRat:
         return QRat()
 
@@ -323,7 +300,7 @@ class QRat:
     __radd__ = __add__
 
     def __neg__(self) -> QRat:
-        return QRat._coprime(-self.num, self.den)
+        return QRat(-self.num, self.den)
 
     def __sub__(self, other: RatLike) -> QRat:
         return self + (-QRat.of(other))
@@ -333,45 +310,23 @@ class QRat:
 
     def __mul__(self, other: RatLike) -> QRat:
         if isinstance(other, (int, Fraction)):
-            return QRat._coprime(self.num.scale(other), self.den)
+            return QRat(self.num.scale(other), self.den)
         o = QRat.of(other)
-        g1, g2 = self.num.gcd(o.den), o.num.gcd(self.den)
-        return QRat._coprime(
-            _exquo(self.num, g1) * _exquo(o.num, g2), _exquo(self.den, g2) * _exquo(o.den, g1)
-        )
+        return QRat(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: RatLike) -> QRat:
-        o = QRat.of(other)
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return self * QRat._coprime(o.den, o.num)
-
-    def __rtruediv__(self, other: RatLike) -> QRat:
-        return QRat.of(other) / self
-
     def __pow__(self, k: int) -> QRat:
-        if k < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return QRat._coprime(self.den, self.num) ** (-k)
-        return QRat._coprime(self.num ** k, self.den ** k)
-
-    def subs_q_inverse(self) -> QRat:
-        """Substitute q -> 1/q."""
-        if self.is_zero():
-            return self
-        d = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
-        return QRat._coprime(self.num.reversed_to(d), self.den.reversed_to(d))
+        """self ** k for k >= 0."""
+        return QRat(self.num ** k, self.den ** k)
 
     def subs_q_power(self, k: int) -> QRat:
         """Substitute q -> q^k, k >= 1."""
-        return QRat._coprime(self.num.compose_power(k), self.den.compose_power(k))
+        return QRat(self.num.compose_power(k), self.den.compose_power(k))
 
     def subs_q_shift(self, c: Scalar) -> QRat:
         """Substitute q -> q + c."""
-        return QRat._coprime(self.num.compose_shift(c), self.den.compose_shift(c))
+        return QRat(self.num.compose_shift(c), self.den.compose_shift(c))
 
     def subs_q_plus_one(self) -> QRat:
         return self.subs_q_shift(1)

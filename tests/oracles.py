@@ -9,7 +9,10 @@ congruence check, the actions, xi and the product of moment-graph classes on
 one polynomial dict per vertex, the flavor-Y pieces as the xi-transport of
 the X bases, with their dagger traces by SubspaceTracer, the basis tables of symfunc by direct
 expansion and Fraction inversion, and the fixed faces of a permutation by
-relabeling each face.  frac_rref, the Fraction echelon form, is also the
+relabeling each face.  The character of the polynomial ring and the
+substitution q -> 1/q are computed as rational functions of q: they are the
+routes that the checks of the library replace by cleared denominators.
+frac_rref, the Fraction echelon form, is also the
 oracle of the certified mod-p engine.  The named basis elements are here
 for the tests that build symmetric functions by hand.
 """
@@ -50,7 +53,7 @@ from hessllt.gkm import (
 from hessllt.hessgraph import HessenbergFunction, _tally_poly
 from hessllt.multipoly import MPoly, monomials, mp_mul, mp_permute, mp_sub
 from hessllt.permco import PermutohedronFace
-from hessllt.qrat import QRat
+from hessllt.qrat import QPoly, QRat
 from hessllt.symfunc import SymFunc, murnaghan_nakayama
 
 
@@ -194,6 +197,33 @@ def induced_young_bruteforce(I: tuple[int, ...], n: int, rep: str = "trivial") -
                     total += sgn_of_class(cycle_type(y))
         values[mu] = QRat.of(total / order)
     return frobenius_char(n, values)
+
+
+def polynomial_algebra_series(n: int) -> SymFunc:
+    """Graded trace of S_n on C[t_1..t_n], a rational function of q on each
+    class: the product over the parts k of mu of 1/(1 - q^k)."""
+    values = {}
+    for mu in partitions_of(n):
+        den = QPoly.one()
+        for k in mu:
+            den = den * (QPoly.one() - QPoly.monomial(k))
+        values[mu] = QRat(QPoly.one(), den)
+    return frobenius_char(n, values)
+
+
+def q_inverse(r: QRat) -> QRat:
+    """r(1/q): numerator and denominator reversed to their larger degree."""
+    if r.is_zero():
+        return r
+    d = max(r.num.degree, r.den.degree)
+    return QRat(r.num.reversed_to(d), r.den.reversed_to(d))
+
+
+def rational_palindromicity(chi: SymFunc, shift: QRat, twist: bool, scale: QRat) -> bool:
+    """Whether shift * chi(1/q) equals scale * chi (tensored with sign if
+    twist), as rational functions of q."""
+    rhs = chi.omega() if twist else chi
+    return chi.subs_coeffs(lambda c: shift * q_inverse(c)) == rhs.scale(scale)
 
 
 def face_image(face: PermutohedronFace, sigma: Permutation) -> PermutohedronFace:

@@ -16,7 +16,6 @@ from hessllt.characters import (
     graded_dimension,
     induced_young,
     palindromicity_check,
-    polynomial_algebra_series,
     regular_character,
     seminormal_matrices,
     sign_character,
@@ -26,11 +25,12 @@ from hessllt.characters import (
 )
 from hessllt.combinat import all_permutations, compose, partitions_of, subsets_of_interval, transposition
 from hessllt.errors import VerificationError
-from hessllt.qrat import QRat
+from hessllt.qrat import QPoly, QRat
 from oracles import (
     complete_homogeneous,
     elementary,
     induced_young_bruteforce,
+    polynomial_algebra_series,
     power_sum,
     schur,
 )
@@ -112,8 +112,8 @@ class TestInducedYoung:
 class TestGradedSeries:
     def test_polynomial_algebra_series_values(self):
         R = frobenius_inverse(polynomial_algebra_series(2))
-        assert R[(1, 1)] == QRat.one() / ((QRat.one() - QRat.q()) ** 2)
-        assert R[(2,)] == QRat.one() / (QRat.one() - QRat.q() ** 2)
+        assert R[(1, 1)] == QRat(QPoly.one(), QPoly([1, -2, 1]))
+        assert R[(2,)] == QRat(QPoly.one(), QPoly([1, 0, -1]))
 
     def test_graded_class_function_values(self):
         # 1 + (fixed points) q: the trivial plus the defining character
@@ -136,11 +136,23 @@ class TestPalindromicity:
     def test_q_inverse_symmetry(self):
         # chi(mu) = q + 1 for all mu: q * chi(1/q) = 1 + q = chi
         chi = trivial_character(2).subs_coeffs(lambda v: v * (QRat.q() + 1))
-        assert palindromicity_check(chi, QRat.q(), False, QRat.one())
+        assert palindromicity_check(chi, 1, False)
 
     def test_detects_failure(self):
         chi = trivial_character(2).subs_coeffs(lambda v: v * (QRat.q() + 2))
-        assert not palindromicity_check(chi, QRat.q(), False, QRat.one())
+        assert not palindromicity_check(chi, 1, False)
+
+    def test_sign_twist(self):
+        # omega h_2 = e_2, and q * (h_2 + q e_2)(1/q) = e_2 + q h_2
+        chi = trivial_character(2) + sign_character(2).scale(QRat.q())
+        assert palindromicity_check(chi, 1, True)
+        assert not palindromicity_check(chi, 1, False)
+
+    def test_degree_above_the_shift_is_false_not_an_error(self):
+        # q * (q^2 + 1)(1/q) = (1 + q^2) / q is no polynomial
+        chi = trivial_character(2).scale(QRat.q() ** 2 + 1)
+        assert palindromicity_check(chi, 1, False) is False
+        assert palindromicity_check(chi, 2, False)
 
 
 def hook_length_count(lam):

@@ -136,15 +136,15 @@ class TestVerifyCommand:
         assert code == 1
         assert obj["passed"] is False
 
-    def test_uncancelled_qrat_fails_carlson_mellit(self, capsys, monkeypatch):
-        # With a gcd that never cancels, QRat values leave canonical form, and
-        # the structural equality of SymFunc must then report the identity false.
+    def test_uncancelled_qrat_fails_gaussian_binomial_sums(self, capsys, monkeypatch):
+        # With a gcd that never cancels, a quotient of polynomials leaves
+        # canonical form, and the one check that forms such quotients, the
+        # Gaussian binomial as a product of them, must then report false.
+        # Every other check compares polynomials, which need no gcd.
         monkeypatch.setattr(QPoly, "gcd", lambda self, other: QPoly.one())
-        code, obj, _ = run_json(capsys, "verify", "--scope", "identities", "--n", "3")
+        code, obj, _ = run_json(capsys, "verify", "--scope", "permutohedron", "--n", "3")
         assert code == 1
-        verdicts = {c["name"]: c["passed"] for c in obj["checks"]}
-        relation = [v for name, v in verdicts.items() if name.endswith("carlson-mellit relation")]
-        assert relation and not any(relation)
+        assert [c["name"] for c in obj["checks"] if not c["passed"]] == ["n=3: gaussian-binomial-sums"]
 
 
 class TestReportRecords:

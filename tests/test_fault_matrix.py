@@ -180,6 +180,10 @@ def first_subset_dropped(real):
     return lambda pool, r: itertools.islice(real(pool, r), 1, None)
 
 
+def reversal_one_too_far(real):
+    return lambda self, deg: real(self, deg + 1)
+
+
 def face_module_bump(i: int, delta: Callable):
     return wrap(
         permco, "face_module_character",
@@ -288,6 +292,18 @@ TABLE = (
           coinvariant_bump(lambda n: odd_classes(n).scale(q - q**2)), "coinvariant",
           "closed_form_with_induced_trivial", "closed_form_with_induced_sign",
           "polynomial_ring_factors_through_invariants"),
+    # the ring factor of the cleared factorization is h_n prod_k (1 - q^k)
+    fault("ring-factor-reads-the-sign-character",
+          wrap(permco, "trivial_character", lambda real: sign_character), "coinvariant",
+          "polynomial_ring_factors_through_invariants"),
+    # every palindromicity check reverses its coefficients; one degree too
+    # far multiplies the reversal by q
+    fault("reversal-one-degree-too-far", wrap(QPoly, "reversed_to", reversal_one_too_far),
+          "identities", "csf palindromicity", "llt palindromicity"),
+    fault("reversal-one-degree-too-far", wrap(QPoly, "reversed_to", reversal_one_too_far),
+          "gkm", "equivariant-palindromicity"),
+    fault("reversal-one-degree-too-far", wrap(QPoly, "reversed_to", reversal_one_too_far),
+          "coinvariant", "palindromicity_with_sign_twist", "polynomial_ring_palindromicity"),
     fault("q-factorial-off-by-one",
           wrap(permco, "q_factorial", lambda real: lambda n: real(n) + QPoly.one()),
           "coinvariant", "identity_value_is_q_factorial"),

@@ -1,6 +1,7 @@
 """Permutohedron face modules, coinvariant algebras, and closed forms."""
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,7 @@ from hessllt.characters import (
     frobenius_inverse,
     graded_dimension,
     regular_character,
+    sign_character,
     trivial_character,
 )
 from hessllt.combinat import all_permutations, compose, identity_perm
@@ -38,7 +40,7 @@ from hessllt.permco import (
     q_factorial,
 )
 from hessllt.qrat import QPoly, QRat
-from oracles import face_image
+from oracles import face_image, polynomial_algebra_series, rational_palindromicity
 
 
 def stirling2(n, k):
@@ -219,6 +221,27 @@ class TestCoinvariants:
         for n in (2, 3, 4):
             checks = coinvariant_closed_form_check(n)
             assert all(c["passed"] for c in checks), checks
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cleared_ring_checks_match_the_rational_route(self, monkeypatch, n):
+        # the rational route: C[t] has character prod_k 1/(1 - q^k) times R,
+        # palindromic with shift 1 and scale (-q)^n
+        R = coinvariant_graded_character(n)
+        odd = (trivial_character(n) - sign_character(n)).scale(Fraction(1, 2))
+        invariants = QPoly.one()
+        for k in range(1, n + 1):
+            invariants = invariants * (QPoly.one() - QPoly.monomial(k))
+        scale = QRat.q() ** n * (-1) ** n
+        for chi in (R, R + odd):
+            monkeypatch.setattr(permco, "coinvariant_graded_character", lambda n: chi)
+            passed = {c["name"]: c["passed"] for c in coinvariant_closed_form_check(n)}
+            ring = chi.scale(QRat(QPoly.one(), invariants))
+            rational = {
+                "polynomial_ring_factors_through_invariants": polynomial_algebra_series(n) == ring,
+                "polynomial_ring_palindromicity": rational_palindromicity(ring, QRat.one(), True, scale),
+            }
+            # the odd-class bump is zero only at n = 1
+            assert rational == {name: passed[name] for name in rational} == dict.fromkeys(rational, chi == R)
 
     def test_flag_cross_check(self):
         assert coinvariant_flag_cross_check(2)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hessllt import QPoly, QRat, format_poly
+from hessllt import (HessenbergFunction, QPoly, QRat, coinvariant_closed_form_check, format_poly,
+                     gkm, gkm_report, hessgraph, verify_identities)
 from hessllt.errors import PoleError
 
 q = QPoly.q()
@@ -25,7 +26,7 @@ small_poly = st.lists(
 nonzero_poly = small_poly.filter(lambda p: not p.is_zero())
 
 # Products of (1 - q^k), (q - 1), (q + 1), q and q^2 + 1, so that operands
-# share denominator factors and the gcd-free paths of QRat have work to do.
+# share denominator factors and the results have factors to cancel.
 _FACTORS = [P(1, -1), P(1, 0, -1), P(1, 0, 0, -1), P(-1, 1), P(1, 1), P(0, 1), P(1, 0, 1)]
 factor_product = st.lists(st.sampled_from(_FACTORS), max_size=3).map(
     lambda fs: reduce(QPoly.__mul__, fs, QPoly.one())
@@ -174,14 +175,9 @@ class TestQRat:
         assert QRat.of(Fraction(2, 5)) * QRat.of(Fraction(5, 2)) == QRat.one()
 
     def test_field_ops(self):
-        r = QRat.q() / (QRat.q() + 1)
-        assert r + (QRat.one() / (QRat.q() + 1)) == QRat.one()
+        r = QRat(P(0, 1), P(1, 1))
+        assert r + QRat(P(1), P(1, 1)) == QRat.one()
         assert (QRat.q() - 1) * (QRat.q() + 1) == QRat.q() ** 2 - 1
-
-    def test_subs_q_inverse(self):
-        r = (QRat.q() ** 2 + 1) / QRat.q()
-        assert r.subs_q_inverse() == r  # symmetric under q -> 1/q
-        assert QRat.q().subs_q_inverse() == QRat.one() / QRat.q()
 
     def test_subs_q_power(self):
         assert (QRat.q() + 1).subs_q_power(3) == QRat.q() ** 3 + 1
@@ -192,10 +188,10 @@ class TestQRat:
 
     def test_as_poly_rejects_proper_fractions(self):
         with pytest.raises(ValueError):
-            (QRat.one() / QRat.q()).as_poly()
+            QRat(P(1), P(0, 1)).as_poly()
 
     def test_evaluate_and_pole(self):
-        r = QRat.one() / (QRat.q() - 1)
+        r = QRat(P(1), P(-1, 1))
         assert r.evaluate(3) == Fraction(1, 2)
         with pytest.raises(PoleError):
             r.evaluate(1)
@@ -217,8 +213,6 @@ class TestQRat:
         assert x + y == y + x
         assert x * y == y * x
         assert x - x == QRat.zero()
-        if not x.is_zero():
-            assert x / x == QRat.one()
         assert (x + y) * (x - y) == x**2 - y**2
 
     @given(small_poly, nonzero_poly, st.integers(min_value=-3, max_value=3))
@@ -227,19 +221,13 @@ class TestQRat:
         x = QRat(a, b)
         assert x.subs_q_shift(c).subs_q_shift(-c) == x
 
-    @given(small_poly, nonzero_poly)
-    @settings(max_examples=50, deadline=None)
-    def test_q_inverse_is_involution(self, a, b):
-        x = QRat(a, b)
-        assert x.subs_q_inverse().subs_q_inverse() == x
 
-
-class TestFastPathsMatchReference:
-    """Every gcd-free route agrees with the public constructor QRat(num, den)."""
+class TestOperationsAreCanonical:
+    """Every operation gives the canonical QRat(num, den) of its result."""
 
     @given(rat_pairs())
     @example((QRat(P(1), P(1, -1)), QRat(P(0, 1), P(1, -1))))  # shared denominator
-    @example((QRat(P(1, 0, -1), P(0, 1)), QRat(P(0, 0, 1), P(1, -1))))  # cross-cancellation
+    @example((QRat(P(1, 0, -1), P(0, 1)), QRat(P(0, 0, 1), P(1, -1))))  # common factors across the product
     @settings(max_examples=80, deadline=None)
     def test_field_operations(self, pair):
         x, y = pair
@@ -247,16 +235,11 @@ class TestFastPathsMatchReference:
         assert_matches_reference(x + y, a * d + c * b, b * d)
         assert_matches_reference(x - y, a * d - c * b, b * d)
         assert_matches_reference(x * y, a * c, b * d)
-        if not y.is_zero():
-            assert_matches_reference(x / y, a * d, b * c)
 
-    @given(factored_rat, st.integers(min_value=-3, max_value=3))
+    @given(factored_rat, st.integers(min_value=0, max_value=3))
     @settings(max_examples=60, deadline=None)
     def test_powers(self, x, k):
-        if x.is_zero() and k < 0:
-            return
-        num, den = (x.num, x.den) if k >= 0 else (x.den, x.num)
-        assert_matches_reference(x**k, num ** abs(k), den ** abs(k))
+        assert_matches_reference(x**k, x.num**k, x.den**k)
 
     @given(factored_rat, st.sampled_from([0, 1, -1, 3, Fraction(2, 3), Fraction(-5, 7)]))
     @settings(max_examples=60, deadline=None)
@@ -272,9 +255,6 @@ class TestFastPathsMatchReference:
         a, b = x.num, x.den
         assert_matches_reference(x.subs_q_power(k), a.compose_power(k), b.compose_power(k))
         assert_matches_reference(x.subs_q_shift(c), a.compose_shift(c), b.compose_shift(c))
-        if not x.is_zero():
-            d = max(len(a.coeffs), len(b.coeffs)) - 1
-            assert_matches_reference(x.subs_q_inverse(), a.reversed_to(d), b.reversed_to(d))
 
 
 class TestNoFloats:
@@ -295,3 +275,24 @@ class TestNoFloats:
             QRat.q() * 0.5
         with pytest.raises(TypeError):
             0.5 * QRat.q()
+
+
+class TestChecksComparePolynomials:
+    """The reports compare polynomials in q: an identity with a rational
+    function of q is compared with its denominators cleared."""
+
+    def test_every_value_the_reports_build_is_a_polynomial(self, monkeypatch):
+        dens = []
+        real = QRat.__init__
+
+        def recording(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            dens.append(self.den.coeffs)
+
+        monkeypatch.setattr(QRat, "__init__", recording)
+        monkeypatch.setattr(gkm, "_space_cache", {})  # rebuild the pieces too
+        hessgraph._coloring_symfuncs.cache_clear()
+        verify_identities(HessenbergFunction((2, 3, 4, 4)))
+        gkm_report(HessenbergFunction((3, 3, 3)))
+        coinvariant_closed_form_check(4)
+        assert dens and set(dens) == {(1,)}
