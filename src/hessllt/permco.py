@@ -14,8 +14,9 @@ t_1..t_n by the elementary symmetric polynomials.  Its graded character
 is computed by exact trace differences: the trace on the degree-d
 quotient equals the trace on the orthogonal complement of the ideal's
 degree-d piece, whose basis is a certified integer nullspace (the
-identity in degree 0, where the ideal is empty).  One SubspaceTracer per
-degree traces every class representative, and
+identity in degree 0, where the ideal is empty), taken against the lex
+Groebner staircase basis of the ideal, which is proved in integers first.
+One SubspaceTracer per degree traces every class representative, and
 characters.graded_class_function assembles its Frobenius image.  Closed
 forms (alternating sums of induced characters), the q = 1 regular
 degeneration, palindromicity, Gaussian-binomial sums, and an
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -51,8 +52,8 @@ from .combinat import (
 from .errors import BudgetExceededError, check
 from .gkm import GKM_N_BUDGET, GkmModel, perm_monomial_map, quotient_graded_character
 from .hessgraph import HessenbergFunction, llt, orientation_e_expansion
-from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
-from .multipoly import monomial_exponents, monomial_positions, monomials
+from .linalg import SubspaceTracer, certified_integer_nullspace
+from .multipoly import monomial_exponents, monomial_positions
 from .qrat import QPoly, QRat, format_poly
 from .symfunc import SymFunc
 
@@ -292,52 +293,86 @@ def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> list[dict]:
 # ------------------------------------------------------------ coinvariants
 
 
-def _ideal_span_columns(n: int, d: int) -> np.ndarray:
-    """Spanning columns of the degree-d piece of the ideal (e_1, ..., e_n):
-    one column e_k * m per 1 <= k <= min(n, d) and monomial m of degree
-    d - k, its rows placed by monomial_positions.  The terms of e_k are the
-    degree-k monomials with no exponent above 1.  All coefficients are 0 or
-    1, in int64 (int8 overflows % p)."""
-    gens = range(1, min(n, d) + 1)
-    out = np.zeros((len(monomials(n, d)), sum(len(monomials(n, d - k)) for k in gens)), dtype=np.int64)
-    j = 0
-    for k in gens:
-        terms = monomial_exponents(n, k)
-        exps = monomial_exponents(n, d - k)[:, None, :] + terms[terms.max(axis=1) <= 1]
-        rows = monomial_positions(exps, d)
-        out[rows, np.arange(j, j + len(rows))[:, None]] = 1
-        j += len(rows)
+def _complete_terms(n: int, k: int, degree: int) -> np.ndarray:
+    """The exponent rows of h_degree(t_k, ..., t_n), descending lex; for
+    degree = k the terms of g_k, its leading term t_k^k first."""
+    exps = monomial_exponents(n, degree)
+    return exps[~exps[:, : k - 1].any(axis=1)]
+
+
+def _leading_variable(exps: np.ndarray) -> np.ndarray:
+    """For each exponent row u, the first k (1-based) with u_k >= k, whose
+    t_k^k divides t^u; 0 when there is none and t^u is standard."""
+    over = exps >= np.arange(1, exps.shape[-1] + 1)
+    return np.where(over.any(axis=-1), over.argmax(axis=-1) + 1, 0)
+
+
+def _staircase_columns(n: int, d: int) -> np.ndarray:
+    """The staircase basis of the degree-d ideal piece: for each non-standard
+    monomial u in the order of monomials(n, d), the column g_k * u / t_k^k
+    of its leading variable k, placed by monomial_positions.  Entries are 0
+    or 1, in int64 (int8 overflows % p)."""
+    exps = monomial_exponents(n, d)
+    lead = _leading_variable(exps)
+    reducible = np.flatnonzero(lead)
+    out = np.zeros((len(exps), len(reducible)), dtype=np.int64)
+    for k in range(1, n + 1):
+        cols = np.flatnonzero(lead[reducible] == k)
+        quotients = exps[reducible[cols]] - k * np.eye(n, dtype=np.int64)[k - 1]
+        out[monomial_positions(quotients[:, None, :] + _complete_terms(n, k, k), d), cols[:, None]] = 1
     return out
 
 
+def _certify_staircase(n: int) -> None:
+    """The certificate of coinvariant_graded_character, in exact integers;
+    raises ArithmeticError at its first failing step.  Step k checks g_k
+    first: the reduction of e_k reads g_1, ..., g_k only."""
+    elementary = [e[e.max(axis=1) <= 1] for j in range(n + 1) for e in [monomial_exponents(n, j)]]
+    for k in range(1, n + 1):
+        exps = monomial_exponents(n, k)
+        total = np.zeros(len(exps), dtype=np.int64)
+        for j in range(k + 1):
+            products = elementary[j][:, None, :] + _complete_terms(n, k, k - j)
+            np.add.at(total, monomial_positions(products, k), (-1) ** j)
+        if total.any():
+            raise ArithmeticError(f"g_{k} does not lie in the ideal of the elementary symmetric polynomials")
+        # lex division: each column cancels its leading monomial, touching only later ones
+        leads = monomial_positions(exps[_leading_variable(exps) > 0], k)
+        remainder = np.bincount(monomial_positions(elementary[k], k), minlength=len(exps))
+        for lead, column in zip(leads, _staircase_columns(n, k).T):
+            remainder -= remainder[lead] * column
+        if remainder.any():
+            raise ArithmeticError(f"e_{k} leaves a remainder modulo the staircase basis")
+    if not _leading_variable(monomial_exponents(n, n * (n - 1) // 2 + 1)).all():
+        raise ArithmeticError("the coinvariant quotient does not vanish above the top degree")
+
+
 def coinvariant_graded_character(n: int) -> SymFunc:
-    """Graded character of the coinvariant algebra, by exact trace
-    differences.
+    """Graded character of the coinvariant algebra, by exact trace differences.
 
     The degree-d trace equals the trace on the orthogonal complement of the
-    ideal piece inside the degree-d polynomials (the complement is invariant
-    because permutations act by orthogonal coordinate permutations on the
-    monomial basis); the complement is a certified integer nullspace of the
-    transposed span matrix, traced by one SubspaceTracer per degree.  Each
-    class is evaluated at two representatives where available, and the piece
-    one degree above the top is certified to vanish: the span matrix there
-    has full row rank mod p, hence over Q.  That rank is taken on the wide
-    span matrix itself (one row per monomial, fewer rows than columns), so
-    the elimination runs over the monomial rows and stops once every row
-    holds a pivot."""
+    ideal piece inside the degree-d polynomials (invariant, because
+    permutations act by orthogonal coordinate permutations on the monomial
+    basis): a certified integer nullspace of the transposed staircase basis,
+    traced by one SubspaceTracer per degree at up to two representatives
+    per class.  _certify_staircase proves that basis first.  In lex order
+    with t_1 > ... > t_n, g_k = h_k(t_k, ..., t_n) has leading term t_k^k
+    and lies in the ideal: sum_{j=0}^{k} (-1)^j e_j h_{k-j}(t_k, ..., t_n)
+    = 0, the z^k coefficient of prod_{i<k} (1 - t_i z).  Each e_k reduces
+    to 0 modulo the g's, so they generate the ideal; their leading terms
+    are pairwise coprime, so they are a Groebner basis (Buchberger's first
+    criterion).  So the columns g_k u / t_k^k of the non-standard u (some
+    u_k >= k), each led by u, are a basis of each ideal piece, and the
+    quotient vanishes above the top degree: no monomial there is standard."""
     if not 1 <= n <= COINVARIANT_BUDGET:
         raise BudgetExceededError(
             f"coinvariant characters support 1 <= n <= {COINVARIANT_BUDGET}, got n = {n}"
         )
-    top = n * (n - 1) // 2
+    _certify_staircase(n)
     tracers = [
-        SubspaceTracer(certified_integer_nullspace(_ideal_span_columns(n, d).T).T)
-        for d in range(top + 1)
+        SubspaceTracer(certified_integer_nullspace(_staircase_columns(n, d).T).T)
+        for d in range(n * (n - 1) // 2 + 1)
     ]
-    above = _ideal_span_columns(n, top + 1)
-    rank, _, _ = blocked_rref(above, SMALL_PRIMES[0], full=False)
-    if rank != len(above):
-        raise ArithmeticError("the coinvariant quotient does not vanish above the top degree")
 
     def series(sigma: tuple[int, ...]) -> list[int]:
         tau = inverse(sigma)
@@ -421,9 +456,16 @@ def coinvariant_flag_cross_check(n: int) -> bool:
     return quotient_graded_character(model, "dagger", "t_vars") == coinvariant_graded_character(n)
 
 
+def _q_minus_one_product(exponents) -> QPoly:
+    """prod over the exponents a of (q^a - 1)."""
+    return prod((QPoly.monomial(a) - QPoly.one() for a in exponents), start=QPoly.one())
+
+
 def q_binomial_sum_check(n: int, i: int) -> bool:
     """Whether sum over 1 <= a_1 < ... < a_i < n of x^(sum a_j - j) equals
-    the Gaussian binomial prod_{j=1}^i (x^{n-j} - 1)/(x^j - 1), exactly."""
+    the Gaussian binomial prod_{j=1}^i (x^{n-j} - 1)/(x^j - 1), exactly,
+    compared with the denominators cleared: the sum times
+    prod_{j=1}^i (x^j - 1) against the product side prod_{j=1}^i (x^{n-j} - 1)."""
     if not 1 <= i < n <= Q_BINOMIAL_BUDGET:
         raise BudgetExceededError(
             f"the Gaussian-binomial check supports 1 <= i < n <= {Q_BINOMIAL_BUDGET}"
@@ -431,10 +473,8 @@ def q_binomial_sum_check(n: int, i: int) -> bool:
     lhs = QPoly.zero()
     for a in combinations(range(1, n), i):
         lhs = lhs + QPoly.monomial(sum(a_j - j for j, a_j in enumerate(a, start=1)))
-    rhs = QRat.one()
-    for j in range(1, i + 1):
-        rhs = rhs * QRat(QPoly.monomial(n - j) - QPoly.one(), QPoly.monomial(j) - QPoly.one())
-    return rhs.is_polynomial() and rhs.as_poly() == lhs
+    cleared = lhs * _q_minus_one_product(range(1, i + 1))
+    return cleared == _q_minus_one_product([n - j for j in range(1, i + 1)])
 
 
 def complete_graph_agreement(n: int) -> list[dict]:

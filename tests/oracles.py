@@ -4,7 +4,8 @@ Each oracle recomputes an object of the library by the most literal method
 available, practical only at small n: induced Young characters by coset
 sums, csf and llt by enumerating colorings in pure Python, the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
-ideal subspace, the index maps of the moment graphs by tuple lookup, the
+ideal subspace, the index maps of the moment graphs and the spanning set
+e_k * m of the coinvariant ideal by tuple lookup, the
 congruence check, the actions, xi and the product of moment-graph classes on
 one polynomial dict per vertex, the flavor-Y pieces as the xi-transport of
 the X bases, with their dagger traces by SubspaceTracer, the basis tables of symfunc by direct
@@ -368,6 +369,20 @@ def subst_map_by_lookup(n: int, d: int, a: int, b: int) -> np.ndarray:
         del e2[a - 1]
         out.append(index[tuple(e2)])
     return np.array(out, dtype=np.intp)
+
+
+def ideal_span_columns(n: int, d: int) -> np.ndarray:
+    """A spanning set of the degree-d piece of the coinvariant ideal
+    (e_1, ..., e_n), the route permco's staircase basis replaces: one column
+    e_k * m per 1 <= k <= min(n, d) and monomial m of degree d - k, placed
+    by tuple lookup."""
+    idx = {e: k for k, e in enumerate(monomials(n, d))}
+    gens = [(k, m) for k in range(1, min(n, d) + 1) for m in monomials(n, d - k)]
+    out = np.zeros((len(idx), len(gens)), dtype=np.int64)
+    for j, (k, m) in enumerate(gens):
+        for S in itertools.combinations(range(n), k):
+            out[idx[tuple(a + (i in S) for i, a in enumerate(m))], j] = 1
+    return out
 
 
 def staircase_columns_by_lookup(model: GkmModel, d: int) -> np.ndarray:

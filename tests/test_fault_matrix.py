@@ -6,9 +6,9 @@ report: gkm_report of the complete graph at n = 3, permco_report(3),
 coinvariant_closed_form_check(3) or verify_identities(2,3,4,4).  Exact sets
 catch a check that silently stops failing as well as one that starts
 failing for the wrong reason.  A fault that the exact congruence check of
-the moment-graph pieces or classes, or the X certificate against the twin
-dimension, refuses makes the report raise instead; such faults pin the
-error.
+the moment-graph pieces or classes, the X certificate against the twin
+dimension, or the staircase certificate of the coinvariant ideal, refuses
+makes the report raise instead; such faults pin the error.
 Bumps of a character are made from the named characters with +, - and
 scale only, so the table does not depend on how a character is stored.
 """
@@ -180,6 +180,20 @@ def first_subset_dropped(real):
     return lambda pool, r: itertools.islice(real(pool, r), 1, None)
 
 
+def top_factor_without_its_one(real):
+    """The product side prod_j (q^{n-j} - 1) of the cleared Gaussian
+    binomial, the one product that starts at q^{n-1} - 1, with that factor
+    read as q^{n-1}."""
+
+    def product(exponents):
+        exponents = list(exponents)
+        if exponents[0] != N - 1:
+            return real(exponents)
+        return real(exponents[1:]) * QPoly.monomial(N - 1)
+
+    return product
+
+
 def reversal_one_too_far(real):
     return lambda self, deg: real(self, deg + 1)
 
@@ -266,7 +280,12 @@ TABLE = (
           "permco", "complete-graph-agreement"),
     fault("one-subset-dropped", wrap(permco, "combinations", first_subset_dropped), "permco",
           "gaussian-binomial-sums"),
-    # the span of the coinvariant ideal with two monomial rows traded
+    fault("gaussian-product-factor-without-its-one",
+          wrap(permco, "_q_minus_one_product", top_factor_without_its_one), "permco",
+          "gaussian-binomial-sums"),
+    # the staircase basis of the coinvariant ideal with two monomial rows
+    # traded: the ideal identities and the reductions of the e_k see the
+    # trade consistently and pass
     fault("span-locator-swaps-two-monomials",
           wrap(permco, "monomial_positions", swapped_degree_two_monomials), "permco",
           "coinvariant-closed-forms", "coinvariant-moment-graph-cross-check"),
@@ -406,6 +425,42 @@ def test_swapped_relabeling_is_refused_by_the_congruence_check(monkeypatch, repo
     wrap(gkm, "monomial_positions", swapped_degree_one_relabeling)(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(REFUSED[report])):
         REPORTS[report]()
+
+
+def staircase_column_short(degree: int, column: int):
+    """The staircase columns with the last term of one column of one degree
+    dropped."""
+
+    def make(real):
+        def short(n, d):
+            out = real(n, d)
+            if d == degree:
+                out = out.copy()
+                out[np.flatnonzero(out[:, column])[-1], column] = 0
+            return out
+
+        return short
+
+    return wrap(permco, "_staircase_columns", make)
+
+
+# The reduction of e_2 reads the last degree-2 column, g_2 without t_3^2
+# here, and leaves a remainder.  It never reads the first, g_1 t_1 without
+# t_1 t_3: the ideal piece is then not invariant, and the class
+# representatives of its quotient trace disagree.
+REFUSED_COLUMNS = {
+    "last": (staircase_column_short(2, -1), "e_2 leaves a remainder modulo the staircase basis"),
+    "first": (staircase_column_short(2, 0),
+              "class representatives of cycle type (3,) disagree: [1, -1, -2, 1] vs [1, -1, 0, 1]"),
+}
+
+
+@pytest.mark.parametrize("column", sorted(REFUSED_COLUMNS))
+def test_short_staircase_column_is_refused(monkeypatch, column):
+    patch, error = REFUSED_COLUMNS[column]
+    patch(monkeypatch)
+    with pytest.raises(ArithmeticError, match=re.escape(error)):
+        REPORTS["coinvariant"]()
 
 
 def test_kernel_dim_off_by_one_is_refused_by_the_x_certificate(monkeypatch):

@@ -1,15 +1,17 @@
 """Permutohedron face modules, coinvariant algebras, and closed forms."""
 
 import json
+import re
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 import hessllt.characters
 import hessllt.cli
-from hessllt import permco
+from hessllt import linalg, permco
 from hessllt.characters import (
     frobenius_char,
     frobenius_inverse,
@@ -22,7 +24,7 @@ from hessllt.combinat import all_permutations, compose, identity_perm
 from hessllt.errors import BudgetExceededError, VerificationError
 from hessllt.gkm import GkmModel, quotient_graded_character
 from hessllt.hessgraph import HessenbergFunction
-from hessllt.multipoly import monomials
+from hessllt.linalg import SMALL_PRIMES, blocked_rref, certified_integer_nullspace
 from hessllt.permco import (
     PermutohedronFace,
     coinvariant_closed_form_check,
@@ -40,7 +42,12 @@ from hessllt.permco import (
     q_factorial,
 )
 from hessllt.qrat import QPoly, QRat
-from oracles import face_image, polynomial_algebra_series, rational_palindromicity
+from oracles import (
+    face_image,
+    ideal_span_columns,
+    polynomial_algebra_series,
+    rational_palindromicity,
+)
 
 
 def stirling2(n, k):
@@ -166,40 +173,91 @@ class TestFaceModules:
                 assert checks[name]["passed"], (n, name, checks[name])
 
 
-def ideal_span_columns_by_loop(n, d):
-    """Oracle: one column e_k * m per k and monomial m of degree d - k,
-    placed by tuple lookup."""
-    idx = {e: k for k, e in enumerate(monomials(n, d))}
-    gens = [(k, m) for k in range(1, min(n, d) + 1) for m in monomials(n, d - k)]
-    out = np.zeros((len(idx), len(gens)), dtype=np.int64)
-    for j, (k, m) in enumerate(gens):
-        for S in combinations(range(n), k):
-            out[idx[tuple(a + (i in S) for i, a in enumerate(m))], j] = 1
-    return out
+def mahonian(n, d):
+    """The permutations of [n] with d inversions, counted."""
+    return sum(
+        sum(w[a] > w[b] for a, b in combinations(range(n), 2)) == d for w in all_permutations(n)
+    )
 
 
 class TestCoinvariants:
-    def test_ideal_span_columns_match_the_loop(self):
+    def test_staircase_nullspaces_match_the_ideal_span(self):
         for n in range(1, 6):
-            for d in range(n * (n - 1) // 2 + 2):
-                fast = permco._ideal_span_columns(n, d)
-                assert fast.dtype == np.int64
-                assert np.array_equal(fast, ideal_span_columns_by_loop(n, d)), (n, d)
+            for d in range(n * (n - 1) // 2 + 1):
+                staircase = permco._staircase_columns(n, d)
+                assert staircase.dtype == np.int64
+                size = comb(n + d - 1, d) - mahonian(n, d)
+                assert staircase.shape == (comb(n + d - 1, d), size), (n, d)
+                if size:
+                    assert blocked_rref(staircase, SMALL_PRIMES[0], full=False)[0] == size, (n, d)
+                assert np.array_equal(
+                    certified_integer_nullspace(staircase.T),
+                    certified_integer_nullspace(ideal_span_columns(n, d).T),
+                ), (n, d)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_each_degree_eliminates_its_ideal_piece_only(self, monkeypatch, n):
+        # dim I_d rows per nullspace, and no elimination one degree above the top
+        top = n * (n - 1) // 2
+        handed, eliminated = [], []
+        real_nullspace, real_rref = permco.certified_integer_nullspace, linalg.blocked_rref
+
+        def nullspace(A):
+            handed.append(A.shape)
+            return real_nullspace(A)
+
+        def rref(A, p, full=True):
+            eliminated.append(np.shape(A))
+            return real_rref(A, p, full)
+
+        monkeypatch.setattr(permco, "certified_integer_nullspace", nullspace)
+        monkeypatch.setattr(linalg, "blocked_rref", rref)
+        coinvariant_graded_character(n)
+        sizes = [comb(n + d - 1, d) for d in range(top + 2)]
+        assert handed == [(sizes[d] - mahonian(n, d), sizes[d]) for d in range(top + 1)]
+        assert eliminated and all(cols in sizes[: top + 1] for _, cols in eliminated)
+        assert not any(sizes[top + 1] in shape for shape in eliminated)
 
     def test_nonvanishing_above_the_top_degree_raises(self, monkeypatch):
-        # zero one monomial row of the span one degree above the top: the
-        # quotient then has a nonzero piece there, and the rank check of
-        # that span must see it in either orientation
-        real = permco._ideal_span_columns
+        # one monomial of degree top + 1 = 7 read as standard: the quotient
+        # then has a nonzero piece there
+        real = permco._leading_variable
 
-        def one_row_short(n, d):
-            out = real(n, d)
-            if d == n * (n - 1) // 2 + 1:
+        def one_standard_above_the_top(exps):
+            out = real(exps)
+            if exps[0].sum() == 7:
                 out[len(out) // 2] = 0
             return out
 
-        monkeypatch.setattr(permco, "_ideal_span_columns", one_row_short)
-        with pytest.raises(ArithmeticError, match="does not vanish"):
+        monkeypatch.setattr(permco, "_leading_variable", one_standard_above_the_top)
+        with pytest.raises(ArithmeticError, match="does not vanish above the top degree"):
+            coinvariant_graded_character(4)
+
+    def test_a_generator_outside_the_ideal_is_refused(self, monkeypatch):
+        # g_3 = h_3(t_3, t_4) without its last term t_4^3
+        real = permco._complete_terms
+        monkeypatch.setattr(
+            permco, "_complete_terms",
+            lambda n, k, degree: real(n, k, degree)[: -1 if k == degree == 3 else None],
+        )
+        with pytest.raises(ArithmeticError, match=re.escape(
+            "g_3 does not lie in the ideal of the elementary symmetric polynomials"
+        )):
+            coinvariant_graded_character(4)
+
+    def test_an_elementary_polynomial_with_a_remainder_is_refused(self, monkeypatch):
+        # t_1 t_2 read as standard: no staircase column leads with it, so e_2 keeps it
+        real = permco._leading_variable
+
+        def t1_t2_standard(exps):
+            out = real(exps)
+            out[(exps == (1, 1, 0, 0)).all(axis=-1)] = 0
+            return out
+
+        monkeypatch.setattr(permco, "_leading_variable", t1_t2_standard)
+        with pytest.raises(ArithmeticError, match=re.escape(
+            "e_2 leaves a remainder modulo the staircase basis"
+        )):
             coinvariant_graded_character(4)
 
     def test_graded_character_small(self):
