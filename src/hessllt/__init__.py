@@ -1,6 +1,7 @@
 """Exact-arithmetic chromatic/LLT symmetric functions for unit interval
 graphs, with moment-graph cohomology models, permutohedron face modules,
-and coinvariant algebras, all over Fraction coefficients.
+and coinvariant algebras, all with exact rational coefficients: each
+polynomial in q holds integer numerators over one shared denominator.
 """
 
 from .combinat import (

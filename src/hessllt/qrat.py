@@ -1,23 +1,31 @@
 """Exact polynomial and rational-function arithmetic in one grading variable q.
 
-All coefficients are arbitrary-precision rationals (fractions.Fraction);
-nothing in this package touches floating point.  A QPoly is a dense tuple
-of coefficients indexed by the power of q, with trailing zeros stripped,
-so the zero polynomial is the empty tuple and its degree is None rather
-than a number.  A QRat is a quotient of two QPoly values kept in canonical
-form:
+All coefficients are exact rationals; nothing in this package touches
+floating point.  A QPoly holds integers over one shared denominator: num is
+a dense tuple of Python ints indexed by the power of q, with trailing zeros
+stripped, and den is a positive int.  Its canonical form is
+gcd(den, *num) = 1, and the zero polynomial is ((), 1), whose degree is None
+rather than a number.  The one normalizer _make enforces that form, so
+equality and hashing are structural, and every operation works in ints: a
+sum aligns the two denominators by their lcm, a product convolves the
+numerators and multiplies the denominators.  One denominator per polynomial
+is enough, as the p-basis coefficients have denominators dividing z_mu
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I).  The read-only
+view QPoly.coeffs gives the coefficients as Fractions, and so do leading and
+coeff.  A QRat is a quotient of two QPoly values kept in canonical form:
 
     gcd(numerator, denominator) = 1 and the denominator is monic.
 
 Equality and hashing are therefore structural.  Every QRat is built by the
-constructor QRat(num, den), which converts every coefficient and cancels by
-a full Euclid gcd; QPoly.gcd returns 1 at once when either operand is a
-nonzero constant, so a polynomial value costs no Euclid loop.  The checks of
-the package compare polynomials only: an identity with a rational function
-of q is compared with its denominators cleared.  A sum over a shared
-denominator, a/b + c/b = (a + c)/b, forms no product of denominators, and a
-scalar multiple scales the numerator alone.  A float is refused with
-TypeError (0.1 would enter as 3602879701896397/36028797018963968).
+constructor QRat(num, den), which cancels by a full Euclid gcd; QPoly.gcd
+returns 1 at once when either operand is a nonzero constant, so a polynomial
+value costs no Euclid loop.  That loop (divmod and the non-constant branch
+of gcd) works on the Fraction view, and no report reaches it.  The checks
+of the package compare polynomials only: an identity with a rational
+function of q is compared with its denominators cleared.  A sum over a
+shared denominator, a/b + c/b = (a + c)/b, forms no product of
+denominators, and a scalar multiple scales the numerator alone.  A float is
+refused with TypeError (0.1 would enter as 3602879701896397/36028797018963968).
 """
 
 from __future__ import annotations
@@ -32,44 +40,59 @@ Scalar = Union[int, Fraction]
 RatLike = Union["QRat", "QPoly", int, Fraction]
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 def _exact(c: Scalar) -> Fraction:
     if isinstance(c, float):  # numpy.floating subclasses float
         raise TypeError(f"float {c!r} in exact arithmetic; pass an int or Fraction")
     return Fraction(c)
 
 
-def _poly(coeffs: list[Fraction]) -> QPoly:
-    """QPoly from a list of Fractions: strips trailing zeros, no conversion."""
+def _make(num: list[int], den: int) -> QPoly:
+    """The canonical QPoly num/den: no trailing zero, den > 0 and
+    gcd(den, *num) = 1.  den is a nonzero int."""
+    while num and not num[-1]:
+        num.pop()
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num, den = [a // g for a in num], den // g
     p = QPoly.__new__(QPoly)
-    p.coeffs = _strip(coeffs)
+    p.num, p.den = tuple(num), den
     return p
 
 
 class QPoly:
-    """Dense univariate polynomial in q over Fraction."""
+    """Dense univariate polynomial in q: integer numerators over one positive
+    denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        self.coeffs: tuple[Fraction, ...] = _strip([_exact(c) for c in coeffs])
+        coeffs = list(coeffs)
+        if all(type(c) is int for c in coeffs):
+            p = _make(coeffs, 1)
+        else:
+            fracs = [_exact(c) for c in coeffs]
+            den = math.lcm(*(f.denominator for f in fracs))
+            p = _make([f.numerator * (den // f.denominator) for f in fracs], den)
+        self.num, self.den = p.num, p.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, indexed by the power of q."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     @staticmethod
     def zero() -> QPoly:
-        return QPoly()
+        return _make([], 1)
 
     @staticmethod
     def one() -> QPoly:
-        return _poly([Fraction(1)])
+        return _make([1], 1)
 
     @staticmethod
     def q() -> QPoly:
-        return QPoly([0, 1])
+        return _make([0, 1], 1)
 
     @staticmethod
     def monomial(k: int, c: Scalar = 1) -> QPoly:
@@ -81,48 +104,51 @@ class QPoly:
     @property
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial (never a valid index)."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.num) - 1 if self.num else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
 
     def __add__(self, other: QPoly) -> QPoly:
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.num, other.num, self.den
+        if other.den != den:
+            den = math.lcm(den, other.den)
+            a = [x * (den // self.den) for x in a]
+            b = [x * (den // other.den) for x in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return _poly(out)
+        return _make(out, den)
 
     def __neg__(self) -> QPoly:
-        return _poly([-c for c in self.coeffs])
+        return _make([-a for a in self.num], self.den)
 
     def __sub__(self, other: QPoly) -> QPoly:
         return self + (-other)
 
     def __mul__(self, other: QPoly) -> QPoly:
-        if not self.coeffs or not other.coeffs:
-            return QPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        if not self.num or not other.num:
+            return QPoly.zero()
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-        return _poly(out)
+                for j, b in enumerate(other.num):
+                    out[i + j] += a * b
+        return _make(out, self.den * other.den)
 
     def scale(self, c: Scalar) -> QPoly:
         c = _exact(c)
-        return _poly([a * c for a in self.coeffs])
+        return _make([a * c.numerator for a in self.num], self.den * c.denominator)
 
     def __pow__(self, k: int) -> QPoly:
         if k < 0:
@@ -136,29 +162,26 @@ class QPoly:
         return out
 
     def divmod(self, other: QPoly) -> tuple[QPoly, QPoly]:
-        """Exact polynomial division with remainder."""
+        """Exact polynomial division with remainder, on the Fraction view."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dq = len(other.coeffs) - 1, other.leading()
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
+        rem, div = list(self.coeffs), other.coeffs
+        dd, dq = len(div) - 1, div[-1]
+        quot = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i] / dq
             if c:
                 quot[i - dd] = c
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(div):
                     rem[i - dd + j] -= c * b
-        return _poly(quot), _poly(rem)
+        return QPoly(quot), QPoly(rem)
 
     def monic(self) -> QPoly:
-        if self.is_zero():
-            return self
-        lead = self.leading()
-        return _poly([c / lead for c in self.coeffs])
+        return _make(list(self.num), self.num[-1]) if self.num else self
 
     def gcd(self, other: QPoly) -> QPoly:
         """Monic greatest common divisor."""
-        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+        if len(self.num) == 1 or len(other.num) == 1:
             return QPoly.one()  # a nonzero constant divides everything
         a, b = self, other
         while not b.is_zero():
@@ -166,45 +189,50 @@ class QPoly:
         return a.monic()
 
     def evaluate(self, point: Scalar) -> Fraction:
+        """Horner in ints at point = r/s, with one Fraction at the end."""
         point = _exact(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+        r, s = point.numerator, point.denominator
+        acc, sk = 0, 1
+        for a in reversed(self.num):
+            acc = acc * r + a * sk
+            sk *= s
+        return Fraction(acc * s, self.den * sk)
 
     def compose_power(self, k: int) -> QPoly:
         """Substitute q -> q^k for k >= 1."""
         if k < 1:
             raise ValueError("power substitution needs k >= 1")
-        out = [Fraction(0)] * (k * len(self.coeffs) or 1)
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return _poly(out)
+        out = [0] * (k * len(self.num) - k + 1)
+        out[::k] = self.num
+        return _make(out, self.den)
 
     def compose_shift(self, c: Scalar) -> QPoly:
-        """Substitute q -> q + c."""
-        shift = _poly([_exact(c), Fraction(1)])
-        acc = QPoly()
-        for a in reversed(self.coeffs):
-            acc = acc * shift + _poly([a])
-        return acc
+        """Substitute q -> q + c.  For c = r/s the integer Taylor shift by r
+        of s^d p(y/s), at y = s q, is s^d p(q + c)."""
+        if not self.num:
+            return self
+        c = _exact(c)
+        r, s = c.numerator, c.denominator
+        d = len(self.num) - 1
+        out = [a * s ** (d - i) for i, a in enumerate(self.num)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                out[j] += r * out[j + 1]
+        return _make([b * s**i for i, b in enumerate(out)], self.den * s**d)
 
     def reversed_to(self, deg: int) -> QPoly:
         """q^deg * p(1/q), valid when deg >= degree of p."""
         if self.is_zero():
             return self
-        if deg < len(self.coeffs) - 1:
+        if deg < len(self.num) - 1:
             raise ValueError("reversal degree below polynomial degree")
-        out = [Fraction(0)] * (deg + 1)
-        for i, c in enumerate(self.coeffs):
-            out[deg - i] = c
-        return _poly(out)
+        return _make([0] * (deg + 1 - len(self.num)) + list(reversed(self.num)), self.den)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return isinstance(other, QPoly) and self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"QPoly({format_poly(self)})"
@@ -215,8 +243,9 @@ def format_poly(p: QPoly) -> str:
     if p.is_zero():
         return "0"
     parts: list[str] = []
-    for k in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[k]
+    coeffs = p.coeffs
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         if k == 0:
@@ -234,7 +263,7 @@ def format_poly(p: QPoly) -> str:
 
 def _exquo(p: QPoly, g: QPoly) -> QPoly:
     """p / g for a monic divisor g of p."""
-    return p if len(g.coeffs) == 1 else p.divmod(g)[0]
+    return p if len(g.num) == 1 else p.divmod(g)[0]
 
 
 class QRat:
@@ -254,10 +283,9 @@ class QRat:
             return
         g = num.gcd(den)
         num, den = _exquo(num, g), _exquo(den, g)
-        lead = den.leading()
-        if lead != 1:
-            num = num.scale(Fraction(1) / lead)
-            den = den.scale(Fraction(1) / lead)
+        if den.num[-1] != den.den:  # the leading coefficient is not 1
+            inv = Fraction(den.den, den.num[-1])
+            num, den = num.scale(inv), den.scale(inv)
         self.num, self.den = num, den
 
     @staticmethod
@@ -284,7 +312,7 @@ class QRat:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den.coeffs == (1,)
+        return self.den.num == (1,) and self.den.den == 1
 
     def as_poly(self) -> QPoly:
         if not self.is_polynomial():
@@ -333,6 +361,8 @@ class QRat:
 
     def evaluate(self, point: Scalar) -> Fraction:
         """Value at a rational point; the canonical form makes poles genuine."""
+        if self.is_polynomial():
+            return self.num.evaluate(point)
         dv = self.den.evaluate(point)
         if dv == 0:
             raise PoleError(f"pole at q = {Fraction(point)}")
@@ -348,25 +378,22 @@ class QRat:
         )
 
     def __hash__(self) -> int:
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def to_string(self) -> str:
         """Canonical serialization '(num)/(den)' with integer coefficients.
 
         Both polynomials are scaled by the same positive rational so that all
-        printed coefficients are integers with overall gcd 1 and the
-        denominator's leading coefficient is positive.
+        printed coefficients are integers with overall gcd 1; the
+        denominator's leading coefficient stays positive, as it is monic.
         """
         if self.is_zero():
             return "(0)/(1)"
-        coeffs = self.num.coeffs + self.den.coeffs
-        lcm = math.lcm(*(c.denominator for c in coeffs))
-        scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in coeffs)))
-        num = self.num.scale(scale)
-        den = self.den.scale(scale)
-        if den.leading() < 0:
-            num, den = num.scale(-1), den.scale(-1)
-        return f"({format_poly(num)})/({format_poly(den)})"
+        lcm = math.lcm(self.num.den, self.den.den)
+        num = [a * (lcm // self.num.den) for a in self.num.num]
+        den = [a * (lcm // self.den.den) for a in self.den.num]
+        g = math.gcd(*num, *den)
+        return f"({format_poly(_make(num, g))})/({format_poly(_make(den, g))})"
 
     def __str__(self) -> str:
         return self.to_string()

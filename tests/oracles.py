@@ -14,14 +14,18 @@ relabeling each face.  The character of the polynomial ring and the
 substitution q -> 1/q are computed as rational functions of q: they are the
 routes that the checks of the library replace by cleared denominators.
 frac_rref, the Fraction echelon form, is also the
-oracle of the certified mod-p engine.  The named basis elements are here
-for the tests that build symmetric functions by hand.
+oracle of the certified mod-p engine.  FractionPoly, the dense polynomial
+with one Fraction per coefficient, is the oracle of the integer-numerator
+QPoly, and fraction_rat_string of QRat.to_string.  The named basis elements
+are here for the tests that build symmetric functions by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -54,7 +58,7 @@ from hessllt.gkm import (
 from hessllt.hessgraph import HessenbergFunction, _tally_poly
 from hessllt.multipoly import MPoly, monomials, mp_mul, mp_permute, mp_sub
 from hessllt.permco import PermutohedronFace
-from hessllt.qrat import QPoly, QRat
+from hessllt.qrat import QPoly, QRat, Scalar, format_poly
 from hessllt.symfunc import SymFunc, murnaghan_nakayama
 
 
@@ -456,3 +460,203 @@ def xi_by_dicts(model: GkmModel, values: list[MPoly], direction: str) -> list[MP
 def product_by_dicts(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     """The vertexwise product of two classes."""
     return [mp_mul(x, y) for x, y in zip(a, b)]
+
+
+def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _exact_fraction(c: Scalar) -> Fraction:
+    if isinstance(c, float):  # numpy.floating subclasses float
+        raise TypeError(f"float {c!r} in exact arithmetic; pass an int or Fraction")
+    return Fraction(c)
+
+
+def _fraction_poly(coeffs: list[Fraction]) -> FractionPoly:
+    """FractionPoly from a list of Fractions: strips trailing zeros, no conversion."""
+    p = FractionPoly.__new__(FractionPoly)
+    p.coeffs = _strip(coeffs)
+    return p
+
+
+class FractionPoly:
+    """Dense univariate polynomial in q over Fraction, one Fraction per
+    coefficient: the oracle of the integer-numerator QPoly."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        self.coeffs: tuple[Fraction, ...] = _strip([_exact_fraction(c) for c in coeffs])
+
+    @staticmethod
+    def zero() -> FractionPoly:
+        return FractionPoly()
+
+    @staticmethod
+    def one() -> FractionPoly:
+        return _fraction_poly([Fraction(1)])
+
+    @staticmethod
+    def q() -> FractionPoly:
+        return FractionPoly([0, 1])
+
+    @staticmethod
+    def monomial(k: int, c: Scalar = 1) -> FractionPoly:
+        """c * q^k with k >= 0."""
+        if k < 0:
+            raise ValueError("monomial exponent must be nonnegative")
+        return FractionPoly([0] * k + [c])
+
+    @property
+    def degree(self) -> int | None:
+        """Degree, or None for the zero polynomial (never a valid index)."""
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def leading(self) -> Fraction:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, k: int) -> Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other: FractionPoly) -> FractionPoly:
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _fraction_poly(out)
+
+    def __neg__(self) -> FractionPoly:
+        return _fraction_poly([-c for c in self.coeffs])
+
+    def __sub__(self, other: FractionPoly) -> FractionPoly:
+        return self + (-other)
+
+    def __mul__(self, other: FractionPoly) -> FractionPoly:
+        if not self.coeffs or not other.coeffs:
+            return FractionPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] += a * b
+        return _fraction_poly(out)
+
+    def scale(self, c: Scalar) -> FractionPoly:
+        c = _exact_fraction(c)
+        return _fraction_poly([a * c for a in self.coeffs])
+
+    def __pow__(self, k: int) -> FractionPoly:
+        if k < 0:
+            raise ValueError("negative power of a polynomial")
+        out, base = FractionPoly.one(), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def divmod(self, other: FractionPoly) -> tuple[FractionPoly, FractionPoly]:
+        """Exact polynomial division with remainder."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dd, dq = len(other.coeffs) - 1, other.leading()
+        quot = [Fraction(0)] * max(len(rem) - dd, 0)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            c = rem[i] / dq
+            if c:
+                quot[i - dd] = c
+                for j, b in enumerate(other.coeffs):
+                    rem[i - dd + j] -= c * b
+        return _fraction_poly(quot), _fraction_poly(rem)
+
+    def monic(self) -> FractionPoly:
+        if self.is_zero():
+            return self
+        lead = self.leading()
+        return _fraction_poly([c / lead for c in self.coeffs])
+
+    def gcd(self, other: FractionPoly) -> FractionPoly:
+        """Monic greatest common divisor."""
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            return FractionPoly.one()  # a nonzero constant divides everything
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def evaluate(self, point: Scalar) -> Fraction:
+        point = _exact_fraction(point)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * point + c
+        return acc
+
+    def compose_power(self, k: int) -> FractionPoly:
+        """Substitute q -> q^k for k >= 1."""
+        if k < 1:
+            raise ValueError("power substitution needs k >= 1")
+        out = [Fraction(0)] * (k * len(self.coeffs) or 1)
+        for i, c in enumerate(self.coeffs):
+            out[k * i] = c
+        return _fraction_poly(out)
+
+    def compose_shift(self, c: Scalar) -> FractionPoly:
+        """Substitute q -> q + c."""
+        shift = _fraction_poly([_exact_fraction(c), Fraction(1)])
+        acc = FractionPoly()
+        for a in reversed(self.coeffs):
+            acc = acc * shift + _fraction_poly([a])
+        return acc
+
+    def reversed_to(self, deg: int) -> FractionPoly:
+        """q^deg * p(1/q), valid when deg >= degree of p."""
+        if self.is_zero():
+            return self
+        if deg < len(self.coeffs) - 1:
+            raise ValueError("reversal degree below polynomial degree")
+        out = [Fraction(0)] * (deg + 1)
+        for i, c in enumerate(self.coeffs):
+            out[deg - i] = c
+        return _fraction_poly(out)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, FractionPoly) and self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"FractionPoly({format_poly(self)})"
+
+
+def fraction_rat_string(num: FractionPoly, den: FractionPoly) -> str:
+    """QRat(num, den).to_string() on FractionPoly: cancel the monic gcd, make
+    the denominator monic, then scale both by one positive rational to
+    coprime integers."""
+    if den.is_zero():
+        raise ZeroDivisionError("rational function with zero denominator")
+    if num.is_zero():
+        return "(0)/(1)"
+    g = num.gcd(den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lead = den.leading()
+    num, den = num.scale(1 / lead), den.scale(1 / lead)
+    coeffs = num.coeffs + den.coeffs
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    scale = Fraction(lcm, math.gcd(*(int(c * lcm) for c in coeffs)))
+    num, den = num.scale(scale), den.scale(scale)
+    if den.leading() < 0:
+        num, den = num.scale(-1), den.scale(-1)
+    return f"({format_poly(num)})/({format_poly(den)})"

@@ -16,6 +16,7 @@ scale only, so the table does not depend on how a character is stored.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -198,6 +199,13 @@ def reversal_one_too_far(real):
     return lambda self, deg: real(self, deg + 1)
 
 
+def second_addend_unscaled(real):
+    """QPoly addition that aligns mixed denominators on the first operand
+    only: the numerators of the second are read over the lcm unscaled."""
+    return lambda self, other: real(
+        self, other.scale(Fraction(other.den, math.lcm(self.den, other.den))))
+
+
 def face_module_bump(i: int, delta: Callable):
     return wrap(
         permco, "face_module_character",
@@ -323,6 +331,20 @@ TABLE = (
           "gkm", "equivariant-palindromicity"),
     fault("reversal-one-degree-too-far", wrap(QPoly, "reversed_to", reversal_one_too_far),
           "coinvariant", "palindromicity_with_sign_twist", "polynomial_ring_palindromicity"),
+    # A mixed-denominator sum misreads its second operand, so the conversions
+    # of csf and llt from m to p come out wrong; csf palindromicity holds for
+    # any rational combination of the palindromic m coefficients, which is
+    # all the fault changes.
+    fault("second-addend-unscaled", wrap(QPoly, "__add__", second_addend_unscaled), "identities",
+          "llt palindromicity", "carlson-mellit relation", "plethystic inversion, contracted",
+          "plethystic inversion, expanded", "llt at q=1 is the regular representation",
+          "orientation model of the shifted e expansion"),
+    fault("second-addend-unscaled", wrap(QPoly, "__add__", second_addend_unscaled), "coinvariant",
+          "closed_form_with_induced_trivial", "closed_form_with_induced_sign"),
+    # the mixed sums of the gkm report, in the conversion of the complete
+    # graph's csf and llt, all have an integer first operand, so the lcm is
+    # the second operand's own denominator and no value changes
+    fault("second-addend-unscaled", wrap(QPoly, "__add__", second_addend_unscaled), "gkm"),
     fault("q-factorial-off-by-one",
           wrap(permco, "q_factorial", lambda real: lambda n: real(n) + QPoly.one()),
           "coinvariant", "identity_value_is_q_factorial"),
@@ -425,6 +447,17 @@ def test_swapped_relabeling_is_refused_by_the_congruence_check(monkeypatch, repo
     wrap(gkm, "monomial_positions", swapped_degree_one_relabeling)(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(REFUSED[report])):
         REPORTS[report]()
+
+
+# The face module characters are sums of induced characters whose p
+# coefficients have mixed denominators, so under the fault the shifted face
+# series has a non-integer multiplicity and permco_report raises.
+def test_unscaled_second_addend_is_refused_by_the_face_series(monkeypatch):
+    wrap(QPoly, "__add__", second_addend_unscaled)(monkeypatch)
+    with pytest.raises(ArithmeticError, match=re.escape(
+            "degree-0 coefficient of the shifted face series is not a genuine character "
+            "(multiplicity 1/3 at (3,))")):
+        REPORTS["permco"]()
 
 
 def staircase_column_short(degree: int, column: int):

@@ -1,5 +1,6 @@
 """Exact univariate polynomial and rational-function arithmetic."""
 
+import math
 from fractions import Fraction
 from functools import reduce
 
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessllt import (HessenbergFunction, QPoly, QRat, coinvariant_closed_form_check, format_poly,
-                     gkm, gkm_report, hessgraph, verify_identities)
+                     gkm, gkm_report, hessgraph, symfunc, verify_identities)
 from hessllt.errors import PoleError
+from oracles import FractionPoly, fraction_rat_string
 
 q = QPoly.q()
 
@@ -296,3 +298,144 @@ class TestChecksComparePolynomials:
         gkm_report(HessenbergFunction((3, 3, 3)))
         coinvariant_closed_form_check(4)
         assert dens and set(dens) == {(1,)}
+
+
+# Coefficients with non-trivial denominators and both signs.
+coefficient = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+coefficient_list = st.lists(coefficient, max_size=5)
+fraction_point = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+nonzero_scalar = st.one_of(st.integers(min_value=-6, max_value=6).filter(bool), fraction_point.filter(bool))
+_COMMON = [[1, -1], [1, 1], [0, 1], [Fraction(1, 2), 0, 1], [-3, 1, 1]]
+
+
+def assert_canonical(p: QPoly) -> None:
+    """den > 0, gcd(den, *num) = 1, no trailing zero, and zero is ((), 1)."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(a) is int for a in p.num)
+    assert math.gcd(p.den, *p.num) == 1
+    assert not p.num or p.num[-1] != 0
+    assert p.num or p.den == 1
+
+
+def same(p: QPoly, f: FractionPoly) -> None:
+    """p is canonical and holds the value of the oracle f."""
+    assert_canonical(p)
+    assert p.coeffs == f.coeffs
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+class TestAgainstFractionPoly:
+    """Every operation of the integer-numerator QPoly against the Fraction
+    oracle, on coefficients with denominators and both signs."""
+
+    @given(coefficient_list, coefficient_list, st.integers(min_value=0, max_value=3),
+           st.one_of(coefficient, nonzero_scalar))
+    @example([Fraction(1, 2)], [Fraction(1, 3), Fraction(-1, 6)], 2, Fraction(3, 2))
+    @example([Fraction(1, 2), 1], [Fraction(-1, 2), 1], 1, 2)  # the sum is an integer polynomial
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations(self, a, b, k, c):
+        (p, f), (r, g) = (QPoly(a), FractionPoly(a)), (QPoly(b), FractionPoly(b))
+        same(p, f)
+        same(p + r, f + g)
+        same(p - r, f - g)
+        same(-p, -f)
+        same(p * r, f * g)
+        same(p.scale(c), f.scale(c))
+        same(p**k, f**k)
+
+    @given(coefficient_list, coefficient_list, st.sampled_from(_COMMON))
+    @settings(max_examples=100, deadline=None)
+    def test_division_gcd_and_monic(self, a, b, common):
+        f, g = FractionPoly(a) * FractionPoly(common), FractionPoly(b) * FractionPoly(common)
+        p, r = QPoly(a) * QPoly(common), QPoly(b) * QPoly(common)
+        if not r.is_zero():
+            (pq, pr), (fq, fr) = p.divmod(r), f.divmod(g)
+            same(pq, fq)
+            same(pr, fr)
+        same(p.gcd(r), f.gcd(g))
+        same(p.monic(), f.monic())
+
+    @given(coefficient_list, fraction_point, st.integers(min_value=1, max_value=3),
+           st.integers(min_value=-3, max_value=3), fraction_point, st.integers(min_value=0, max_value=2))
+    @example([Fraction(2, 3), 0, Fraction(-1, 4)], Fraction(-3, 2), 2, -2, Fraction(5, 3), 1)
+    @settings(max_examples=150, deadline=None)
+    def test_evaluation_substitutions_and_views(self, a, point, k, c, frac_c, extra):
+        p, f = QPoly(a), FractionPoly(a)
+        value = p.evaluate(point)
+        assert type(value) is Fraction and value == f.evaluate(point)
+        same(p.compose_power(k), f.compose_power(k))
+        same(p.compose_shift(c), f.compose_shift(c))
+        same(p.compose_shift(frac_c), f.compose_shift(frac_c))
+        deg = (p.degree or 0) + extra
+        same(p.reversed_to(deg), f.reversed_to(deg))
+        assert p.degree == f.degree
+        assert [p.coeff(i) for i in range(-1, len(a) + 2)] == [f.coeff(i) for i in range(-1, len(a) + 2)]
+        assert p.is_zero() or p.leading() == f.leading()
+        assert format_poly(p) == format_poly(f)
+
+    @given(coefficient_list, coefficient_list.filter(lambda cs: FractionPoly(cs).degree),
+           st.sampled_from(_COMMON))
+    @example([Fraction(1, 2), Fraction(1, 2)], [-1, 1], [1])
+    @settings(max_examples=100, deadline=None)
+    def test_qrat_to_string(self, a, b, common):
+        num, den = FractionPoly(a) * FractionPoly(common), FractionPoly(b) * FractionPoly(common)
+        r = QRat(QPoly(num.coeffs), QPoly(den.coeffs))
+        assert r.to_string() == fraction_rat_string(num, den)
+        assert_canonical(r.num)
+        assert_canonical(r.den)
+
+    @given(coefficient_list, coefficient_list, nonzero_scalar)
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_are_equal_with_equal_hashes(self, a, b, c):
+        p, r = QPoly(a), QPoly(b)
+        for other in ((p + r) - r, p.scale(c).scale(1 / Fraction(c)), QPoly(list(a) + [0, Fraction(0)]),
+                      QPoly(Fraction(x) for x in a)):
+            assert_canonical(other)
+            assert (other.num, other.den) == (p.num, p.den)
+            assert other == p and hash(other) == hash(p)
+        if not r.is_zero():
+            assert hash(QRat(p * r, r)) == hash(QRat(p))
+
+    def test_zero_is_the_empty_numerator_over_one(self):
+        p = QPoly([Fraction(1, 3), Fraction(-2, 7)])
+        for zero in (QPoly(), QPoly.zero(), QPoly([0, Fraction(0)]), p - p, p.scale(0),
+                     p * QPoly.zero(), QPoly([Fraction(1, 2)]).compose_shift(3) - QPoly([Fraction(1, 2)])):
+            assert (zero.num, zero.den) == ((), 1)
+
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+    "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+class TestNoFractionArithmeticOnTheIdentityPath:
+    """With its basis tables built, the identity suite of one h runs in the
+    integers of QPoly: no Fraction operator is called, csf and llt included."""
+
+    def test_verify_identities_calls_no_fraction_operator(self, monkeypatch):
+        symfunc.tables(4)
+        hessgraph._coloring_symfuncs.cache_clear()  # csf and llt are built in the run
+        calls = []
+
+        def counting(name):
+            real = getattr(Fraction, name)
+
+            def op(*args):
+                calls.append(name)
+                return real(*args)
+
+            return op
+
+        for name in FRACTION_ARITHMETIC:
+            monkeypatch.setattr(Fraction, name, counting(name))
+        assert Fraction(1, 2) * 3 == Fraction(3, 2) and calls == ["__mul__"]
+        calls.clear()
+        report = verify_identities(HessenbergFunction((2, 3, 4, 4)))
+        monkeypatch.undo()
+        assert report and all(c["passed"] for c in report)
+        assert calls == []
