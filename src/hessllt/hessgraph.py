@@ -8,15 +8,20 @@ sums over colorings kappa: [n] -> colors live here:
   over proper colorings (adjacent vertices differ);
 * llt(h): the unicellular LLT polynomial, the same sum over all colorings.
 
-Both are symmetric, which is asserted on the raw exponent-vector weights
-before any monomial coefficient is read off.  All n^n colorings with n
-colors, which is enough in degree n, are enumerated with exact integer numpy
-counting: each coloring becomes one int64 key, its content vector read as a
-radix-(n+1) number times (|h| + 1) plus its ascents, and one 1-D sort with
-counts groups them.  The tally read off the dominant exponent vectors is
-the m expansion; it is converted to the p basis once and cached there,
-because omega and plethysm act diagonally on p (Macdonald, ch. I), so every
-identity of verify_identities is checked without leaving p.
+Both come from Gessel's fundamental quasisymmetric expansion (Gessel 1984;
+Shareshian-Wachs 2016, Thm 3.1).  Rank the vertices of a coloring by
+(kappa(v), -v), and let pos(k) be the vertex of rank k.  The ranking fixes
+asc, the edges a < b ranked a first, and the colorings with that ranking
+are the weakly increasing color sequences that rise at the steps k of a
+mask: pos(k) < pos(k+1), and for proper colorings also pos(k) adjacent to
+pos(k+1).  So each of the n! rankings adds q^asc F_mask, and [M_alpha] sums
+the masks inside the cut set of the composition alpha.  The sum is
+quasisymmetric by construction, so equal weights on the rearrangements of
+every composition prove it symmetric; that is asserted before the m
+coefficients, the partitions, are read off.  The m expansion is converted
+to the p basis once and cached there, because omega and plethysm act
+diagonally on p (Macdonald, ch. I), so every identity of verify_identities
+is checked without leaving p.
 
 Orientations of G_h carry the ascent statistic asc(theta) (number of edges
 directed from the smaller to the larger endpoint) and the highest reachable
@@ -30,19 +35,16 @@ object is built.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from functools import lru_cache
 
-import numpy as np
-
-from .combinat import Partition, sort_to_partition
+from .combinat import Partition, composition_from_subset, sort_to_partition
 from .characters import palindromicity_check
 from .errors import BudgetExceededError, VerificationError, check
 from .qrat import QPoly, QRat
 from .symfunc import SymFunc
 
-COLORING_BUDGET = 7
+COLORING_BUDGET = 8
 ORIENTATION_BUDGET = 20  # 2^|h| orientations at most
 HESSENBERG_ALL_BUDGET = 7
 
@@ -111,66 +113,71 @@ def hessenberg_all(n: int) -> tuple[HessenbergFunction, ...]:
     return tuple(HessenbergFunction(v) for v in gen(()))
 
 
-def _coloring_weights(h: HessenbergFunction):
-    """Exact q-weight tables over all n^n colorings with n colors.
+def _proper_rises(h: HessenbergFunction) -> set[tuple[int, int]]:
+    """The steps (u, v) between adjacent ranks at which a proper coloring
+    must rise: u < v, as every coloring must, or u adjacent to v.  Adjacent
+    ranks suffice, because the neighbourhoods of G_h are intervals: a vertex
+    between two adjacent vertices is adjacent to both."""
+    up = {(u, v) for v in range(1, h.n + 1) for u in range(1, v)}
+    return up | {(b, a) for a, b in h.edge_pairs()}
 
-    Returns (weights_all, weights_proper), each mapping an exponent vector
-    (color multiplicity tuple of length n) to {asc: count}, in lexicographic
-    order of exponent vectors.
 
-    Each coloring is grouped by one int64 key.  Its content is read as a
-    number in radix n + 1 with color 0 as the most significant digit: every
-    position adds (n+1)^(n-1-color), and a digit never exceeds n, so no
-    carry occurs and numeric order is lexicographic order of exponent
-    vectors.  The key is content * (|h| + 1) + asc, and a 1-D sort with
-    counts groups the colorings.
-    """
+def _composition_weights(h: HessenbergFunction):
+    """(weights_all, weights_proper): every strong composition alpha of n
+    mapped to [M_alpha] as {asc: count}, over all colorings and over the
+    proper ones.  The n! rankings are built vertex by vertex: asc counts the
+    lower neighbours already placed, and bit k of a mask is the step from
+    rank k to rank k + 1 (the sentinel n + 1 before rank 1 sets no bit)."""
     n = h.n
     if n > COLORING_BUDGET:
         raise BudgetExceededError(f"coloring enumeration supports n <= {COLORING_BUDGET}, got {n}")
-    total = n ** n
-    idx = np.arange(total, dtype=np.int64)
-    arr = np.empty((total, n), dtype=np.int8)
-    for pos in range(n - 1, -1, -1):
-        arr[:, pos] = (idx % n).astype(np.int8)
-        idx //= n
-    asc = np.zeros(total, dtype=np.int32)
-    proper = np.ones(total, dtype=bool)
+    lower = [0] * (n + 1)
     for a, b in h.edge_pairs():
-        ca, cb = arr[:, a - 1], arr[:, b - 1]
-        asc += ca < cb
-        proper &= ca != cb
-    radix = n + 1
-    place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    content = np.zeros(total, dtype=np.int64)
-    for pos in range(n):
-        content += place[arr[:, pos]]
-    stride = h.size() + 1
-    key = content * stride + asc
+        lower[b] |= 1 << a
+    proper_rises = _proper_rises(h)
+    full = (1 << n + 1) - 2
+    tally_all, tally_proper = Counter(), Counter()
 
-    def group(keys):
-        uniq, mult = np.unique(keys, return_counts=True)
-        contents, ascs = np.divmod(uniq, stride)
-        exps = contents[:, None] // place % radix
-        out: dict[tuple[int, ...], dict[int, int]] = {}
-        for exp, a, m in zip(map(tuple, exps.tolist()), ascs.tolist(), mult.tolist()):
-            out.setdefault(exp, {})[a] = m
-        return out
+    def extend(placed, last, bit, mask_all, mask_proper, asc):
+        if placed == full:
+            tally_all[mask_all, asc] += 1
+            tally_proper[mask_proper, asc] += 1
+            return
+        for v in range(1, n + 1):
+            if not placed >> v & 1:
+                extend(placed | 1 << v, v, bit << 1,
+                       mask_all | bit if last < v else mask_all,
+                       mask_proper | bit if (last, v) in proper_rises else mask_proper,
+                       asc + (placed & lower[v]).bit_count())
 
-    return group(key), group(key[proper])
+    extend(0, n + 1, 1, 0, 0, 0)
+    return _cut_set_sums(tally_all, n), _cut_set_sums(tally_proper, n)
+
+
+def _cut_set_sums(tally: Counter, n: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """{alpha: {asc: count}} summing the (mask, asc) tally over every mask
+    inside the cut set of alpha, one bit at a time (a zeta transform)."""
+    masks = range(0, 1 << n, 2)
+    sums = {mask: Counter() for mask in masks}
+    for (mask, asc), count in tally.items():
+        sums[mask][asc] += count
+    for k in range(1, n):
+        for mask in masks:
+            if mask >> k & 1:
+                sums[mask].update(sums[mask ^ 1 << k])
+    return {
+        composition_from_subset(tuple(k for k in range(1, n) if mask >> k & 1), n): dict(by_asc)
+        for mask, by_asc in sums.items()
+    }
 
 
 def _assert_symmetric(weights: dict[tuple[int, ...], dict[int, int]]) -> None:
-    """Every exponent vector in the same sorted orbit must carry equal weights."""
-    by_shape: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for exp in weights:
-        by_shape.setdefault(tuple(sorted(exp, reverse=True)), []).append(exp)
-    for shape, members in by_shape.items():
-        orbit = set(itertools.permutations(shape))
-        reference = weights[members[0]]
-        for exp in orbit:
-            if weights.get(exp, {}) != reference:
-                raise VerificationError(f"coloring sum is not symmetric at shape {shape}")
+    """Every rearrangement of a composition must carry equal weights."""
+    reference: dict[Partition, dict[int, int]] = {}
+    for alpha, by_asc in weights.items():
+        shape = sort_to_partition(alpha)
+        if reference.setdefault(shape, by_asc) != by_asc:
+            raise VerificationError(f"coloring sum is not symmetric at shape {shape}")
 
 
 def _tally_poly(by_asc: dict[int, int]) -> QPoly:
@@ -182,23 +189,15 @@ def _tally_poly(by_asc: dict[int, int]) -> QPoly:
 
 
 def _weights_to_symfunc(weights, n: int) -> SymFunc:
-    table: dict[Partition, QPoly] = {}
-    for exp, by_asc in weights.items():
-        if list(exp) != sorted(exp, reverse=True):
-            continue
-        table[tuple(x for x in exp if x > 0)] = _tally_poly(by_asc)
+    """The m expansion of a composition table, once its symmetry is asserted."""
+    _assert_symmetric(weights)
+    table = {alpha: _tally_poly(w) for alpha, w in weights.items() if alpha == sort_to_partition(alpha)}
     return SymFunc.from_q_table("m", n, table)
 
 
 @lru_cache(maxsize=None)
 def _coloring_symfuncs(h: HessenbergFunction) -> tuple[SymFunc, SymFunc]:
-    weights_all, weights_proper = _coloring_weights(h)
-    _assert_symmetric(weights_all)
-    _assert_symmetric(weights_proper)
-    return (
-        _weights_to_symfunc(weights_all, h.n).in_basis("p"),
-        _weights_to_symfunc(weights_proper, h.n).in_basis("p"),
-    )
+    return tuple(_weights_to_symfunc(w, h.n).in_basis("p") for w in _composition_weights(h))
 
 
 def llt(h: HessenbergFunction) -> SymFunc:

@@ -2,7 +2,9 @@
 
 Each oracle recomputes an object of the library by the most literal method
 available, practical only at small n: induced Young characters by coset
-sums, csf and llt by enumerating colorings in pure Python, the moment-graph
+sums, csf and llt by enumerating colorings in pure Python and by the int64
+NumPy kernel over all n^n colorings (the oracle of the tally over the n!
+rankings), the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
 ideal subspace, the index maps of the moment graphs and the spanning set
 e_k * m of the coinvariant ideal by tuple lookup, the
@@ -266,6 +268,55 @@ def coloring_expansion_bruteforce(h: HessenbergFunction, proper_only: bool) -> S
         assert all(m % orbit == 0 for m in by_asc.values())
         qtable[lam] = _tally_poly({a: m // orbit for a, m in by_asc.items()})
     return SymFunc.from_q_table("m", n, qtable)
+
+
+def coloring_weights_kernel(h: HessenbergFunction):
+    """Exact q-weight tables over all n^n colorings with n colors, for n <= 7.
+
+    Returns (weights_all, weights_proper), each mapping an exponent vector
+    (color multiplicity tuple of length n) to {asc: count}, in lexicographic
+    order of exponent vectors.
+
+    Each coloring is grouped by one int64 key.  Its content is read as a
+    number in radix n + 1 with color 0 as the most significant digit: every
+    position adds (n+1)^(n-1-color), and a digit never exceeds n, so no
+    carry occurs and numeric order is lexicographic order of exponent
+    vectors.  The key is content * (|h| + 1) + asc, and a 1-D sort with
+    counts groups the colorings.
+    """
+    n = h.n
+    if n > 7:
+        raise BudgetExceededError(f"the coloring kernel supports n <= 7, got {n}")
+    total = n ** n
+    idx = np.arange(total, dtype=np.int64)
+    arr = np.empty((total, n), dtype=np.int8)
+    for pos in range(n - 1, -1, -1):
+        arr[:, pos] = (idx % n).astype(np.int8)
+        idx //= n
+    asc = np.zeros(total, dtype=np.int32)
+    proper = np.ones(total, dtype=bool)
+    for a, b in h.edge_pairs():
+        ca, cb = arr[:, a - 1], arr[:, b - 1]
+        asc += ca < cb
+        proper &= ca != cb
+    radix = n + 1
+    place = radix ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    content = np.zeros(total, dtype=np.int64)
+    for pos in range(n):
+        content += place[arr[:, pos]]
+    stride = h.size() + 1
+    key = content * stride + asc
+
+    def group(keys):
+        uniq, mult = np.unique(keys, return_counts=True)
+        contents, ascs = np.divmod(uniq, stride)
+        exps = contents[:, None] // place % radix
+        out: dict[tuple[int, ...], dict[int, int]] = {}
+        for exp, a, m in zip(map(tuple, exps.tolist()), ascs.tolist(), mult.tolist()):
+            out.setdefault(exp, {})[a] = m
+        return out
+
+    return group(key), group(key[proper])
 
 
 def transported_space(model: GkmModel, d: int) -> GkmSpace:

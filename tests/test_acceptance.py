@@ -150,7 +150,7 @@ def test_criterion_6_cli_contract(capsys):
     if code != 2:
         failures.append("usage error exit code")
 
-    code, _ = run("llt", "--h", "3,4,5,6,7,8,8,8")
+    code, _ = run("llt", "--h", "3,4,5,6,7,8,9,9,9")
     capsys.readouterr()
     if code != 3:
         failures.append("budget exit code")

@@ -1,7 +1,10 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from hessllt.qrat import QPoly
 
 TIMING = re.compile(r'"timing_seconds": [-+0-9.eE]+')
 GOLDEN_VERIFY_ALL_N3 = Path(__file__).with_name("verify_all_n3.json")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -207,7 +211,7 @@ class TestExitCodes:
         assert code == 2
 
     def test_budget_exit_three(self, capsys):
-        code, _, err = run(capsys, "llt", "--h", "3,4,5,6,7,8,8,8")
+        code, _, err = run(capsys, "llt", "--h", "3,4,5,6,7,8,9,9,9")
         assert code == 3
         assert "budget" in err
 
@@ -232,3 +236,14 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert TIMING.sub("T", out1) == TIMING.sub("T", out2)
+
+    def test_llt_bytes_independent_of_hash_seed(self):
+        # the coloring tallies are Counters: no output may follow their iteration order
+        argv = [sys.executable, "-m", "hessllt.cli", "llt", "--h", "2,3,4,5,6,7,7", "--basis", "e", "--shifted"]
+        outs = []
+        for seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(TIMING.sub("T", proc.stdout))
+        assert outs[0] == outs[1]

@@ -354,6 +354,12 @@ TABLE = (
     fault("one-orientation-dropped",
           wrap(hessgraph, "orientation_e_expansion", all_descending_dropped),
           "identities", "orientation model of the shifted e expansion"),
+    # a proper coloring no longer has to rise between adjacent vertices, so
+    # the csf tally over the rankings becomes the llt tally
+    fault("proper-rises-without-adjacency",
+          wrap(hessgraph, "_proper_rises", lambda real: lambda h: {(u, v) for u, v in real(h) if u < v}),
+          "identities", "csf palindromicity", "carlson-mellit relation",
+          "plethystic inversion, contracted", "plethystic inversion, expanded"),
     fault("csf-of-another-h",
           wrap(hessgraph, "csf", lambda real: lambda h: real(IDENTITY_OTHER)), "identities",
           "csf palindromicity", "carlson-mellit relation",
@@ -393,7 +399,7 @@ REQUIRED = frozenset({
 
 # The cached index maps of the moment graphs, which a locator fault corrupts,
 # and the cached csf and llt, which a table fault corrupts as they are
-# converted to p.
+# converted to p and a rise fault as they are tallied.
 CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map,
           hessgraph._coloring_symfuncs)
 

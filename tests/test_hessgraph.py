@@ -1,6 +1,7 @@
 """Hessenberg functions, coloring expansions, the orientation model, and identities."""
 
 import itertools
+import json
 import time
 from collections import Counter
 
@@ -18,7 +19,14 @@ from hessllt.hessgraph import (
 )
 from hessllt.qrat import QPoly, QRat
 from hessllt.symfunc import SymFunc
-from oracles import asc_coloring, coloring_expansion_bruteforce, elementary, is_proper, power_sum
+from oracles import (
+    asc_coloring,
+    coloring_expansion_bruteforce,
+    coloring_weights_kernel,
+    elementary,
+    is_proper,
+    power_sum,
+)
 
 H = HessenbergFunction.parse
 
@@ -50,8 +58,8 @@ class TestHessenbergFunction:
             hessenberg_all(8)
 
     def test_coloring_budget(self):
-        with pytest.raises(BudgetExceededError):
-            csf(HessenbergFunction([8] * 8))
+        with pytest.raises(BudgetExceededError, match="n <= 8, got 9"):
+            csf(HessenbergFunction([9] * 9))
 
 
 class TestExpansions:
@@ -120,20 +128,29 @@ class TestColoringKernel:
         ids=repr,
     )
     def test_full_tables_match_python_tally(self, h):
-        # every exponent vector, dominant or not, in both tables
-        assert hessgraph._coloring_weights(h) == _tally_colorings(h)
+        # the kernel oracle: every exponent vector, dominant or not, in both tables
+        assert coloring_weights_kernel(h) == _tally_colorings(h)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_rankings_match_kernel_on_every_strong_composition(self, n):
+        # [M_alpha] is the weight of the exponent vector alpha padded with zeros
+        for h in hessenberg_all(n):
+            for route, kernel in zip(hessgraph._composition_weights(h), coloring_weights_kernel(h)):
+                assert len(route) == 2 ** (n - 1), h
+                for alpha, by_asc in route.items():
+                    assert by_asc == kernel.get(alpha + (0,) * (n - len(alpha)), {}), (h, alpha)
 
     def test_asymmetric_weights_fail_verification(self, monkeypatch, capsys, fresh_coloring_cache):
-        kernel = hessgraph._coloring_weights
+        route = hessgraph._composition_weights
 
         def corrupted(h):
-            weights_all, weights_proper = kernel(h)
-            by_asc = weights_all[(0, 1, 2)]
+            weights_all, weights_proper = route(h)
+            by_asc = weights_all[(1, 2)]
             by_asc[min(by_asc)] += 1
             return weights_all, weights_proper
 
-        monkeypatch.setattr(hessgraph, "_coloring_weights", corrupted)
-        with pytest.raises(VerificationError):
+        monkeypatch.setattr(hessgraph, "_composition_weights", corrupted)
+        with pytest.raises(VerificationError, match=r"symmetric at shape \(2, 1\)"):
             llt(H("2,3,3"))
         assert cli.main(["llt", "--h", "2,3,3", "--basis", "e"]) == 1
         assert "computation failed" in capsys.readouterr().err
@@ -145,7 +162,7 @@ class TestPowerSumStorage:
     )
     def test_stored_in_p_and_exact_in_m(self, h):
         # the m expansion the CLI prints is the coloring tally, entry for entry
-        weights_all, weights_proper = hessgraph._coloring_weights(h)
+        weights_all, weights_proper = hessgraph._composition_weights(h)
         for f, weights in ((llt(h), weights_all), (csf(h), weights_proper)):
             assert f.basis == "p"
             tally = hessgraph._weights_to_symfunc(weights, h.n)
@@ -217,3 +234,11 @@ class TestIdentitySuite:
             for h in hessenberg_all(n):
                 for check in verify_identities(h):
                     assert check["passed"], (h, check["name"], check["detail"])
+
+    def test_all_pass_at_n8(self, capsys):
+        # n = 8, the coloring budget
+        h = H("2,3,4,5,6,7,8,8")
+        for check in verify_identities(h):
+            assert check["passed"], (check["name"], check["detail"])
+        assert cli.main(["llt", "--h", "2,3,4,5,6,7,8,8", "--shifted"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
