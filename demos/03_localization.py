@@ -41,9 +41,9 @@ one = EquivariantClass.one(mx)
 x1 = EquivariantClass.x_class(mx, 1)
 
 print(f"h = {h!r} (one edge, so integration drops degree by 1)\n")
-print("integral of 1        :", show(localization_pushforward(mx, one)))
-print("integral of x_1      :", show(localization_pushforward(mx, x1)))
-print("integral of x_1*x_1  :", show(localization_pushforward(mx, x1 * x1)))
+print("integral of 1        :", show(localization_pushforward(one)))
+print("integral of x_1      :", show(localization_pushforward(x1)))
+print("integral of x_1*x_1  :", show(localization_pushforward(x1 * x1)))
 
 h3 = HessenbergFunction.parse("2,3,3")
 m3 = GkmModel(h3, "X")
@@ -53,19 +53,19 @@ for d in range(h3.size() + 1):
     space = degree_piece(m3, d)
     for col in space.matrix.T:
         f = EquivariantClass(m3, d, col)
-        localization_pushforward(m3, f)  # raises if a denominator survived
+        localization_pushforward(f)  # raises if a denominator survived
         count += 1
 print(f"  {count} classes integrated, all polynomial")
 
 d = h3.size()
 space = degree_piece(m3, d)
 batch = EquivariantClass(m3, d, space.matrix)
-pushed = localization_pushforward(m3, batch)  # one call for the whole piece
+pushed = localization_pushforward(batch)  # one call for the whole piece
 print(f"  integrals of the {space.dim} degree-{d} classes in one call:", list(pushed[(0, 0, 0)]))
 
 f = EquivariantClass.x_class(m3, 1) * EquivariantClass.x_class(m3, 2)
 ok = all(
-    localization_equivariance_check(m3, f, sigma)
+    localization_equivariance_check(f, sigma)
     for sigma in ((2, 1, 3), (1, 3, 2), (2, 3, 1))
 )
 print("  integration commutes with the dot action:", ok)

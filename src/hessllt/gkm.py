@@ -8,11 +8,12 @@ edge: the two endpoint values must agree modulo the edge label, which is
 t_{w(i)} - t_{w(j)} in flavor X and the constant form t_i - t_j in flavor Y.
 
 The module computes exact bases of the flavor-X spaces, the flavor-Y
-spaces split by irreducible representations, the actions (dot on X, dagger
-on Y), graded characters of the quotients by the ideals generated by the
-constant classes t_i or the tautological classes x_i, the vertexwise change
-of variables xi between the flavors, and the localization pushforward to a
-polynomial in t.  Coordinates are (vertex, monomial) pairs, for basis
+spaces split by irreducible representations, the actions, graded characters
+of the quotients by the ideals generated by the constant classes t_i or the
+tautological classes x_i, the vertexwise change of variables xi between the
+flavors, and the localization pushforward to a polynomial in t.  The flavor
+fixes the action, dot on X and dagger on Y, and xi maps a class of either
+flavor to the other.  Coordinates are (vertex, monomial) pairs, for basis
 columns and for EquivariantClass alike, so an action or xi is one gather on
 either and one exact check verifies both; every index map between monomials
 is one array expression placed by multipoly.monomial_positions.
@@ -57,7 +58,7 @@ GKM_DEGREE_SLACK = 3  # degree pieces available up to |h| + slack
 
 _EXACT_ENTRY_BOUND = 1 << 40  # congruence sums of larger basis entries run in Python ints
 
-_VALID_QUOTIENTS = {("X", "dot", "t_vars"), ("X", "dot", "x_classes"), ("Y", "dagger", "t_vars")}
+_VALID_QUOTIENTS = {("X", "t_vars"), ("X", "x_classes"), ("Y", "t_vars")}
 
 
 class GkmModel:
@@ -189,10 +190,9 @@ class GkmSpace:
         self._tracer: SubspaceTracer | None = None
         self._lock = threading.Lock()
 
-    def trace(self, sigma: tuple[int, ...], action: str) -> int:
-        """Exact trace of the action of sigma on this piece."""
-        _check_action(self.model, action)
-        src = _ambient_src(self.model, self.degree, sigma, action)
+    def trace(self, sigma: tuple[int, ...]) -> int:
+        """Exact trace of the dot action of sigma on this piece."""
+        src = _ambient_src(self.model, self.degree, sigma)
         with self._lock:
             if self._tracer is None:
                 self._tracer = SubspaceTracer(self.matrix.T)
@@ -340,11 +340,10 @@ class TwinPiece:
         self.model = model
         self.degree = degree
         self.kernel_dims = {lam: _kernel_dim(model.h, lam, degree) for lam in partitions_of(model.n)}
-        self.dim = self.trace(tuple(range(1, model.n + 1)), "dagger")
+        self.dim = self.trace(tuple(range(1, model.n + 1)))
 
-    def trace(self, sigma: tuple[int, ...], action: str) -> int:
+    def trace(self, sigma: tuple[int, ...]) -> int:
         """Exact dagger trace: sum_lam chi^lam(sigma) dim K_lam(d)."""
-        _check_action(self.model, action)
         return sum(murnaghan_nakayama(lam, cycle_type(sigma)) * k for lam, k in self.kernel_dims.items())
 
 
@@ -377,12 +376,16 @@ def twin_piece(model: GkmModel, d: int) -> TwinPiece:
 class EquivariantClass:
     """Degree-d classes of a model in the coordinates of GkmSpace.matrix:
     a vector is one class, a matrix with one column per class is a batch.
-    The constructor checks every edge congruence exactly (_verify_columns);
+    The constructor takes integer entries only, int64 or Python ints, and
+    checks every edge congruence exactly (_verify_columns);
     the actions and xi are gathers of the coordinates, and values reads them
     back as one polynomial per vertex for the localization pushforward."""
 
     def __init__(self, model: GkmModel, degree: int, coords):
         coords = np.asarray(coords)
+        if not (coords.dtype.kind in "iu"
+                or coords.dtype == object and all(isinstance(x, int) for x in coords.flat)):
+            raise TypeError(f"coordinates must be integers, got {coords.dtype} entries")
         size = len(model.vertices) * len(monomials(model.n, degree))
         if coords.ndim not in (1, 2) or len(coords) != size:
             raise ValueError("need one coordinate per (vertex, monomial) pair")
@@ -423,10 +426,9 @@ class EquivariantClass:
         rows = [w[i - 1] - 1 for w in model.vertices]
         return EquivariantClass(model, 1, np.eye(model.n, dtype=np.int64)[rows].ravel())
 
-    def act(self, sigma: tuple[int, ...], action: str) -> EquivariantClass:
-        """Apply sigma via the named action."""
-        _check_action(self.model, action)
-        src = _ambient_src(self.model, self.degree, sigma, action)
+    def act(self, sigma: tuple[int, ...]) -> EquivariantClass:
+        """Apply sigma by the action of the class's flavor: dot on X, dagger on Y."""
+        src = _ambient_src(self.model, self.degree, sigma)
         return EquivariantClass(self.model, self.degree, self.coords[src])
 
     def __mul__(self, other: EquivariantClass) -> EquivariantClass:
@@ -453,23 +455,17 @@ class EquivariantClass:
         return f"EquivariantClass({self.model!r}, degree={self.degree})"
 
 
-def _check_action(model: GkmModel, action: str) -> None:
-    flavor = {"dot": "X", "dagger": "Y"}.get(action)
-    if flavor is None:
-        raise ValueError(f"action must be 'dot' or 'dagger', got {action!r}")
-    if model.flavor != flavor:
-        raise ValueError(f"the {action} action preserves the flavor-{flavor} congruences only")
-
-
-def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...], action: str) -> np.ndarray:
-    """Coordinate-permutation form of the action: (A f)[c] = f[src[c]]."""
+def _ambient_src(model: GkmModel, d: int, sigma: tuple[int, ...]) -> np.ndarray:
+    """Coordinate-permutation form of the action of the model's flavor,
+    (A f)[c] = f[src[c]]: both move the vertices, and dot on X also
+    relabels the variables."""
     n = model.n
     M = len(monomials(n, d))
     verts = model.vertices
     vidx = model.vertex_index
     sinv = inverse(sigma)
     vmap = np.array([vidx[compose(sinv, w)] for w in verts], dtype=np.intp)
-    mmap = perm_monomial_map(sinv, d) if action == "dot" else np.arange(M, dtype=np.intp)
+    mmap = perm_monomial_map(sinv, d) if model.flavor == "X" else np.arange(M, dtype=np.intp)
     return (vmap[:, None] * M + mmap[None, :]).ravel()
 
 
@@ -491,9 +487,7 @@ def _exterior_generator_traces(sigma: tuple[int, ...], permuted: bool) -> list[i
     return coeffs[: n + 1] + [0] * (n + 1 - len(coeffs))
 
 
-def quotient_graded_character(
-    model: GkmModel, action: str, generators: str, max_d: int | None = None
-) -> SymFunc:
+def quotient_graded_character(model: GkmModel, generators: str, max_d: int | None = None) -> SymFunc:
     """Graded character of the quotient of the model's congruence ring by the
     ideal generated by the constant classes t_i or the tautological classes
     x_i, as the Frobenius image of its q-polynomial class values.
@@ -505,10 +499,9 @@ def quotient_graded_character(
     over the polynomial subalgebra its generators span.  Traces are computed
     on one representative per cycle type and checked against a second
     representative whenever the class has one."""
-    combo = (model.flavor, action, generators)
+    combo = (model.flavor, generators)
     if combo not in _VALID_QUOTIENTS:
-        raise ValueError(f"quotients support (X, dot, t_vars), (X, dot, x_classes) and "
-                         f"(Y, dagger, t_vars); got {combo}")
+        raise ValueError(f"quotients support (X, t_vars), (X, x_classes) and (Y, t_vars); got {combo}")
     n = model.n
     size = model.h.size()
     if max_d is None:
@@ -518,11 +511,11 @@ def quotient_graded_character(
     _check_degree_budget(model, max_d)
     piece = degree_piece if model.flavor == "X" else twin_piece
     spaces = [piece(model, d) for d in range(max_d + 1)]
-    permuted = generators == "t_vars" and action == "dot"
+    permuted = generators == "t_vars" and model.flavor == "X"
 
     def series(sigma: tuple[int, ...]) -> list[int]:
         ext = _exterior_generator_traces(sigma, permuted)
-        space_tr = [space.trace(sigma, action) for space in spaces]
+        space_tr = [space.trace(sigma) for space in spaces]
         qtr = [
             sum((-1) ** k * ext[k] * space_tr[d - k] for k in range(min(n, d) + 1))
             for d in range(max_d + 1)
@@ -538,22 +531,14 @@ def quotient_graded_character(
 # ------------------------------------------------------------ xi transport
 
 
-def xi_transport(f: EquivariantClass, direction: str) -> EquivariantClass:
-    """The vertexwise change of variables between the flavors: from Y to X it
+def xi_transport(f: EquivariantClass) -> EquivariantClass:
+    """The vertexwise change of variables onto the twin flavor: from Y to X it
     applies w to the value at w (sending the constant class t_i to x_i), from
     X to Y it applies w^{-1}.  Both are the gather _xi_gather or its inverse,
     and the constructor verifies the target congruences."""
-    if direction not in ("Y_to_X", "X_to_Y"):
-        raise ValueError(f"direction must be 'Y_to_X' or 'X_to_Y', got {direction!r}")
-    model = f.model
-    gather = _xi_gather(model, f.degree)
-    if direction == "Y_to_X":
-        if model.flavor != "Y":
-            raise ValueError("Y_to_X transport needs a flavor-Y class")
-        return EquivariantClass(GkmModel(model.h, "X"), f.degree, f.coords[np.argsort(gather)])
-    if model.flavor != "X":
-        raise ValueError("X_to_Y transport needs a flavor-X class")
-    return EquivariantClass(GkmModel(model.h, "Y"), f.degree, f.coords[gather])
+    gather = _xi_gather(f.model, f.degree)
+    src = np.argsort(gather) if f.model.flavor == "Y" else gather
+    return EquivariantClass(f.model.twin(), f.degree, f.coords[src])
 
 
 # ------------------------------------------------------------ localization
@@ -577,7 +562,7 @@ def _complement_factors(h_values: tuple[int, ...]) -> tuple[tuple[MPoly, ...], t
     return tuple(factors), tuple((-1) ** (n - len(cycle_type(w))) for w in verts)
 
 
-def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
+def localization_pushforward(f: EquivariantClass) -> MPoly:
     """Exact pushforward of a flavor-X class to a polynomial in t.
 
     Summing f(w) over vertices with weight 1 / prod over arcs (j, i) of
@@ -595,10 +580,9 @@ def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
     of distinct ones of a, so |quotient|_1 <= D |a|_1, and each intermediate
     is a coefficient of a plus one of the quotient: no value exceeds
     2 L D^(n(n-1)/2)."""
+    model = f.model
     if model.flavor != "X":
         raise ValueError("the pushforward is defined on flavor-X classes")
-    if f.model.h != model.h or f.model.flavor != "X":
-        raise ValueError("class does not belong to the model")
     n = model.n
     pairs = n * (n - 1) // 2
     factors, signs = _complement_factors(model.h.values)
@@ -619,10 +603,10 @@ def localization_pushforward(model: GkmModel, f: EquivariantClass) -> MPoly:
     return {e: c.astype(object) if isinstance(c, np.ndarray) else int(c) for e, c in num.items()}
 
 
-def localization_equivariance_check(model: GkmModel, f: EquivariantClass, sigma: tuple[int, ...]) -> bool:
+def localization_equivariance_check(f: EquivariantClass, sigma: tuple[int, ...]) -> bool:
     """Pushing forward sigma . f must match relabeling the pushforward of f."""
-    lhs = localization_pushforward(model, f.act(sigma, "dot"))
-    rhs = mp_permute(localization_pushforward(model, f), sigma)
+    lhs = localization_pushforward(f.act(sigma))
+    rhs = mp_permute(localization_pushforward(f), sigma)
     return mp_is_zero(mp_sub(lhs, rhs))
 
 
@@ -647,7 +631,7 @@ def equivariant_palindromicity_check(h: HessenbergFunction) -> bool:
     classwise.  Since (1 - 1/q)^n = (-1/q)^n (1-q)^n, the factors (1-q)^n
     and (-q)^n cancel: the check is the palindromicity of the quotient with
     shift |h| and sign twist."""
-    quotient = quotient_graded_character(GkmModel(h, "Y"), "dagger", "t_vars")
+    quotient = quotient_graded_character(GkmModel(h, "Y"), "t_vars")
     return palindromicity_check(quotient, h.size(), True)
 
 
@@ -668,9 +652,9 @@ def gkm_report(h: HessenbergFunction) -> list[dict]:
         sum(betti[k] * comb(d - k + n - 1, n - 1) for k in range(min(d, len(betti) - 1) + 1))
         for d in range(max_d + 1)
     ]
-    q_t = quotient_graded_character(model_x, "dot", "t_vars", max_d)
-    q_x = quotient_graded_character(model_x, "dot", "x_classes", max_d)
-    q_y = quotient_graded_character(model_y, "dagger", "t_vars", max_d)
+    q_t = quotient_graded_character(model_x, "t_vars", max_d)
+    q_x = quotient_graded_character(model_x, "x_classes", max_d)
+    q_y = quotient_graded_character(model_y, "t_vars", max_d)
     checks = [
         check("free-module-dimension-law", dims_x == law and dims_y == law, f"dims {dims_x} vs law {law}"),
         check("t-quotient-character-is-omega-chromatic", q_t == csf(h).omega()),
@@ -688,13 +672,13 @@ def gkm_report(h: HessenbergFunction) -> list[dict]:
         space = degree_piece(model_x, d)
         batch = EquivariantClass(model_x, d, space.matrix)
         try:
-            if any(sum(e) != d - size for e in localization_pushforward(model_x, batch)):
+            if any(sum(e) != d - size for e in localization_pushforward(batch)):
                 break
         except VerificationError:
             break
         loc_classes += space.dim
         if d <= 2:  # equivariance sampled on the low-degree pieces
-            if not all(localization_equivariance_check(model_x, batch, s) for s in gens):
+            if not all(localization_equivariance_check(batch, s) for s in gens):
                 break
             equiv_classes += space.dim
     else:

@@ -35,6 +35,7 @@ object is built.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from functools import lru_cache
 
@@ -55,7 +56,7 @@ class HessenbergFunction:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = tuple(int(v) for v in values)
+        values = tuple(map(operator.index, values))  # refuses floats and strings
         n = len(values)
         for j, v in enumerate(values, start=1):
             if not j <= v <= n:

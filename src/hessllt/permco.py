@@ -275,7 +275,7 @@ def _face_module_twin_check(n: int, F: SymFunc, H: SymFunc) -> list[dict]:
         _agreement("closed_form_sign_twist_is_twin_character", closed.omega(), llt_h),
     ]
     if n <= GKM_N_BUDGET:
-        q_y = quotient_graded_character(GkmModel(h, "Y"), "dagger", "t_vars")
+        q_y = quotient_graded_character(GkmModel(h, "Y"), "t_vars")
         checks.append(_agreement("moment_graph_route_matches_twin_character", q_y, llt_h))
     shifted = SymFunc.zero(n, "e")
     for I in subsets_of_interval(n):
@@ -453,7 +453,7 @@ def coinvariant_flag_cross_check(n: int) -> bool:
     if not 1 <= n <= GKM_N_BUDGET:
         raise BudgetExceededError(f"the moment-graph cross-check supports n <= {GKM_N_BUDGET}")
     model = GkmModel(HessenbergFunction((n,) * n), "Y")
-    return quotient_graded_character(model, "dagger", "t_vars") == coinvariant_graded_character(n)
+    return quotient_graded_character(model, "t_vars") == coinvariant_graded_character(n)
 
 
 def _q_minus_one_product(exponents) -> QPoly:

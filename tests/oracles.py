@@ -339,13 +339,11 @@ def ideal_piece(space_dminus1: GkmSpace, generators: str) -> list[list[int]]:
     return [list(map(int, prod[:, j])) for j in range(prod.shape[1])]
 
 
-def quotient_character_bruteforce(
-    model: GkmModel, action: str, generators: str, max_d: int | None = None
-) -> SymFunc:
+def quotient_character_bruteforce(model: GkmModel, generators: str, max_d: int | None = None) -> SymFunc:
     """The quotient character for n <= 3: the trace on the quotient is the
     trace on the piece minus the trace on the ideal subspace, both evaluated
     exactly over Fraction on echelon bases."""
-    combo = (model.flavor, action, generators)
+    combo = (model.flavor, generators)
     if combo not in _VALID_QUOTIENTS:
         raise ValueError(f"unsupported quotient combination {combo}")
     n = model.n
@@ -382,7 +380,7 @@ def quotient_character_bruteforce(
     def series(sigma: tuple[int, ...]) -> list[Fraction]:
         coeffs: list[Fraction] = []
         for d, (piece, ideal) in enumerate(bases):
-            src = _ambient_src(model, d, sigma, action)
+            src = _ambient_src(model, d, sigma)
             coeffs.append(subspace_trace(piece, src) - subspace_trace(ideal, src))
         return coeffs
 
@@ -488,22 +486,22 @@ def first_violated_edge_by_substitution(model: GkmModel, values: list[MPoly]):
     return None
 
 
-def act_by_dicts(model: GkmModel, values: list[MPoly], sigma: Permutation, action: str) -> list[MPoly]:
-    """EquivariantClass.act vertex by vertex: dot moves the value at
-    sigma^-1 w to w and relabels its variables by sigma, and dagger only
-    moves it."""
+def act_by_dicts(model: GkmModel, values: list[MPoly], sigma: Permutation) -> list[MPoly]:
+    """EquivariantClass.act vertex by vertex: dot, on flavor X, moves the
+    value at sigma^-1 w to w and relabels its variables by sigma, and
+    dagger, on flavor Y, only moves it."""
     vidx = model.vertex_index
     sinv = inverse(sigma)
-    if action == "dot":
+    if model.flavor == "X":
         return [mp_permute(values[vidx[compose(sinv, w)]], sigma) for w in model.vertices]
     return [values[vidx[compose(sinv, w)]] for w in model.vertices]
 
 
-def xi_by_dicts(model: GkmModel, values: list[MPoly], direction: str) -> list[MPoly]:
+def xi_by_dicts(model: GkmModel, values: list[MPoly]) -> list[MPoly]:
     """gkm.xi_transport vertex by vertex: relabel the value at w by w
-    (Y_to_X) or by w^-1 (X_to_Y)."""
+    (from Y to X) or by w^-1 (from X to Y)."""
     return [
-        mp_permute(v, w if direction == "Y_to_X" else inverse(w))
+        mp_permute(v, w if model.flavor == "Y" else inverse(w))
         for v, w in zip(values, model.vertices)
     ]
 

@@ -84,15 +84,15 @@ def all_descending_dropped(real):
     return lambda h: real(h) - SymFunc.basis_element("e", (1,) * h.n)
 
 
-def trace_bump(owner, action: str, on: Callable):
-    """The degree-0 trace of `action` on the pieces of class `owner` off by
-    one on the permutations `on` selects (degree 0 keeps the quotient zero
-    above the top degree)."""
+def trace_bump(owner, on: Callable):
+    """The degree-0 trace on the pieces of class `owner`, dot on GkmSpace and
+    dagger on TwinPiece, off by one on the permutations `on` selects (degree
+    0 keeps the quotient zero above the top degree)."""
 
     def make(real):
-        def bumped(self, sigma, act):
-            t = real(self, sigma, act)
-            return t + 1 if act == action and self.degree == 0 and on(sigma) else t
+        def bumped(self, sigma):
+            t = real(self, sigma)
+            return t + 1 if self.degree == 0 and on(sigma) else t
 
         return bumped
 
@@ -242,16 +242,16 @@ TABLE = (
     # betti_numbers reads csf too
     fault("gkm-csf-of-another-h", wrap(gkm, "csf", other_h), "gkm",
           "free-module-dimension-law", "t-quotient-character-is-omega-chromatic"),
-    fault("dagger-trace-off-on-n-cycles", trace_bump(gkm.TwinPiece, "dagger", is_n_cycle), "gkm",
+    fault("dagger-trace-off-on-n-cycles", trace_bump(gkm.TwinPiece, is_n_cycle), "gkm",
           "twin-quotient-equals-x-quotient", "equivariant-palindromicity"),
     # the twin quotient alone reads the split of Y by irreducibles
     fault("kernel-dim-moved-to-sign", wrap(gkm, "_kernel_dim", kernel_dim_moved_to_sign), "gkm",
           "twin-quotient-equals-x-quotient"),
-    fault("dot-trace-off-on-n-cycles", trace_bump(gkm.GkmSpace, "dot", is_n_cycle), "gkm",
+    fault("dot-trace-off-on-n-cycles", trace_bump(gkm.GkmSpace, is_n_cycle), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt",
           "twin-quotient-equals-x-quotient"),
     # a bump of one piece adds q^d (1 - q)^n to the quotient: 0 at q = 1
-    fault("dot-trace-off-at-identity", trace_bump(gkm.GkmSpace, "dot", is_identity), "gkm",
+    fault("dot-trace-off-at-identity", trace_bump(gkm.GkmSpace, is_identity), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt",
           "twin-quotient-equals-x-quotient"),
     # all three quotients move alike, so the twin comparison still holds
@@ -511,10 +511,10 @@ def test_kernel_dim_off_by_one_is_refused_by_the_x_certificate(monkeypatch):
         REPORTS["gkm"]()
 
 
-def act_without_relabeling(self, sigma, action):
+def act_without_relabeling(self, sigma):
     """EquivariantClass.act whose dot action moves the vertices but keeps
-    the variables: the dagger gather applied to a flavor-X class."""
-    src = gkm._ambient_src(self.model, self.degree, sigma, "dagger" if action == "dot" else action)
+    the variables: the dagger gather of the twin applied to a flavor-X class."""
+    src = gkm._ambient_src(self.model.twin(), self.degree, sigma)
     return gkm.EquivariantClass(self.model, self.degree, self.coords[src])
 
 

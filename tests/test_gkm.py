@@ -94,18 +94,18 @@ class TestDegreePieces:
 
     def test_identity_trace_is_dimension(self):
         mx, my = models("2,3,3")
-        for model, action in ((mx, "dot"), (my, "dagger")):
+        for model in (mx, my):
             for d in range(3):
                 space = piece(model, d)
-                assert space.trace((1, 2, 3), action) == space.dim
+                assert space.trace((1, 2, 3)) == space.dim
 
     def test_transposition_traces_two_vertices(self):
         # hand computation on the bases {t1, t2, (t1 at id, t2 at w)}
         mx, my = models("2,2")
-        assert degree_piece(mx, 0).trace((2, 1), "dot") == 1
-        assert degree_piece(mx, 1).trace((2, 1), "dot") == 1
-        assert twin_piece(my, 0).trace((2, 1), "dagger") == 1
-        assert twin_piece(my, 1).trace((2, 1), "dagger") == 1
+        assert degree_piece(mx, 0).trace((2, 1)) == 1
+        assert degree_piece(mx, 1).trace((2, 1)) == 1
+        assert twin_piece(my, 0).trace((2, 1)) == 1
+        assert twin_piece(my, 1).trace((2, 1)) == 1
 
     def test_degree_budget(self):
         mx, _ = models("2,2")
@@ -278,7 +278,7 @@ class TestTwinAgainstTransport:
             assert twin.dim == transported.dim == nullity, d
             for mu in partitions_of(my.n):
                 for sigma in class_representatives(mu):
-                    assert twin.trace(sigma, "dagger") == transported.trace(sigma, "dagger"), (d, sigma)
+                    assert twin.trace(sigma) == transported.trace(sigma), (d, sigma)
 
 
 class TestEquivariantClasses:
@@ -306,6 +306,23 @@ class TestEquivariantClasses:
             with pytest.raises(ValueError, match="one coordinate per"):
                 EquivariantClass(mx, 1, coords)
 
+    def test_constructor_refuses_non_integer_entries(self):
+        # the pushforward's int64 cast would truncate them: x_1 / 2 pushed forward to {}
+        mx, _ = models("2,2")
+        coords = EquivariantClass.x_class(mx, 1).coords
+        halves = coords.astype(object) * Fraction(1, 2)
+        for bad in (coords * 0.5, coords.astype(float), coords * 1j, halves, coords.astype(object) * Fraction(1)):
+            with pytest.raises(TypeError, match="coordinates must be integers"):
+                EquivariantClass(mx, 1, bad)
+
+    def test_constructor_takes_int64_and_python_ints(self):
+        mx, _ = models("2,2")
+        coords = EquivariantClass.x_class(mx, 1).coords
+        for good in (coords, coords.astype(object), coords.tolist(), coords.astype(object) * (1 << 70)):
+            f = EquivariantClass(mx, 1, good)
+            scale = int(good[0])
+            assert localization_pushforward(f) == {(0, 0): -scale}
+
     def test_dot_fixes_tautological_classes(self):
         for text in ("2,2", "2,3,3", "3,3,3"):
             mx, _ = models(text)
@@ -313,30 +330,19 @@ class TestEquivariantClasses:
             for i in range(1, n + 1):
                 xi = EquivariantClass.x_class(mx, i)
                 for sigma in all_permutations(n):
-                    assert xi.act(sigma, "dot") == xi
+                    assert xi.act(sigma) == xi
 
     def test_dot_permutes_t_classes(self):
         mx, _ = models("2,3,3")
         sigma = (2, 3, 1)
         t1 = EquivariantClass.t_class(mx, 1)
-        assert t1.act(sigma, "dot") == EquivariantClass.t_class(mx, sigma[0])
+        assert t1.act(sigma) == EquivariantClass.t_class(mx, sigma[0])
 
     def test_dagger_fixes_t_classes(self):
         _, my = models("2,3,3")
         t2 = EquivariantClass.t_class(my, 2)
         for sigma in all_permutations(3):
-            assert t2.act(sigma, "dagger") == t2
-
-    def test_action_flavor_rules(self):
-        mx, my = models("2,3,3")
-        one_x = EquivariantClass.one(mx)
-        one_y = EquivariantClass.one(my)
-        with pytest.raises(ValueError):
-            one_x.act((2, 1, 3), "dagger")
-        with pytest.raises(ValueError):
-            one_y.act((2, 1, 3), "dot")
-        with pytest.raises(ValueError, match="'dot' or 'dagger'"):
-            one_x.act((2, 1, 3), "star")
+            assert t2.act(sigma) == t2
 
     def test_multiplication(self):
         mx, _ = models("2,2")
@@ -370,32 +376,28 @@ class TestQuotientCharacters:
         # dot/t: (q+1) on both classes; dot/x and dagger/t: q+1 and 1-q
         mx, my = models("2,2")
         q = QRat.q()
-        dot_t = quotient_graded_character(mx, "dot", "t_vars")
+        dot_t = quotient_graded_character(mx, "t_vars")
         assert frobenius_inverse(dot_t) == {(2,): q + 1, (1, 1): q + 1}
-        dot_x = quotient_graded_character(mx, "dot", "x_classes")
+        dot_x = quotient_graded_character(mx, "x_classes")
         assert frobenius_inverse(dot_x) == {(2,): 1 - q, (1, 1): q + 1}
-        dag_t = quotient_graded_character(my, "dagger", "t_vars")
+        dag_t = quotient_graded_character(my, "t_vars")
         assert dag_t == dot_x
 
     def test_quotient_matches_symmetric_functions(self):
         for text in ("2,2", "2,3,3", "3,3,3"):
             mx, my = models(text)
             h = mx.h
-            assert quotient_graded_character(mx, "dot", "t_vars") == csf(h).omega()
-            assert quotient_graded_character(mx, "dot", "x_classes") == llt(h)
-            assert quotient_graded_character(my, "dagger", "t_vars") == llt(h)
+            assert quotient_graded_character(mx, "t_vars") == csf(h).omega()
+            assert quotient_graded_character(mx, "x_classes") == llt(h)
+            assert quotient_graded_character(my, "t_vars") == llt(h)
 
     def test_koszul_equals_bruteforce(self):
         for text in ("2,2", "1,2", "2,3,3", "3,3,3"):
             mx, my = models(text)
-            for model, action, gens in (
-                (mx, "dot", "t_vars"),
-                (mx, "dot", "x_classes"),
-                (my, "dagger", "t_vars"),
-            ):
-                koszul = quotient_graded_character(model, action, gens)
-                brute = quotient_character_bruteforce(model, action, gens)
-                assert koszul == brute, (text, action, gens)
+            for model, gens in ((mx, "t_vars"), (mx, "x_classes"), (my, "t_vars")):
+                koszul = quotient_graded_character(model, gens)
+                brute = quotient_character_bruteforce(model, gens)
+                assert koszul == brute, (text, model.flavor, gens)
 
     def test_perturbed_exterior_traces_break_koszul_against_bruteforce(self, monkeypatch):
         # shows that test_koszul_equals_bruteforce can fail: one exterior
@@ -408,70 +410,58 @@ class TestQuotientCharacters:
             return coeffs
 
         mx, my = models("2,3,3")
-        combos = ((mx, "dot", "t_vars"), (mx, "dot", "x_classes"), (my, "dagger", "t_vars"))
+        combos = ((mx, "t_vars"), (mx, "x_classes"), (my, "t_vars"))
         brute = [quotient_character_bruteforce(*combo) for combo in combos]
         monkeypatch.setattr(gkm, "_exterior_generator_traces", off_by_one)
         for combo, expected in zip(combos, brute):
-            assert quotient_graded_character(*combo) != expected, combo[1:]
+            assert quotient_graded_character(*combo) != expected, (combo[0].flavor, combo[1])
 
     def test_vanishing_beyond_top_degree(self):
         mx, _ = models("2,3,3")
         size = mx.h.size()
-        chi = quotient_graded_character(mx, "dot", "t_vars", max_d=size + 1)
-        assert chi == quotient_graded_character(mx, "dot", "t_vars")
+        chi = quotient_graded_character(mx, "t_vars", max_d=size + 1)
+        assert chi == quotient_graded_character(mx, "t_vars")
 
     def test_invalid_combinations(self):
         mx, my = models("2,2")
         with pytest.raises(ValueError):
-            quotient_graded_character(mx, "dagger", "t_vars")
+            quotient_graded_character(my, "x_classes")
         with pytest.raises(ValueError):
-            quotient_graded_character(my, "dagger", "x_classes")
-        with pytest.raises(ValueError):
-            quotient_graded_character(my, "dot", "t_vars")
+            quotient_graded_character(mx, "y_classes")
 
 
 class TestXiTransport:
     def test_t_goes_to_x(self):
         mx, my = models("2,3,3")
         for i in (1, 2, 3):
-            assert xi_transport(
-                EquivariantClass.t_class(my, i), "Y_to_X"
-            ) == EquivariantClass.x_class(mx, i)
+            assert xi_transport(EquivariantClass.t_class(my, i)) == EquivariantClass.x_class(mx, i)
 
     def test_round_trip(self):
         mx, my = models("2,3,3")
         space = transported_space(my, 2)
         for col in space.matrix.T[:3]:
             f = EquivariantClass(my, 2, col)
-            assert xi_transport(xi_transport(f, "Y_to_X"), "X_to_Y") == f
+            assert xi_transport(xi_transport(f)) == f
 
     def test_intertwines_actions(self):
         mx, my = models("2,3,3")
         f = EquivariantClass.t_class(my, 1) * EquivariantClass.t_class(my, 2)
         for sigma in ((2, 1, 3), (2, 3, 1)):
-            lhs = xi_transport(f.act(sigma, "dagger"), "Y_to_X")
-            rhs = xi_transport(f, "Y_to_X").act(sigma, "dot")
+            lhs = xi_transport(f.act(sigma))
+            rhs = xi_transport(f).act(sigma)
             assert lhs == rhs
-
-    def test_direction_validation(self):
-        mx, my = models("2,2")
-        f = EquivariantClass.one(my)
-        with pytest.raises(ValueError):
-            xi_transport(f, "sideways")
-        with pytest.raises(ValueError):
-            xi_transport(f, "X_to_Y")  # f lives on Y
 
 
 class TestLocalization:
     def test_push_forward_constants_to_zero(self):
         mx, _ = models("2,2")
-        assert localization_pushforward(mx, EquivariantClass.one(mx)) == {}
-        assert localization_pushforward(mx, EquivariantClass.t_class(mx, 1)) == {}
+        assert localization_pushforward(EquivariantClass.one(mx)) == {}
+        assert localization_pushforward(EquivariantClass.t_class(mx, 1)) == {}
 
     def test_push_forward_tautological_class(self):
         mx, _ = models("2,2")
         x1 = EquivariantClass.x_class(mx, 1)
-        assert localization_pushforward(mx, x1) == {(0, 0): Fraction(-1)}
+        assert localization_pushforward(x1) == {(0, 0): Fraction(-1)}
 
     def test_integrality_on_basis(self):
         mx, _ = models("2,3,3")
@@ -479,7 +469,7 @@ class TestLocalization:
             space = degree_piece(mx, d)
             for col in space.matrix.T:
                 f = EquivariantClass(mx, d, col)
-                localization_pushforward(mx, f)  # must not raise
+                localization_pushforward(f)  # must not raise
 
     def test_failed_division_fails_the_report(self, monkeypatch):
         def refuse(a, i, j):
@@ -488,7 +478,7 @@ class TestLocalization:
         monkeypatch.setattr(gkm, "mp_divide_linear", refuse)
         mx, _ = models("2,2")
         with pytest.raises(VerificationError):
-            localization_pushforward(mx, EquivariantClass.x_class(mx, 1))
+            localization_pushforward(EquivariantClass.x_class(mx, 1))
         checks = {c["name"]: c["passed"] for c in gkm_report(H("2,2"))}
         assert checks["localization-integrality-and-equivariance"] is False
         assert hessllt.cli.main(["verify", "--scope", "gkm", "--h", "2,2"]) == 1
@@ -497,7 +487,7 @@ class TestLocalization:
         mx, _ = models("2,3,3")
         f = EquivariantClass.x_class(mx, 1) * EquivariantClass.x_class(mx, 2)
         for sigma in ((2, 1, 3), (3, 1, 2)):
-            assert localization_equivariance_check(mx, f, sigma)
+            assert localization_equivariance_check(f, sigma)
 
 
 def batch_cases():
@@ -524,15 +514,28 @@ class TestBatchLocalization:
         mx, _ = models(text)
         space = degree_piece(mx, d)
         batch = EquivariantClass(mx, d, space.matrix)
-        pushed = localization_pushforward(mx, batch)
+        pushed = localization_pushforward(batch)
         singles = [EquivariantClass(mx, d, col) for col in space.matrix.T]
         for k, f in enumerate(singles):
-            assert column(pushed, k) == localization_pushforward(mx, f), k
+            assert column(pushed, k) == localization_pushforward(f), k
         assert all(type(x) is int for c in pushed.values() for x in c)
         for sigma in generators(mx.n):
-            assert localization_equivariance_check(mx, batch, sigma) == all(
-                localization_equivariance_check(mx, f, sigma) for f in singles
+            assert localization_equivariance_check(batch, sigma) == all(
+                localization_equivariance_check(f, sigma) for f in singles
             )
+
+    @pytest.mark.parametrize("text", ["2,2,3", "3,3,3"])
+    def test_equivariance_check_sees_an_act_that_does_nothing_only_above_the_top(self, text, monkeypatch):
+        # below |h| + 1 the pushforward is zero or a constant, which every
+        # permutation fixes, so only degree |h| + 1 can tell the two acts apart
+        mx, _ = models(text)
+        top = mx.h.size()
+        batches = [EquivariantClass(mx, d, degree_piece(mx, d).matrix) for d in range(top + 2)]
+        sigmas = generators(mx.n)
+        assert all(localization_equivariance_check(batches[-1], s) for s in sigmas)
+        monkeypatch.setattr(EquivariantClass, "act", lambda self, sigma: self)
+        assert not any(localization_equivariance_check(batches[-1], s) for s in sigmas)
+        assert all(localization_equivariance_check(b, s) for b in batches[:-1] for s in sigmas)
 
     def test_batch_values_are_the_basis_rows(self):
         mx, _ = models("2,3,3")
@@ -550,7 +553,7 @@ class TestBatchLocalization:
         bad = np.zeros((space.matrix.shape[0], 1), dtype=space.matrix.dtype)
         bad[0, 0] = 1  # t_1 at the first vertex only: violates the congruences
         matrix = np.concatenate([space.matrix[:, :1], bad, space.matrix[:, 1:]], axis=1)
-        localization_pushforward(mx, EquivariantClass(mx, 1, space.matrix))
+        localization_pushforward(EquivariantClass(mx, 1, space.matrix))
         # the constructor refuses the batch before any division;
         # test_failed_division_fails_the_report covers a failed division
         with pytest.raises(VerificationError):
@@ -561,8 +564,8 @@ class TestBatchLocalization:
         space = degree_piece(mx, 2)
         big = (1 << 64) + 7
         matrix = space.matrix.astype(object) * big
-        pushed = localization_pushforward(mx, EquivariantClass(mx, 2, matrix))
-        plain = localization_pushforward(mx, EquivariantClass(mx, 2, space.matrix))
+        pushed = localization_pushforward(EquivariantClass(mx, 2, matrix))
+        plain = localization_pushforward(EquivariantClass(mx, 2, space.matrix))
         assert pushed.keys() == plain.keys()
         for e, c in pushed.items():
             assert list(c) == [x * big for x in plain[e]]
@@ -625,15 +628,13 @@ class TestCoordinatesAgainstDicts:
         batch = EquivariantClass(model, d, columns)
         values = values_by_lookup(model, d, columns)
         assert_same_values(batch.values, values)
-        action = "dot" if flavor == "X" else "dagger"
         for sigma in all_permutations(model.n):
-            moved = batch.act(sigma, action)
-            expected = act_by_dicts(model, values, sigma, action)
+            moved = batch.act(sigma)
+            expected = act_by_dicts(model, values, sigma)
             assert_same_values(values_by_lookup(model, d, moved.coords), expected)
-        direction = "X_to_Y" if flavor == "X" else "Y_to_X"
-        moved = xi_transport(batch, direction)
+        moved = xi_transport(batch)
         assert moved.model.flavor != flavor
-        assert_same_values(values_by_lookup(model, d, moved.coords), xi_by_dicts(model, values, direction))
+        assert_same_values(values_by_lookup(model, d, moved.coords), xi_by_dicts(model, values))
 
     @pytest.mark.parametrize("flavor", ["X", "Y"])
     @pytest.mark.parametrize("text, d", product_cases())

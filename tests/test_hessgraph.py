@@ -48,6 +48,13 @@ class TestHessenbergFunction:
         with pytest.raises(ValueError):
             H("1,3")  # h(2) > n
 
+    def test_values_must_be_integers(self):
+        # int() would truncate 2.7 to 2 and read "233" digit by digit
+        for values in ([2.7, 3, 3], [2.0, 3, 3], "233"):
+            with pytest.raises(TypeError):
+                HessenbergFunction(values)
+        assert HessenbergFunction([2, 3, 3]) == H("2,3,3")
+
     def test_hessenberg_all_counts_are_catalan(self):
         catalan = [1, 2, 5, 14, 42, 132, 429]
         for n, expected in zip(range(1, 8), catalan):

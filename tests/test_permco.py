@@ -394,7 +394,7 @@ class TestRepresentativeAgreement:
             coinvariant_graded_character(3)
         model = GkmModel(HessenbergFunction((2, 2, 3)), "X")
         with pytest.raises(VerificationError, match="disagree"):
-            quotient_graded_character(model, "dot", "t_vars")
+            quotient_graded_character(model, "t_vars")
         code, _, err = verify_permutohedron(capsys, 3)
         assert code == 1
         assert "computation failed" in err
