@@ -23,24 +23,23 @@ from .hessgraph import (
     verify_identities,
 )
 from .permco import complete_graph_agreement, permco_report
+from .qrat import QRat
 from .symfunc import BASES, SymFunc
 
 SCOPES = ("identities", "gkm", "permutohedron", "complete-graph", "all")
 
 
-def _plain_coeff(s: str) -> str:
-    """Strip the trivial denominator from the canonical '(num)/(den)' form."""
-    return s[1:-5] if s.endswith(")/(1)") else s
+def _plain_coeff(c: QRat) -> str:
+    """The bare numerator when the denominator is 1, else the canonical form."""
+    num, den = c.string_parts()
+    return num if den == "1" else c.to_string()
 
 
 def _symfunc_plain(f: SymFunc) -> str:
-    obj = f.to_json_obj()
-    if not obj["terms"]:
+    terms = f.terms()
+    if not terms:
         return "0"
-    return "\n".join(
-        f"{obj['basis']}_{''.join(map(str, t['partition'])) or '0'}: {_plain_coeff(t['coeff'])}"
-        for t in obj["terms"]
-    )
+    return "\n".join(f"{f.basis}_{''.join(map(str, p)) or '0'}: {_plain_coeff(c)}" for p, c in terms)
 
 
 def _print_report(report: dict, fmt: str, latex_lines: list[str], plain_lines: list[str]) -> None:
@@ -188,11 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return _verify_command(args)
-        if args.command in ("llt", "csf"):
-            if not args.h:
-                raise UsageError(f"{args.command} requires --h")
-            return _expansion_command(args.command, args)
-        raise UsageError(f"unknown command {args.command}")
+        if not args.h:
+            raise UsageError(f"{args.command} requires --h")
+        return _expansion_command(args.command, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

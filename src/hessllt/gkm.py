@@ -48,9 +48,8 @@ from .combinat import all_permutations, compose, cycle_type, inverse, partitions
 from .errors import BudgetExceededError, VerificationError, check
 from .hessgraph import HessenbergFunction, csf, llt
 from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
-from .multipoly import (MPoly, monomial_exponents, monomial_positions, monomials, mp_add,
-                        mp_divide_linear, mp_is_zero, mp_mul, mp_permute, mp_scale, mp_sub,
-                        mp_var, mp_zero)
+from .multipoly import (MPoly, monomial_exponents, monomial_positions, monomials, mp_divide_linear,
+                        mp_is_zero, mp_mul, mp_permute, mp_sub, mp_var)
 from .symfunc import SymFunc, murnaghan_nakayama
 
 GKM_N_BUDGET = 4
@@ -259,14 +258,14 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     """Certified construction for flavor X.
 
     xi maps X_d onto Y_d (_check_xi), so dim X_d is the twin dimension
-    that twin_piece certifies.  Exhibited columns, verified exactly and
+    that TwinPiece certifies.  Exhibited columns, verified exactly and
     independent mod p, must meet it: the products t_i * f of the previous
     degree's basis with the staircase classes x^a (at d = 0 just the unit
     class), or, when those fall short, the CRT-lifted nullspace of the
     constraint matrix, which certified_integer_nullspace pins by itself."""
     twin = model.twin()
     _check_xi(model, twin, d)
-    k_target = twin_piece(twin, d).dim
+    k_target = degree_piece(twin, d).dim
     p = SMALL_PRIMES[0]
     cand = _staircase_columns(model, d)
     if d:
@@ -307,23 +306,17 @@ def _check_xi(model: GkmModel, twin: GkmModel, d: int) -> None:
         raise ArithmeticError("the flavor-Y edges are not the xi-images of the flavor-X edges")
 
 
-def _cached_piece(model: GkmModel, d: int, flavor: str, build):
-    """The degree-d piece of a model of the given flavor, built once per h."""
-    if model.flavor != flavor:
-        raise ValueError(f"degree_piece builds flavor X and twin_piece flavor Y, not {model.flavor}")
+def degree_piece(model: GkmModel, d: int) -> GkmSpace | TwinPiece:
+    """The degree-d piece of the model's own flavor, built once per h: the
+    certified basis on X, the split by irreducibles on Y."""
     _check_degree_budget(model, d)
-    key = (model.h.values, flavor, d)
+    key = (model.h.values, model.flavor, d)
     with _space_lock:
         if key in _space_cache:
             return _space_cache[key]
-    piece = build(model, d)
+    piece = (_certified_space if model.flavor == "X" else TwinPiece)(model, d)
     with _space_lock:
         return _space_cache.setdefault(key, piece)
-
-
-def degree_piece(model: GkmModel, d: int) -> GkmSpace:
-    """Exact basis of the degree-d piece of a flavor-X congruence space."""
-    return _cached_piece(model, d, "X", _certified_space)
 
 
 # ------------------------------------------------------------ flavor Y
@@ -365,11 +358,6 @@ def _kernel_dim(h: HessenbergFunction, lam: tuple[int, ...], d: int) -> int:
     return certified_integer_nullspace(C[C.any(axis=1)]).shape[1]
 
 
-def twin_piece(model: GkmModel, d: int) -> TwinPiece:
-    """The degree-d piece of the flavor-Y congruence space, by irreducibles."""
-    return _cached_piece(model, d, "Y", TwinPiece)
-
-
 # ------------------------------------------------------------ classes
 
 
@@ -378,8 +366,8 @@ class EquivariantClass:
     a vector is one class, a matrix with one column per class is a batch.
     The constructor takes integer entries only, int64 or Python ints, and
     checks every edge congruence exactly (_verify_columns);
-    the actions and xi are gathers of the coordinates, and values reads them
-    back as one polynomial per vertex for the localization pushforward."""
+    the actions and xi are gathers of the coordinates, and the localization
+    pushforward scatters them."""
 
     def __init__(self, model: GkmModel, degree: int, coords):
         coords = np.asarray(coords)
@@ -394,19 +382,6 @@ class EquivariantClass:
         self.degree = degree
         self.coords = coords
         self._model_key = (model.flavor, model.h)  # equal keys: one model, built twice
-
-    def _vertex_polys(self, dtype=object) -> tuple[MPoly, ...]:
-        """The polynomial at each vertex, with coefficients of the dtype
-        (object: Python ints), or rows of them for a batch (see multipoly)."""
-        mons = monomials(self.model.n, self.degree)
-        blocks = self.coords.reshape((len(self.model.vertices), len(mons)) + self.coords.shape[1:])
-        live = blocks.reshape(blocks.shape[:2] + (-1,)).any(axis=2)
-        return tuple(
-            {mons[k]: block[k] for k in np.flatnonzero(nonzero)}
-            for block, nonzero in zip(blocks.astype(dtype), live)
-        )
-
-    values = property(_vertex_polys)
 
     @staticmethod
     def one(model: GkmModel) -> EquivariantClass:
@@ -509,8 +484,7 @@ def quotient_graded_character(model: GkmModel, generators: str, max_d: int | Non
     if max_d < size:
         raise ValueError(f"max_d must be at least |h| = {size}")
     _check_degree_budget(model, max_d)
-    piece = degree_piece if model.flavor == "X" else twin_piece
-    spaces = [piece(model, d) for d in range(max_d + 1)]
+    spaces = [degree_piece(model, d) for d in range(max_d + 1)]
     permuted = generators == "t_vars" and model.flavor == "X"
 
     def series(sigma: tuple[int, ...]) -> list[int]:
@@ -562,6 +536,22 @@ def _complement_factors(h_values: tuple[int, ...]) -> tuple[tuple[MPoly, ...], t
     return tuple(factors), tuple((-1) ** (n - len(cycle_type(w))) for w in verts)
 
 
+@lru_cache(maxsize=None)
+def _numerator_terms(h_values: tuple[int, ...], d: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """Per vertex w, the terms c t^e of sgn(w) C_w as their coefficients and
+    a matrix with one row per term: the positions among the monomials of
+    degree d + deg C_w of t^e times every degree-d monomial."""
+    factors, signs = _complement_factors(h_values)
+    n = len(h_values)
+    exps = monomial_exponents(n, d)
+    top = d + sum(next(iter(factors[0])))  # every term of every C_w has degree #non-arcs
+    return tuple(
+        (tuple(sign * c for c in cw.values()),
+         monomial_positions(np.array(list(cw), dtype=np.int64)[:, None, :] + exps, top))
+        for cw, sign in zip(factors, signs)
+    )
+
+
 def localization_pushforward(f: EquivariantClass) -> MPoly:
     """Exact pushforward of a flavor-X class to a polynomial in t.
 
@@ -570,8 +560,11 @@ def localization_pushforward(f: EquivariantClass) -> MPoly:
     sum_w sgn(w) f(w) C_w over prod_{j<i} (t_i - t_j), where C_w is the
     product over non-arcs; the numerator must be exactly divisible, and the
     quotient is the result (degree deg f - |h|, or zero), in Python ints.
-    For a batch class column k of the result is the pushforward of column
-    k, and one column that is not divisible makes the call raise.
+    The numerator is formed on the coordinates: vertex by vertex, each term
+    c t^e of sgn(w) C_w adds c times the block of w at the positions of
+    _numerator_terms.  For a batch class column k of the result is the
+    pushforward of column k, and one column that is not divisible makes the
+    call raise.
 
     It runs on int64 rows when this a-priori bound is below 2**62.  With B
     the largest entry of f and M the number of degree-d monomials, no sum
@@ -585,13 +578,18 @@ def localization_pushforward(f: EquivariantClass) -> MPoly:
         raise ValueError("the pushforward is defined on flavor-X classes")
     n = model.n
     pairs = n * (n - 1) // 2
-    factors, signs = _complement_factors(model.h.values)
+    top = f.degree + pairs - model.h.size()
+    terms = _numerator_terms(model.h.values, f.degree)
     peak = int(np.abs(f.coords).max()) if f.coords.size else 0
-    l1 = peak * len(monomials(n, f.degree)) * sum(sum(map(abs, cw.values())) for cw in factors)
-    small = 2 * l1 * max(f.degree + pairs - model.h.size(), 1) ** pairs < 2**62
-    num: MPoly = mp_zero()
-    for val, cw, sign in zip(f._vertex_polys(np.int64 if small else object), factors, signs):
-        num = mp_add(num, mp_mul(val, mp_scale(cw, sign)))
+    l1 = peak * len(monomials(n, f.degree)) * sum(abs(c) for coefs, _ in terms for c in coefs)
+    coords = f.coords.astype(np.int64 if 2 * l1 * max(top, 1) ** pairs < 2**62 else object)
+    blocks = coords.reshape((len(terms), -1) + coords.shape[1:])
+    mons = monomials(n, top)
+    acc = np.zeros((len(mons),) + coords.shape[1:], dtype=coords.dtype)
+    for (coefs, positions), block in zip(terms, blocks):
+        for c, pos in zip(coefs, positions):
+            acc[pos] += c * block
+    num: MPoly = {mons[k]: acc[k] for k in np.flatnonzero(acc.reshape(len(acc), -1).any(axis=1))}
     try:
         for j in range(1, n + 1):
             for i in range(j + 1, n + 1):
@@ -647,7 +645,7 @@ def gkm_report(h: HessenbergFunction) -> list[dict]:
     model_x = GkmModel(h, "X")
     model_y = GkmModel(h, "Y")
     dims_x = [degree_piece(model_x, d).dim for d in range(max_d + 1)]
-    dims_y = [twin_piece(model_y, d).dim for d in range(max_d + 1)]
+    dims_y = [degree_piece(model_y, d).dim for d in range(max_d + 1)]
     law = [
         sum(betti[k] * comb(d - k + n - 1, n - 1) for k in range(min(d, len(betti) - 1) + 1))
         for d in range(max_d + 1)

@@ -9,7 +9,7 @@ Integer inputs give integer results.  Homogeneous degree pieces index their
 monomials by the order of monomials(nvars, d), which is fixed (descending
 lexicographic) so coordinate vectors are reproducible.  The moment-graph
 classes of gkm are such coordinate vectors; the dicts serve the localization
-pushforward, which reads a class as one polynomial per vertex.
+pushforward, which divides its numerator by the linear forms t_i - t_j.
 
 monomial_positions is the one locator of that order.  It reads an exponent
 vector of degree d as a base-(d + 1) number, first variable most
@@ -45,9 +45,6 @@ def _accumulate(out: MPoly, key: tuple[int, ...], c) -> None:
         out.pop(key, None)
 
 
-def mp_zero() -> MPoly:
-    return {}
-
 def mp_var(nvars: int, i: int) -> MPoly:
     """t_i, 1-based."""
     exp = [0] * nvars
@@ -65,12 +62,6 @@ def mp_neg(a: MPoly) -> MPoly:
 
 def mp_sub(a: MPoly, b: MPoly) -> MPoly:
     return mp_add(a, mp_neg(b))
-
-def mp_scale(a: MPoly, c) -> MPoly:
-    """c * a for a scalar c."""
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items()}
 
 def mp_mul(a: MPoly, b: MPoly) -> MPoly:
     out: MPoly = {}

@@ -11,8 +11,8 @@ sum aligns the two denominators by their lcm, a product convolves the
 numerators and multiplies the denominators.  One denominator per polynomial
 is enough, as the p-basis coefficients have denominators dividing z_mu
 (Macdonald, Symmetric Functions and Hall Polynomials, ch. I).  The read-only
-view QPoly.coeffs gives the coefficients as Fractions, and so do leading and
-coeff.  A QRat is a quotient of two QPoly values kept in canonical form:
+view QPoly.coeffs gives the coefficients as Fractions, and so does coeff.
+A QRat is a quotient of two QPoly values kept in canonical form:
 
     gcd(numerator, denominator) = 1 and the denominator is monic.
 
@@ -108,11 +108,6 @@ class QPoly:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def leading(self) -> Fraction:
-        if not self.num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
         return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
@@ -380,20 +375,25 @@ class QRat:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def to_string(self) -> str:
-        """Canonical serialization '(num)/(den)' with integer coefficients.
+    def string_parts(self) -> tuple[str, str]:
+        """The numerator and denominator strings of the canonical
+        serialization, which every output format reads.
 
         Both polynomials are scaled by the same positive rational so that all
         printed coefficients are integers with overall gcd 1; the
         denominator's leading coefficient stays positive, as it is monic.
         """
         if self.is_zero():
-            return "(0)/(1)"
+            return "0", "1"
         lcm = math.lcm(self.num.den, self.den.den)
         num = [a * (lcm // self.num.den) for a in self.num.num]
         den = [a * (lcm // self.den.den) for a in self.den.num]
         g = math.gcd(*num, *den)
-        return f"({format_poly(_make(num, g))})/({format_poly(_make(den, g))})"
+        return format_poly(_make(num, g)), format_poly(_make(den, g))
+
+    def to_string(self) -> str:
+        """Canonical serialization '(num)/(den)' with integer coefficients."""
+        return "({})/({})".format(*self.string_parts())
 
     def __str__(self) -> str:
         return self.to_string()

@@ -297,31 +297,29 @@ class SymFunc:
         )
         return f"SymFunc<{self.basis},{self.n}> {body}"
 
+    def terms(self) -> list[tuple[Partition, QRat]]:
+        """The nonzero terms in the order of partitions_of, which every
+        output format follows."""
+        return [(p, self.coeffs[p]) for p in partitions_of(self.n) if p in self.coeffs]
+
     def to_json_obj(self) -> dict:
-        parts = [p for p in partitions_of(self.n) if p in self.coeffs]
         return {
             "basis": self.basis,
             "n": self.n,
-            "terms": [
-                {"partition": list(p), "coeff": self.coeffs[p].to_string()}
-                for p in parts
-            ],
+            "terms": [{"partition": list(p), "coeff": c.to_string()} for p, c in self.terms()],
         }
 
     def to_latex(self) -> str:
         """LaTeX fragment like '(q + 1) e_{2} + e_{11}'."""
         if not self.coeffs:
             return "0"
-        parts = [p for p in partitions_of(self.n) if p in self.coeffs]
         chunks = []
-        for p in parts:
+        for p, c in self.terms():
             sub = ",".join(map(str, p)) if any(x >= 10 for x in p) else "".join(map(str, p))
-            c = self.coeffs[p]
             if c == QRat.one():
                 coeff = ""
             else:
-                body = c.to_string()
-                num, den = body[1:-1].split(")/(")
+                num, den = c.string_parts()
                 coeff = f"({num})" if den == "1" else f"\\frac{{{num}}}{{{den}}}"
             chunks.append(f"{coeff}{self.basis}_{{{sub or '0'}}}")
         return " + ".join(chunks)

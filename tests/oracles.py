@@ -8,8 +8,9 @@ rankings), the moment-graph
 quotient characters by Fraction echelon forms of each piece and of its
 ideal subspace, the index maps of the moment graphs and the spanning set
 e_k * m of the coinvariant ideal by tuple lookup, the
-congruence check, the actions, xi and the product of moment-graph classes on
-one polynomial dict per vertex, the flavor-Y pieces as the xi-transport of
+congruence check, the actions, xi and the product of moment-graph classes and
+the numerator of the localization pushforward on one polynomial dict per
+vertex, the flavor-Y pieces as the xi-transport of
 the X bases, with their dagger traces by SubspaceTracer, the basis tables of symfunc by direct
 expansion and Fraction inversion, and the fixed faces of a permutation by
 relabeling each face.  The character of the polynomial ring and the
@@ -58,7 +59,8 @@ from hessllt.gkm import (
     degree_piece,
 )
 from hessllt.hessgraph import HessenbergFunction, _tally_poly
-from hessllt.multipoly import MPoly, monomials, mp_mul, mp_permute, mp_sub
+from hessllt.multipoly import (MPoly, monomials, mp_add, mp_divide_linear, mp_mul, mp_permute, mp_sub,
+                               mp_var)
 from hessllt.permco import PermutohedronFace
 from hessllt.qrat import QPoly, QRat, Scalar, format_poly
 from hessllt.symfunc import SymFunc, murnaghan_nakayama
@@ -509,6 +511,28 @@ def xi_by_dicts(model: GkmModel, values: list[MPoly]) -> list[MPoly]:
 def product_by_dicts(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     """The vertexwise product of two classes."""
     return [mp_mul(x, y) for x, y in zip(a, b)]
+
+
+def pushforward_by_dicts(model: GkmModel, d: int, coords) -> MPoly:
+    """gkm.localization_pushforward with its numerator sum_w sgn(w) C_w f(w)
+    formed on the per-vertex dicts of values_by_lookup: sgn(w) by counting
+    inversions, and f(w) multiplied by the non-arc factors of C_w one at a
+    time and added up with mp_mul and mp_add.  The division by the
+    Vandermonde product is the library's mp_divide_linear."""
+    n = model.n
+    arcs = set(model.h.edge_pairs())
+    non_arcs = [(j, i) for j in range(1, n + 1) for i in range(j + 1, n + 1) if (j, i) not in arcs]
+    num: MPoly = {}
+    for w, value in zip(model.vertices, values_by_lookup(model, d, coords)):
+        sign = (-1) ** sum(w[a] > w[b] for a, b in itertools.combinations(range(n), 2))
+        term = {e: sign * c for e, c in value.items()}
+        for j, i in non_arcs:
+            term = mp_mul(term, mp_sub(mp_var(n, w[i - 1]), mp_var(n, w[j - 1])))
+        num = mp_add(num, term)
+    for j in range(1, n + 1):
+        for i in range(j + 1, n + 1):
+            num = mp_divide_linear(num, i, j)
+    return num
 
 
 def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:

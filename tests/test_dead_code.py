@@ -2,8 +2,9 @@
 class other than a dunder, is dead code.
 
 A definition is alive when something other than its own body names it:
-another definition or statement of src/hessllt, a demo, a line of the
-README, or an entry of hessllt.__all__.  A method counts as named by any
+another definition or statement of src/hessllt, a demo, code in the README
+(an inline code span or a fenced block; its prose does not count, so a word
+like "leading" rescues nothing), or an entry of hessllt.__all__.  A method counts as named by any
 attribute of that name, whatever object it is read from.  Tests do not
 count; an oracle that only the tests call belongs in tests/oracles.py.
 
@@ -66,12 +67,18 @@ def definitions_and_outside_reads(source: str) -> tuple[list[tuple[int, str]], s
     return defs, reads
 
 
+def code_words(markdown: str) -> set[str]:
+    """The words of the fenced blocks and inline code spans of a markdown text."""
+    return set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`]*`", markdown, re.DOTALL))))
+
+
 def dead_definitions(modules: dict[str, str], outside: set[str], text: str) -> list[str]:
     """module:line: name of each definition in modules (name -> source) that
-    no module, no name in outside and no word of text reads."""
+    no module, no name in outside and no word of code in the markdown text
+    reads."""
     parsed = {name: definitions_and_outside_reads(src) for name, src in modules.items()}
     read = set(outside).union(*(reads for _, reads in parsed.values()))
-    words = set(re.findall(r"\w+", text))
+    words = code_words(text)
     return [
         f"{module}:{line}: {name}"
         for module, (defs, _) in parsed.items()
@@ -101,6 +108,14 @@ def test_scanner_flags_only_unreferenced_definitions():
     }
     dead = dead_definitions(modules, {"from_demo"}, "see `Documented` in the README")
     assert dead == ["a:5: recursive", "a:12: recursive_method", "b:3: orphan"]
+
+
+def test_readme_prose_rescues_no_definition():
+    modules = {"a": "def leading(): pass\ndef spanned(): pass\ndef fenced(): pass\n"}
+    text = ("the leading term is kept; call `spanned(x)` or\n\n"
+            "```python\nfenced()\n```\n\nbut not leading")
+    assert code_words(text) == {"spanned", "x", "python", "fenced"}
+    assert dead_definitions(modules, set(), text) == ["a:1: leading"]
 
 
 def test_no_dead_definitions():

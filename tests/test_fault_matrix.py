@@ -138,6 +138,18 @@ def first_vertex_sign_flip(real):
     return flipped
 
 
+def first_vertex_terms_dropped(real):
+    """The coordinate numerator of the localization sum without the terms of
+    vertex 0: on the complete graph the unit class then sums to -sgn(w_0),
+    which the Vandermonde product does not divide."""
+
+    def dropped(h_values, d):
+        terms = real(h_values, d)
+        return (((), terms[0][1][:0]),) + terms[1:]
+
+    return dropped
+
+
 def p2_with_doubled_h11(real):
     """p_2 = 2h_2 - h_11 read as 2h_2 - 2h_11.  The fault runs the undecorated
     recursion, so the real cache of _p_in_h never holds a corrupted value."""
@@ -261,6 +273,9 @@ TABLE = (
           "total-quotient-dimension-is-n-factorial", "equivariant-palindromicity"),
     fault("localization-sign-off-at-vertex-0",
           wrap(gkm, "_complement_factors", first_vertex_sign_flip), "gkm",
+          "localization-integrality-and-equivariance"),
+    fault("localization-vertex-0-terms-dropped",
+          wrap(gkm, "_numerator_terms", first_vertex_terms_dropped), "gkm",
           "localization-integrality-and-equivariance"),
     # csf and llt are tallied in the m basis and converted to p through the
     # tables when they are built; the other checks compare characters that
@@ -398,9 +413,11 @@ REQUIRED = frozenset({
 
 
 # The cached index maps of the moment graphs, which a locator fault corrupts,
-# and the cached csf and llt, which a table fault corrupts as they are
-# converted to p and a rise fault as they are tallied.
-CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map,
+# the cached numerator terms of the localization sum, built from the
+# complement factors a sign fault corrupts, and the cached csf and llt,
+# which a table fault corrupts as they are converted to p and a rise fault
+# as they are tallied.
+CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map, gkm._numerator_terms,
           hessgraph._coloring_symfuncs)
 
 

@@ -23,7 +23,6 @@ from hessllt.gkm import (
     localization_pushforward,
     perm_monomial_map,
     quotient_graded_character,
-    twin_piece,
     xi_transport,
 )
 from hessllt.hessgraph import HessenbergFunction, csf, hessenberg_all, llt
@@ -34,6 +33,7 @@ from oracles import (
     first_violated_edge_by_substitution,
     frac_rref,
     product_by_dicts,
+    pushforward_by_dicts,
     quotient_character_bruteforce,
     relabeling_map_by_lookup,
     shift_map_by_lookup,
@@ -45,12 +45,6 @@ from oracles import (
 )
 
 H = HessenbergFunction.parse
-
-
-def piece(model, d):
-    """The degree-d piece of either flavor: a basis for X, the split by
-    irreducibles for Y."""
-    return (degree_piece if model.flavor == "X" else twin_piece)(model, d)
 
 
 def basis(model, d):
@@ -88,15 +82,15 @@ class TestDegreePieces:
         # one linear condition per degree, so dims 2(d+1) - 1
         mx, my = models("2,2")
         for model in (mx, my):
-            assert piece(model, 0).dim == 1
-            assert piece(model, 1).dim == 3
-            assert piece(model, 2).dim == 5
+            assert degree_piece(model, 0).dim == 1
+            assert degree_piece(model, 1).dim == 3
+            assert degree_piece(model, 2).dim == 5
 
     def test_identity_trace_is_dimension(self):
         mx, my = models("2,3,3")
         for model in (mx, my):
             for d in range(3):
-                space = piece(model, d)
+                space = degree_piece(model, d)
                 assert space.trace((1, 2, 3)) == space.dim
 
     def test_transposition_traces_two_vertices(self):
@@ -104,8 +98,8 @@ class TestDegreePieces:
         mx, my = models("2,2")
         assert degree_piece(mx, 0).trace((2, 1)) == 1
         assert degree_piece(mx, 1).trace((2, 1)) == 1
-        assert twin_piece(my, 0).trace((2, 1)) == 1
-        assert twin_piece(my, 1).trace((2, 1)) == 1
+        assert degree_piece(my, 0).trace((2, 1)) == 1
+        assert degree_piece(my, 1).trace((2, 1)) == 1
 
     def test_degree_budget(self):
         mx, _ = models("2,2")
@@ -171,7 +165,7 @@ class TestSmallPiecesAgainstFraction:
                         C = gkm._constraint_matrix(model, d)
                         rows = [[Fraction(int(x)) for x in row] for row in C]
                         rank = frac_rref(rows)[0] if rows else 0
-                        assert piece(model, d).dim == C.shape[1] - rank, (h, flavor, d)
+                        assert degree_piece(model, d).dim == C.shape[1] - rank, (h, flavor, d)
                         B = basis(model, d).astype(object)
                         assert not np.any(C.astype(object) @ B), (h, flavor, d)
                         cols = [[Fraction(int(x)) for x in col] for col in B.T]
@@ -215,16 +209,16 @@ class TestXiCertificate:
         mx, my = models("2,3,4,4")
         for d in range(H("2,3,4,4").size() + 2):
             cert = degree_piece(mx, d).certificate
-            assert cert["twin_dimension"] == cert["exhibited"] == twin_piece(my, d).dim
-            assert twin_piece(my, d).dim == sum(
-                len(standard_tableaux(lam)) * k for lam, k in twin_piece(my, d).kernel_dims.items())
+            assert cert["twin_dimension"] == cert["exhibited"] == degree_piece(my, d).dim
+            assert degree_piece(my, d).dim == sum(
+                len(standard_tableaux(lam)) * k for lam, k in degree_piece(my, d).kernel_dims.items())
 
     def test_each_flavor_has_its_own_piece(self):
         mx, my = models("2,3,3")
-        with pytest.raises(ValueError, match="degree_piece builds flavor X and twin_piece flavor Y, not Y"):
-            degree_piece(my, 1)
-        with pytest.raises(ValueError, match="degree_piece builds flavor X and twin_piece flavor Y, not X"):
-            twin_piece(mx, 1)
+        for d in range(mx.h.size() + 2):
+            space, twin = degree_piece(mx, d), degree_piece(my, d)
+            assert isinstance(space, gkm.GkmSpace) and isinstance(twin, gkm.TwinPiece)
+            assert twin.model.flavor == "Y" and twin.dim == space.dim
 
     @pytest.mark.parametrize("text", ["3,3,3", "2,3,4,4"])
     def test_gather_sending_two_monomials_to_one_is_caught(self, monkeypatch, text):
@@ -272,7 +266,7 @@ class TestTwinAgainstTransport:
     def test_dims_and_dagger_traces(self, text):
         my = GkmModel(H(text), "Y")
         for d in range(my.h.size() + 2):
-            twin, transported = twin_piece(my, d), transported_space(my, d)
+            twin, transported = degree_piece(my, d), transported_space(my, d)
             C = gkm._constraint_matrix(my, d)
             nullity = C.shape[1] - hessllt.linalg.blocked_rref(C, hessllt.linalg.SMALL_PRIMES[1], full=False)[0]
             assert twin.dim == transported.dim == nullity, d
@@ -289,8 +283,7 @@ class TestEquivariantClasses:
         x1 = EquivariantClass.x_class(mx, 1)
         assert list(x1.coords) == [1, 0, 0, 1]
         assert x1 == EquivariantClass(mx, 1, [1, 0, 0, 1])
-        assert x1.values[0] == {(1, 0): Fraction(1)}
-        assert x1.values[1] == {(0, 1): Fraction(1)}
+        assert values_by_lookup(mx, 1, x1.coords) == [{(1, 0): 1}, {(0, 1): 1}]
         with pytest.raises(ValueError):
             EquivariantClass.x_class(my, 1)
 
@@ -349,7 +342,7 @@ class TestEquivariantClasses:
         x1 = EquivariantClass.x_class(mx, 1)
         sq = x1 * x1
         assert sq.degree == 2
-        assert sq.values == ({(2, 0): 1}, {(0, 2): 1})
+        assert list(sq.coords) == [1, 0, 0, 0, 0, 1]  # t_1^2 at (1, 2), t_2^2 at (2, 1)
         batch = EquivariantClass(mx, 1, degree_piece(mx, 1).matrix)
         with pytest.raises(ValueError, match="single classes"):
             batch * x1
@@ -543,7 +536,7 @@ class TestBatchLocalization:
         batch = EquivariantClass(mx, 2, space.matrix)
         for k in range(space.dim):
             single = EquivariantClass(mx, 2, space.matrix[:, k])
-            assert [column(v, k) for v in batch.values] == list(single.values)
+            assert np.array_equal(batch.coords[:, k], single.coords)
         assert batch == EquivariantClass(mx, 2, space.matrix.astype(object))
         assert batch != EquivariantClass(mx, 2, space.matrix * 2)
 
@@ -569,6 +562,33 @@ class TestBatchLocalization:
         assert pushed.keys() == plain.keys()
         for e, c in pushed.items():
             assert list(c) == [x * big for x in plain[e]]
+
+
+def oracle_cases():
+    """(h, d) for every h with n <= 3 and for 2,3,4,4, at every d <= |h| + 1."""
+    hs = [h for n in (1, 2, 3) for h in hessenberg_all(n)] + [H("2,3,4,4")]
+    return [(",".join(map(str, h.values)), d) for h in hs for d in range(h.size() + 2)]
+
+
+class TestPushforwardAgainstDicts:
+    """The numerator formed on the coordinates against the per-vertex dict
+    route of the oracle, on every basis piece of oracle_cases, as one batch
+    and column by column, on int64 coordinates, on Python ints and on Python
+    ints past the int64 bound."""
+
+    @pytest.mark.parametrize("text, d", oracle_cases())
+    def test_pushforward_matches_the_dict_route(self, text, d):
+        mx, _ = models(text)
+        matrix = degree_piece(mx, d).matrix
+        expected = pushforward_by_dicts(mx, d, matrix)
+        big = (1 << 64) + 7
+        for coords, scale in ((matrix, 1), (matrix.astype(object), 1), (matrix.astype(object) * big, big)):
+            scaled = {e: c * scale for e, c in expected.items()}
+            assert_same_values([localization_pushforward(EquivariantClass(mx, d, coords))], [scaled])
+            for k in range(matrix.shape[1]):
+                single = localization_pushforward(EquivariantClass(mx, d, coords[:, k]))
+                assert single == column(scaled, k), k
+
 
 
 def dict_cases():
@@ -627,7 +647,6 @@ class TestCoordinatesAgainstDicts:
         columns = basis(model, d)
         batch = EquivariantClass(model, d, columns)
         values = values_by_lookup(model, d, columns)
-        assert_same_values(batch.values, values)
         for sigma in all_permutations(model.n):
             moved = batch.act(sigma)
             expected = act_by_dicts(model, values, sigma)
@@ -728,7 +747,7 @@ class TestIndexMapsAgainstLookup:
         cases = [(GkmModel(h, "X"), d) for n in range(1, 5) for h in hessenberg_all(n)
                  for d in range(h.size() + 2)]
         fast = [degree_piece(model, d).matrix for model, d in cases]
-        kernels = [twin_piece(model.twin(), d).kernel_dims for model, d in cases]
+        kernels = [degree_piece(model.twin(), d).kernel_dims for model, d in cases]
         monkeypatch.setattr(gkm, "_space_cache", {})
         monkeypatch.setattr(gkm, "perm_monomial_map", relabeling_map_by_lookup)
         monkeypatch.setattr(gkm, "_mono_shift_map", shift_map_by_lookup)
@@ -736,7 +755,7 @@ class TestIndexMapsAgainstLookup:
         monkeypatch.setattr(gkm, "_staircase_columns", staircase_columns_by_lookup)
         for (model, d), matrix, dims in zip(cases, fast, kernels):
             assert np.array_equal(degree_piece(model, d).matrix, matrix), (model, d)
-            assert twin_piece(model.twin(), d).kernel_dims == dims, (model, d)
+            assert degree_piece(model.twin(), d).kernel_dims == dims, (model, d)
 
 
 class TestExactVerification:
