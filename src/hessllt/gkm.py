@@ -227,11 +227,9 @@ def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
     return out
 
 
-def _product_columns(model: GkmModel, prev: GkmSpace, generators: str) -> np.ndarray:
-    """Columns g_i * f for every generator g_i and every basis column f of the
-    previous degree, block i holding g_i times every previous column.  At
-    vertex w, g_i multiplies the value by t_i for "t_vars" and by t_{w(i)}
-    for "x_classes"."""
+def _product_columns(model: GkmModel, prev: GkmSpace) -> np.ndarray:
+    """Columns t_i * f for every variable t_i and every basis column f of the
+    previous degree, block i holding t_i times every previous column."""
     n = model.n
     d = prev.degree + 1
     M = len(monomials(n, d))
@@ -239,8 +237,7 @@ def _product_columns(model: GkmModel, prev: GkmSpace, generators: str) -> np.nda
     K = B.shape[1]
     out = np.zeros((len(model.vertices) * M, n * K), dtype=B.dtype)
     for i in range(1, n + 1):
-        var = [i if generators == "t_vars" else w[i - 1] for w in model.vertices]
-        rows = np.concatenate([iw * M + _mono_shift_map(n, d, v) for iw, v in enumerate(var)])
+        rows = (np.arange(len(model.vertices))[:, None] * M + _mono_shift_map(n, d, i)).ravel()
         out[rows, (i - 1) * K:i * K] = B
     return out
 
@@ -269,7 +266,7 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     p = SMALL_PRIMES[0]
     cand = _staircase_columns(model, d)
     if d:
-        prods = _product_columns(model, degree_piece(model, d - 1), "t_vars")
+        prods = _product_columns(model, degree_piece(model, d - 1))
         cand = np.concatenate([prods, cand], axis=1)
     rank, pivots, _ = blocked_rref(cand, p, full=False)
     if rank > k_target:

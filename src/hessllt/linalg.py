@@ -26,11 +26,11 @@ invariant.
 The heaviest eliminations use SMALL_PRIMES just under 2**22 through
 blocked_rref, which runs almost all of its arithmetic as float64 matrix
 products and keeps every entry of its matrix reduced below p between
-steps.  Every product, whether a rank-one update of the leaf rows that
+steps.  Every product, whether a rank-one update of the panel rows that
 carry a multiplier, a triangular inverse of at most _PANEL rows or its
 application, or a row chunk of a trailing update, has inner dimension at
-most _PANEL = 256 and operands reduced below p, and is reduced before it is
-read again.  With p < 2**22 no value reaches 257 * p**2 < 2**53, so the
+most _PANEL = 32 and operands reduced below p, and is reduced before it is
+read again.  With p < 2**22 no value reaches 33 * p**2 < 2**53, so the
 floating-point arithmetic is exact integer arithmetic at BLAS speed, and
 _reduce, a multiply by 1/p with a truncated quotient, is exact on all of
 it.  The work follows the nonzeros: a pivot updates only the rows with a
@@ -102,7 +102,7 @@ def lift_vector(residues: list[np.ndarray], moduli: list[int]) -> list[int | Fra
 def integerize(vec: list[int | Fraction]) -> list[int]:
     """Scale a rational vector to coprime integers (positive leading sign kept)."""
     den = lcm(*(f.denominator for f in vec))
-    ints = [int(f * den) for f in vec]
+    ints = [f.numerator * (den // f.denominator) for f in vec]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -112,8 +112,7 @@ def integerize(vec: list[int | Fraction]) -> list[int]:
 
 SMALL_PRIMES = (4194301, 4194287, 4194277, 4194271, 4194247, 4194217, 4194199, 4194191, 4194187, 4194181)
 
-_PANEL = 256  # (_PANEL + 1) * (SMALL_PRIMES[0] - 1) ** 2 < 2 ** 53
-_LEAF = 32  # columns pivoted one at a time before their panel is updated by products
+_PANEL = 32  # columns pivoted one at a time; (_PANEL + 1) * (SMALL_PRIMES[0] - 1) ** 2 < 2 ** 53
 _CHUNK = 1 << 18  # entries per row chunk of the full-height temporaries
 
 
@@ -161,18 +160,12 @@ def _sub_product(T: np.ndarray, L: np.ndarray, X: np.ndarray, p: int) -> None:
 
 
 def _unit_lower_inverse(S: np.ndarray, p: int) -> np.ndarray:
-    """Inverse mod p of I + (strict lower part of S), S reduced: forward
-    substitution up to _LEAF rows, then the 2 x 2 block formula."""
+    """Inverse mod p of I + (strict lower part of S), for S reduced and at
+    most _PANEL rows, by forward substitution."""
     k = len(S)
     W = np.eye(k)
-    if k <= _LEAF:
-        for j in range(1, k):
-            W[j, :j] = -(S[j, :j] @ W[:j, :j]) % p
-        return W
-    h = k // 2
-    W[:h, :h] = _unit_lower_inverse(S[:h, :h], p)
-    W[h:, h:] = _unit_lower_inverse(S[h:, h:], p)
-    W[h:, :h] = _reduce(-(W[h:, h:] @ _reduce(S[h:, :h] @ W[:h, :h], p)), p)
+    for j in range(1, k):
+        W[j, :j] = -(S[j, :j] @ W[:j, :j]) % p
     return W
 
 
@@ -211,16 +204,15 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
     Entries live as integer-valued float64, and every entry stays reduced
     below p between steps: the entry reduction leaves it so, and each
     update below is reduced as it is written.  Columns go in panels of
-    _PANEL split into leaves of _LEAF.  Inside a leaf, pivots are taken one
-    at a time: the first nonzero row is swapped up, its leaf row is scaled
-    by the inverse pivot (a product below p**2, reduced at once), and the
-    other nonzero rows of the column, the only rows with a nonzero
-    multiplier, lose a multiple of it in the leaf's columns and are reduced
-    at once; their multipliers are recorded in full-height columns.  When
-    the leaf ends the rest of its panel, and when the panel ends the
-    trailing columns, receive those eliminations by _replay, whose products
-    gather only the rows with a multiplier.  Exactness: every product has
-    inner dimension at most _PANEL and operands reduced below p, so no value
+    _PANEL.  Inside a panel, pivots are taken one at a time: the first
+    nonzero row is swapped up, its panel row is scaled by the inverse pivot
+    (a product below p**2, reduced at once), and the other nonzero rows of
+    the column, the only rows with a nonzero multiplier, lose a multiple of
+    it in the panel's columns and are reduced at once; their multipliers are
+    recorded in full-height columns.  When the panel ends the trailing
+    columns receive its eliminations by _replay, whose products gather only
+    the rows with a multiplier.  Exactness: every product has inner
+    dimension at most _PANEL and operands reduced below p, so no value
     reaches (_PANEL + 1) * p**2 < 2**53, within _reduce's range.  Returns
     (rank, pivots, matrix), reduced mod p: the reduced row echelon form when
     full is True (back-substituted by _back_substitute), the forward
@@ -238,37 +230,31 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
     r = 0
     for c0 in range(0, ncols, _PANEL):
         c1 = min(c0 + _PANEL, ncols)
-        p0 = r
+        q = r
         L = np.zeros((nrows, c1 - c0))
         invs: list[int] = []
-        for l0 in range(c0, c1, _LEAF):
+        for c in range(c0, c1):
+            nz = np.flatnonzero(A[r:, c])
+            if nz.size == 0:
+                continue
+            pr = r + int(nz[0])
+            if pr != r:
+                A[[r, pr]] = A[[pr, r]]
+                L[[r, pr]] = L[[pr, r]]
+            inv = pow(int(A[r, c]), p - 2, p)
+            row = A[r, c:c1]
+            np.remainder(row * inv, p, out=row)
+            rows = r + nz[1:]  # the swap moved the first nonzero to row r only
+            if rows.size:
+                mult = A[rows, c]
+                L[rows, r - q] = mult
+                A[rows, c:c1] = _reduce(A[rows, c:c1] - np.outer(mult, row), p)
+            invs.append(inv)
+            pivots.append(c)
+            r += 1
             if r == nrows:
                 break
-            l1 = min(l0 + _LEAF, c1)
-            q = r
-            for c in range(l0, l1):
-                nz = np.flatnonzero(A[r:, c])
-                if nz.size == 0:
-                    continue
-                pr = r + int(nz[0])
-                if pr != r:
-                    A[[r, pr]] = A[[pr, r]]
-                    L[[r, pr]] = L[[pr, r]]
-                inv = pow(int(A[r, c]), p - 2, p)
-                row = A[r, c:l1]
-                np.remainder(row * inv, p, out=row)
-                rows = r + nz[1:]  # the swap moved the first nonzero to row r only
-                if rows.size:
-                    mult = A[rows, c]
-                    L[rows, r - p0] = mult
-                    A[rows, c:l1] = _reduce(A[rows, c:l1] - np.outer(mult, row), p)
-                invs.append(inv)
-                pivots.append(c)
-                r += 1
-                if r == nrows:
-                    break
-            _replay(A[:, l1:c1], L[:, q - p0:r - p0], invs[q - p0:], q, p)
-        _replay(A[:, c1:], L[:, :r - p0], invs, p0, p)
+        _replay(A[:, c1:], L[:, :r - q], invs, q, p)
         if r == nrows:
             break
     if full and r:

@@ -53,7 +53,6 @@ from hessllt.gkm import (
     GkmSpace,
     _ambient_src,
     _check_degree_budget,
-    _product_columns,
     _verify_columns,
     _xi_gather,
     degree_piece,
@@ -336,9 +335,21 @@ def transported_space(model: GkmModel, d: int) -> GkmSpace:
 
 def ideal_piece(space_dminus1: GkmSpace, generators: str) -> list[list[int]]:
     """Exact spanning columns of sum_g g * (degree d-1 piece) inside the
-    degree-d coordinate space, for g over t_1..t_n or x_1..x_n."""
-    prod = _product_columns(space_dminus1.model, space_dminus1, generators)
-    return [list(map(int, prod[:, j])) for j in range(prod.shape[1])]
+    degree-d coordinate space, for g over t_1..t_n or x_1..x_n, block i
+    holding g_i times every previous column.  At vertex w, t_i multiplies
+    the value by t_i and x_i by t_{w(i)}."""
+    model = space_dminus1.model
+    n, d = model.n, space_dminus1.degree + 1
+    M, M_prev = len(monomials(n, d)), len(monomials(n, d - 1))
+    B = space_dminus1.matrix.astype(object)
+    cols = []
+    for i in range(1, n + 1):
+        prod = np.zeros((len(model.vertices) * M, B.shape[1]), dtype=object)
+        for iw, w in enumerate(model.vertices):
+            var = i if generators == "t_vars" else w[i - 1]
+            prod[iw * M + shift_map_by_lookup(n, d, var)] = B[iw * M_prev:(iw + 1) * M_prev]
+        cols.extend(prod.T.tolist())
+    return cols
 
 
 def quotient_character_bruteforce(model: GkmModel, generators: str, max_d: int | None = None) -> SymFunc:

@@ -1,17 +1,17 @@
 """The functions the traced benchmark run wraps must exist under their names,
-and each benchmark workload, run in-process under the benchmark's span
-tracer, must reproduce its stored digest and record calls in every span the
-traced benchmark run requires of it."""
+and each benchmark workload, run in a cold traced child process as the
+benchmark starts it, must reproduce its stored digest and record calls in
+every span the traced benchmark run requires of it."""
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import hessllt.cli  # loads every module the targets name
-from hessllt import gkm
+import hessllt.cli  # noqa: F401  (loads every module the targets name)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,25 +29,18 @@ def test_every_trace_target_is_defined_by_its_owner(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["gkm-n4", "identities-n5", "llt-n7", "permutohedron-n5"])
-def test_gkm_workload_report_matches_its_digest(monkeypatch, capsys, workload):
+def test_gkm_workload_report_matches_its_digest(monkeypatch, tmp_path, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    # as in a cold child: mp_mul runs only while the complement factors are cold
-    monkeypatch.setattr(gkm, "_space_cache", {})
-    gkm._complement_factors.cache_clear()
-    gkm._numerator_terms.cache_clear()
     run = importlib.import_module("run")
-    layers = importlib.import_module("layers")
-    spans = importlib.import_module("spans")
-    tracer = spans.Tracer(nested=layers.NESTED)
-    undo = spans.install(tracer, layers.TARGETS, "hessllt")
-    try:
-        code = hessllt.cli.main(list(run.WORKLOADS[workload].argv))
-    finally:
-        spans.uninstall(undo)
-    stdout = capsys.readouterr().out.encode()
+    out = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--out", str(out), "--trace", "--",
+         *run.WORKLOADS[workload].argv],
+        cwd=PERFBENCH.parent, capture_output=True, timeout=300,
+    )
     expected = json.loads((PERFBENCH / "digests.json").read_text())[workload]
-    assert code == expected["exit_code"]
-    assert run.report_digest(stdout, code) == expected["sha256"]
-    silent = [s for s in run.WORKLOADS[workload].spans
-              if s not in tracer.stats or not tracer.stats[s].calls]
+    assert proc.returncode == expected["exit_code"], proc.stderr.decode()
+    assert run.report_digest(proc.stdout, proc.returncode) == expected["sha256"]
+    spans = json.loads(out.read_text())["spans"]
+    silent = [s for s in run.WORKLOADS[workload].spans if not spans.get(s, {}).get("calls")]
     assert not silent, f"spans with no calls: {silent}"

@@ -3,12 +3,16 @@
 Each row corrupts one route of the dual-route checks (a monkeypatch of one
 function) and names the exact set of checks that must then read FAIL in one
 report: gkm_report of the complete graph at n = 3, permco_report(3),
-coinvariant_closed_form_check(3) or verify_identities(2,3,4,4).  Exact sets
-catch a check that silently stops failing as well as one that starts
-failing for the wrong reason.  A fault that the exact congruence check of
-the moment-graph pieces or classes, the X certificate against the twin
-dimension, or the staircase certificate of the coinvariant ideal, refuses
-makes the report raise instead; such faults pin the error.
+coinvariant_closed_form_check(3), complete_graph_agreement(3) or
+verify_identities(2,3,4,4).  Exact sets catch a check that silently stops
+failing as well as one that starts failing for the wrong reason.  A check
+that ANDs several comparisons (a compound check) is covered conjunct by
+conjunct: a row that fails one names the conjuncts it breaks, and each of
+them is recomputed on its own under the fault.  A fault that the exact
+congruence check of the moment-graph pieces or classes, the X certificate
+against the twin dimension, or the staircase certificate of the
+coinvariant ideal, refuses makes the report raise instead; such faults pin
+the error.
 Bumps of a character are made from the named characters with +, - and
 scale only, so the table does not depend on how a character is stored.
 """
@@ -26,10 +30,11 @@ import pytest
 
 import hessllt.cli
 from hessllt import gkm, hessgraph, permco, symfunc
-from hessllt.characters import regular_character, sign_character, trivial_character
-from hessllt.combinat import cycle_type
+from hessllt.characters import graded_dimension, regular_character, sign_character, trivial_character
+from hessllt.combinat import cycle_type, partitions_of
 from hessllt.errors import VerificationError
 from hessllt.hessgraph import HessenbergFunction
+from hessllt.multipoly import mp_is_zero
 from hessllt.qrat import QPoly, QRat
 from hessllt.symfunc import SymFunc
 
@@ -43,8 +48,13 @@ REPORTS = {
     "gkm": lambda: gkm.gkm_report(COMPLETE),
     "permco": lambda: permco.permco_report(N),
     "coinvariant": lambda: permco.coinvariant_closed_form_check(N),
+    "complete-graph": lambda: permco.complete_graph_agreement(N),
     "identities": lambda: hessgraph.verify_identities(IDENTITY_H),
 }
+
+# The checks permco_report folds a sub-report into; the detail of a failing
+# one lists its failing sub-checks.
+FOLDED = frozenset({"face-module-twin-law", "coinvariant-closed-forms", "complete-graph-agreement"})
 
 
 def outcomes(report: list[dict]) -> dict[str, bool]:
@@ -54,6 +64,15 @@ def outcomes(report: list[dict]) -> dict[str, bool]:
 
 def failed(report: list[dict]) -> set[str]:
     return {name for name, passed in outcomes(report).items() if not passed}
+
+
+def failed_with_sub_checks(report: list[dict]) -> set[str]:
+    """The failing checks, with the failing sub-checks of the folded ones."""
+    out = failed(report)
+    for c in report:
+        if c["name"] in FOLDED and not c["passed"]:
+            out |= set(c["detail"].split("; "))
+    return out
 
 
 def odd_classes(n: int):
@@ -242,10 +261,13 @@ class Fault(NamedTuple):
     patch: Callable
     report: str
     fails: frozenset[str]
+    breaks: frozenset[tuple[str, str]]  # (compound check, conjunct)
 
 
-def fault(name: str, patch: Callable, report: str, *fails: str) -> Fault:
-    return Fault(name, patch, report, frozenset(fails))
+def fault(name: str, patch: Callable, report: str, *fails: str,
+          breaks: dict[str, tuple[str, ...]] | None = None) -> Fault:
+    pairs = frozenset((check, half) for check, halves in (breaks or {}).items() for half in halves)
+    return Fault(name, patch, report, frozenset(fails), pairs)
 
 
 TABLE = (
@@ -253,7 +275,8 @@ TABLE = (
           "x-quotient-character-is-llt"),
     # betti_numbers reads csf too
     fault("gkm-csf-of-another-h", wrap(gkm, "csf", other_h), "gkm",
-          "free-module-dimension-law", "t-quotient-character-is-omega-chromatic"),
+          "free-module-dimension-law", "t-quotient-character-is-omega-chromatic",
+          breaks={"free-module-dimension-law": ("X dims", "Y dims")}),
     fault("dagger-trace-off-on-n-cycles", trace_bump(gkm.TwinPiece, is_n_cycle), "gkm",
           "twin-quotient-equals-x-quotient", "equivariant-palindromicity"),
     # the twin quotient alone reads the split of Y by irreducibles
@@ -270,13 +293,16 @@ TABLE = (
     fault("quotient-series-off-at-identity",
           wrap(gkm, "graded_class_function", quotient_series_bump), "gkm",
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt",
-          "total-quotient-dimension-is-n-factorial", "equivariant-palindromicity"),
+          "total-quotient-dimension-is-n-factorial", "equivariant-palindromicity",
+          breaks={"total-quotient-dimension-is-n-factorial": ("t quotient", "x quotient", "twin quotient")}),
     fault("localization-sign-off-at-vertex-0",
           wrap(gkm, "_complement_factors", first_vertex_sign_flip), "gkm",
-          "localization-integrality-and-equivariance"),
+          "localization-integrality-and-equivariance",
+          breaks={"localization-integrality-and-equivariance": ("integrality",)}),
     fault("localization-vertex-0-terms-dropped",
           wrap(gkm, "_numerator_terms", first_vertex_terms_dropped), "gkm",
-          "localization-integrality-and-equivariance"),
+          "localization-integrality-and-equivariance",
+          breaks={"localization-integrality-and-equivariance": ("integrality",)}),
     # csf and llt are tallied in the m basis and converted to p through the
     # tables when they are built; the other checks compare characters that
     # are built in p
@@ -284,23 +310,44 @@ TABLE = (
           "t-quotient-character-is-omega-chromatic", "x-quotient-character-is-llt"),
     fault("vertex-module-plus-regular", face_module_bump(0, regular_character), "permco",
           "face-module-dimensions-match-f-vector", "h-series-dimensions-are-eulerian",
-          "face-module-twin-law"),
+          "face-module-twin-law",
+          breaks={"h-series-dimensions-are-eulerian": ("H",),
+                  "shifted_face_series_is_llt_at_q_plus_one": ("face series is the closed form",)}),
     fault("vertex-module-plus-odd-classes",
           face_module_bump(0, lambda n: odd_classes(n).scale(2)), "permco",
-          "face-module-twin-law"),
+          "face-module-twin-law",
+          breaks={"shifted_face_series_is_llt_at_q_plus_one": ("face series is the closed form",)}),
     fault("f-vector-off-by-one",
           wrap(permco, "f_vector", lambda real: lambda n: (real(n)[0] + 1,) + real(n)[1:]),
           "permco", "face-count-identity", "face-module-dimensions-match-f-vector"),
     fault("eulerian-off-by-one",
           wrap(permco, "eulerian_polynomial", lambda real: lambda n: real(n) + QPoly.one()),
-          "permco", "h-series-dimensions-are-eulerian"),
+          "permco", "h-series-dimensions-are-eulerian",
+          breaks={"h-series-dimensions-are-eulerian": ("H", "LLT")}),
     fault("permco-llt-of-the-complete-graph",
           wrap(permco, "llt", lambda real: lambda h: real(HessenbergFunction((h.n,) * h.n))),
-          "permco", "h-series-dimensions-are-eulerian", "face-module-twin-law"),
+          "permco", "h-series-dimensions-are-eulerian", "face-module-twin-law",
+          breaks={"h-series-dimensions-are-eulerian": ("LLT",),
+                  "shifted_face_series_is_llt_at_q_plus_one": ("closed form is LLT(q+1)",)}),
     # complete_graph_agreement reads its orientation side from orientation_e_expansion
     fault("one-orientation-dropped",
           wrap(permco, "orientation_e_expansion", all_descending_dropped),
-          "permco", "complete-graph-agreement"),
+          "permco", "complete-graph-agreement", breaks={"complete-graph totals": ("orientation",)}),
+    fault("one-orientation-dropped",
+          wrap(permco, "orientation_e_expansion", all_descending_dropped),
+          "complete-graph", "complete-graph partition 1.1.1", "complete-graph totals",
+          breaks={"complete-graph totals": ("orientation",)}),
+    # the subset {} is the one term of the partition 3 on the formula side
+    fault("empty-interval-subset-dropped",
+          wrap(permco, "subsets_of_interval", lambda real: lambda n: real(n)[1:]),
+          "complete-graph", "complete-graph partition 3", "complete-graph totals",
+          breaks={"complete-graph totals": ("formula",)}),
+    # the formula term of {1} counted under the partition 3 in place of 2.1:
+    # the totals see every term once and still agree
+    fault("formula-term-under-another-partition",
+          wrap(permco, "partition_from_subset",
+               lambda real: lambda I, n: real((), n) if I == (1,) else real(I, n)),
+          "complete-graph", "complete-graph partition 3", "complete-graph partition 2.1"),
     fault("one-subset-dropped", wrap(permco, "combinations", first_subset_dropped), "permco",
           "gaussian-binomial-sums"),
     fault("gaussian-product-factor-without-its-one",
@@ -412,6 +459,105 @@ REQUIRED = frozenset({
 })
 
 
+# ------------------------------------------- the conjuncts of compound checks
+# Each conjunct recomputed on its own, from the same functions its check
+# reads, so that it sees a fault patched on them.
+
+def dimension_law_holds(flavor: str) -> bool:
+    n, max_d = COMPLETE.n, COMPLETE.size() + 1
+    betti = gkm.betti_numbers(COMPLETE)
+    law = [sum(betti[k] * math.comb(d - k + n - 1, n - 1) for k in range(min(d, len(betti) - 1) + 1))
+           for d in range(max_d + 1)]
+    model = gkm.GkmModel(COMPLETE, flavor)
+    return [gkm.degree_piece(model, d).dim for d in range(max_d + 1)] == law
+
+
+def quotient_total_holds(flavor: str, generators: str) -> bool:
+    chi = gkm.quotient_graded_character(gkm.GkmModel(COMPLETE, flavor), generators, COMPLETE.size() + 1)
+    return graded_dimension(chi).evaluate(1) == math.factorial(N)
+
+
+def localization_batches() -> list[gkm.EquivariantClass]:
+    """One batch class per degree up to |h|, as the localization check takes them."""
+    model = gkm.GkmModel(COMPLETE, "X")
+    return [gkm.EquivariantClass(model, d, gkm.degree_piece(model, d).matrix)
+            for d in range(COMPLETE.size() + 1)]
+
+
+EQUIVARIANCE_SAMPLE = 3  # the check samples the degrees d <= 2
+GENERATORS = ((2, 1, 3), (2, 3, 1))  # the transposition (1 2) and the n-cycle
+
+
+def localization_integral() -> bool:
+    try:
+        return all(sum(e) == batch.degree - COMPLETE.size()
+                   for batch in localization_batches() for e in gkm.localization_pushforward(batch))
+    except VerificationError:
+        return False
+
+
+def localization_equivariant() -> bool:
+    return all(gkm.localization_equivariance_check(batch, sigma)
+               for batch in localization_batches()[:EQUIVARIANCE_SAMPLE] for sigma in GENERATORS)
+
+
+def eulerian_dimensions(series: SymFunc) -> bool:
+    return graded_dimension(series) == QRat(permco.eulerian_polynomial(N))
+
+
+def shifted_closed_form() -> SymFunc:
+    """sum over subsets I of [n - 1] of q^{n-1-|I|} e_{P(I)}."""
+    out = SymFunc.zero(N, "e")
+    for I in permco.subsets_of_interval(N):
+        out = out + SymFunc.basis_element("e", permco.partition_from_subset(I, N)).scale(q ** (N - 1 - len(I)))
+    return out
+
+
+def complete_graph_total() -> QPoly:
+    return (QPoly.q() + QPoly.one()) ** (N * (N - 1) // 2)
+
+
+def orientation_total() -> QPoly:
+    orientation = permco.orientation_e_expansion(HessenbergFunction((N,) * N))
+    return sum((orientation.coeff(mu).as_poly() for mu in partitions_of(N)), QPoly.zero())
+
+
+def formula_total() -> QPoly:
+    qp1 = QPoly.q() + QPoly.one()
+    return sum((math.prod((qp1 ** j - QPoly.one() for j in range(1, N) if j not in I), start=QPoly.one())
+                for I in permco.subsets_of_interval(N)), QPoly.zero())
+
+
+# The h of permco's twin law at n = 3, (2, 3, 3), is OTHER.
+CONJUNCTS: dict[tuple[str, str], Callable[[], bool]] = {
+    ("free-module-dimension-law", "X dims"): lambda: dimension_law_holds("X"),
+    ("free-module-dimension-law", "Y dims"): lambda: dimension_law_holds("Y"),
+    ("total-quotient-dimension-is-n-factorial", "t quotient"): lambda: quotient_total_holds("X", "t_vars"),
+    ("total-quotient-dimension-is-n-factorial", "x quotient"): lambda: quotient_total_holds("X", "x_classes"),
+    ("total-quotient-dimension-is-n-factorial", "twin quotient"): lambda: quotient_total_holds("Y", "t_vars"),
+    ("localization-integrality-and-equivariance", "integrality"): localization_integral,
+    ("localization-integrality-and-equivariance", "equivariance"): localization_equivariant,
+    ("h-series-dimensions-are-eulerian", "H"): lambda: eulerian_dimensions(permco.face_and_h_series(N)[1]),
+    ("h-series-dimensions-are-eulerian", "LLT"): lambda: eulerian_dimensions(permco.llt(OTHER)),
+    ("shifted_face_series_is_llt_at_q_plus_one", "closed form is LLT(q+1)"):
+        lambda: shifted_closed_form() == permco.llt(OTHER).subs_coeffs(lambda c: c.subs_q_plus_one()),
+    ("shifted_face_series_is_llt_at_q_plus_one", "face series is the closed form"):
+        lambda: permco.face_and_h_series(N)[0].omega() == shifted_closed_form(),
+    ("complete-graph totals", "orientation"): lambda: orientation_total() == complete_graph_total(),
+    ("complete-graph totals", "formula"): lambda: formula_total() == complete_graph_total(),
+}
+COMPOUND = frozenset(check for check, _ in CONJUNCTS)
+
+# Conjuncts that no row breaks, with the reason.
+UNCOVERED_CONJUNCTS = {
+    # The check samples d <= 2 and a degree-d class pushes forward to degree
+    # d - |h|, so below |h| = 3 both sides are 0 whatever the action does
+    # (test_the_equivariance_half_compares_zero_with_zero).  Making it
+    # compare something changes the gkm report and its digests (ROADMAP
+    # item 7).
+    ("localization-integrality-and-equivariance", "equivariance"): "below |h| both sides are 0",
+}
+
 # The cached index maps of the moment graphs, which a locator fault corrupts,
 # the cached numerator terms of the localization sum, built from the
 # complement factors a sign fault corrupts, and the cached csf and llt,
@@ -437,7 +583,13 @@ def cold_caches(monkeypatch):
 @pytest.mark.parametrize("row", TABLE, ids=lambda r: f"{r.report}:{r.name}")
 def test_fault_fails_exactly_its_checks(monkeypatch, row):
     row.patch(monkeypatch)
-    assert failed(REPORTS[row.report]()) == row.fails
+    report = REPORTS[row.report]()
+    assert failed(report) == row.fails
+    # every compound check the fault fails, folded or not, names the
+    # conjuncts it breaks, and each of them fails on its own
+    assert {check for check, _ in row.breaks} == COMPOUND & failed_with_sub_checks(report)
+    for conjunct in row.breaks:
+        assert not CONJUNCTS[conjunct](), conjunct
 
 
 def test_every_emitted_check_is_covered_or_listed_as_uncovered():
@@ -450,6 +602,21 @@ def test_every_emitted_check_is_covered_or_listed_as_uncovered():
     assert covered <= names
     assert REQUIRED <= covered
     assert names - covered == UNCOVERED
+
+
+def test_every_conjunct_is_broken_or_listed_as_uncovered():
+    for conjunct, holds in CONJUNCTS.items():
+        assert holds(), conjunct
+    broken = set().union(*(row.breaks for row in TABLE))
+    assert set(CONJUNCTS) - broken == set(UNCOVERED_CONJUNCTS)
+
+
+def test_the_equivariance_half_compares_zero_with_zero():
+    for batch in localization_batches()[:EQUIVARIANCE_SAMPLE]:
+        assert batch.degree < COMPLETE.size()
+        assert mp_is_zero(gkm.localization_pushforward(batch))
+        for sigma in GENERATORS:
+            assert mp_is_zero(gkm.localization_pushforward(batch.act(sigma)))
 
 
 # The degree-1 relabeling maps place the staircase classes, so the exact

@@ -74,6 +74,19 @@ def residue_matrix(rng, m, n, rank, p=P):
     return out
 
 
+def assert_matches_the_oracle(A):
+    for full in (True, False):
+        rank_b, pivots_b, R = blocked_rref(A, P, full)
+        rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
+        assert (rank_b, pivots_b) == (rank_o, pivots_o)
+        assert np.array_equal(R.astype(np.int64), M)
+    pivots, free, basis = nullspace_small(A, P)
+    rank, _, M = gauss_jordan_mod_p(A, P)
+    assert pivots == pivots_o and len(free) == A.shape[1] - rank
+    assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
+    assert np.array_equal(basis[pivots], (-M[:rank][:, free]) % P)
+
+
 class TestFractionRoutines:
     def test_frac_rref(self):
         rank, pivots, rref = frac_rref(F([[2, 4], [1, 2], [0, 1]]))
@@ -115,12 +128,12 @@ class TestBlockedEngine:
     @pytest.mark.parametrize(
         "shape, rank",
         [
-            ((70, 90), 45),  # two leaves of pivots
-            ((300, 290), 270),  # more than a panel of pivots
+            ((70, 90), 45),  # two panels of pivots
+            ((300, 290), 270),  # many panels of pivots
             ((600, 70), 50),  # tall
             ((50, 600), 45),  # wide
             ((140, 140), 120),  # square
-            ((40, 100), 40),  # r == nrows in the middle of the second leaf
+            ((40, 100), 40),  # r == nrows in the middle of the second panel
         ],
     )
     def test_matches_the_per_pivot_oracle(self, shape, rank):
@@ -128,17 +141,30 @@ class TestBlockedEngine:
         A = residue_matrix(rng, *shape, rank)
         A[:, rng.choice(shape[1], size=5, replace=False)] = 0  # zero columns
         A[:3, :10] = 0  # leading zeros force a swap at the first pivot
-        for full in (True, False):
-            rank_b, pivots_b, R = blocked_rref(A, P, full)
-            rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
-            assert (rank_b, pivots_b) == (rank_o, pivots_o)
-            assert rank <= rank_b <= rank + 3  # the three edited rows may add rank
-            assert np.array_equal(R.astype(np.int64), M)
-            assert R.min() >= 0 and R.max() < P
+        assert rank <= blocked_rref(A, P)[0] <= rank + 3  # the three edited rows may add rank
+        assert_matches_the_oracle(A)
 
-    def test_swaps_inside_a_leaf(self):
+    @pytest.mark.parametrize(
+        "shape, rank, zero_columns, pivots",
+        [
+            ((60, 90), 32, [], range(32)),  # one full panel, then none
+            ((100, 120), 64, [], range(64)),  # two full panels
+            ((32, 70), 32, [], range(32)),  # r == nrows at the last column of a panel
+            ((33, 70), 33, [], range(33)),  # r == nrows at the first column of the next
+            ((60, 120), 50, range(30, 70), [*range(30), *range(70, 90)]),  # a panel with no pivot
+            ((50, 80), 33, [], range(33)),  # back-substitution in two blocks
+        ],
+    )
+    def test_panel_boundaries(self, shape, rank, zero_columns, pivots):
+        rng = np.random.default_rng(sum(shape) + rank)
+        A = residue_matrix(rng, *shape, rank)
+        A[:, list(zero_columns)] = 0
+        assert blocked_rref(A, P)[:2] == (rank, list(pivots))
+        assert_matches_the_oracle(A)
+
+    def test_swaps_inside_a_panel(self):
         # rows carrying a pivot sit below rows that vanish on its column, so
-        # every pivot of the first leaf takes a row swap
+        # every pivot of the first panel takes a row swap
         rng = np.random.default_rng(5)
         A = np.triu(rng.integers(1, 9, size=(48, 48)))[::-1]
         A = np.concatenate([A, rng.integers(0, 9, size=(48, 30))], axis=1)
@@ -147,6 +173,20 @@ class TestBlockedEngine:
             rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
             assert (rank_b, pivots_b) == (rank_o, pivots_o) == (48, list(range(48)))
             assert np.array_equal(R.astype(np.int64), M)
+
+    @pytest.mark.parametrize("k", [1, 2, 31, 32])
+    def test_unit_lower_inverse_is_the_exact_inverse(self, k):
+        # only the strict lower part of S is read; the inverse of a unit
+        # lower triangle is integral, found exactly by forward substitution
+        # over Python ints
+        rng = np.random.default_rng(k)
+        S = rng.integers(0, P, size=(k, k))
+        exact = [[int(i == j) for j in range(k)] for i in range(k)]
+        for i in range(k):
+            for m in range(i):
+                exact[i] = [x - int(S[i, m]) * y for x, y in zip(exact[i], exact[m])]
+        W = linalg._unit_lower_inverse(S.astype(np.float64), P)
+        assert W.astype(np.int64).tolist() == [[x % P for x in row] for row in exact]
 
     def test_nullspace_small_is_the_rref_nullspace(self):
         rng = np.random.default_rng(9)
@@ -238,21 +278,8 @@ def sparse_matrix(rng, m, n, signed, density=0.02):
     return A
 
 
-def assert_matches_the_oracle(A):
-    for full in (True, False):
-        rank_b, pivots_b, R = blocked_rref(A, P, full)
-        rank_o, pivots_o, M = gauss_jordan_mod_p(A, P, full)
-        assert (rank_b, pivots_b) == (rank_o, pivots_o)
-        assert np.array_equal(R.astype(np.int64), M)
-    pivots, free, basis = nullspace_small(A, P)
-    rank, _, M = gauss_jordan_mod_p(A, P)
-    assert pivots == pivots_o and len(free) == A.shape[1] - rank
-    assert np.array_equal(basis[free], np.eye(len(free), dtype=np.int64))
-    assert np.array_equal(basis[pivots], (-M[:rank][:, free]) % P)
-
-
 class TestSparsePaths:
-    """The row-skipping leaf and products against the per-pivot oracle on
+    """The row-skipping panel and products against the per-pivot oracle on
     matrices shaped like the coinvariant and constraint matrices."""
 
     @pytest.mark.parametrize("signed", [False, True])
