@@ -40,13 +40,12 @@ import threading
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-import numpy as np
-
 from .characters import (graded_class_function, graded_dimension, palindromicity_check,
                          seminormal_matrices, word_product)
 from .combinat import all_permutations, compose, cycle_type, inverse, partitions_of, transposition
 from .errors import BudgetExceededError, VerificationError, check
 from .hessgraph import HessenbergFunction, csf, llt
+from .lazynp import np
 from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
 from .multipoly import (MPoly, monomial_exponents, monomial_positions, monomials, mp_divide_linear,
                         mp_is_zero, mp_mul, mp_permute, mp_sub, mp_var)

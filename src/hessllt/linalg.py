@@ -44,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-import numpy as np
+from .lazynp import np
 
 
 # ----------------------------------------------------- CRT and lifting
@@ -161,10 +161,10 @@ def _sub_product(T: np.ndarray, L: np.ndarray, X: np.ndarray, p: int) -> None:
 
 def _unit_lower_inverse(S: np.ndarray, p: int) -> np.ndarray:
     """Inverse mod p of I + (strict lower part of S), for S reduced and at
-    most _PANEL rows, by forward substitution."""
-    k = len(S)
-    W = np.eye(k)
-    for j in range(1, k):
+    most _PANEL rows, by forward substitution over the rows with a nonzero
+    strict lower part (the others are identity rows of the inverse)."""
+    W = np.eye(len(S))
+    for j in np.flatnonzero(np.tril(S, -1).any(axis=1)):
         W[j, :j] = -(S[j, :j] @ W[:j, :j]) % p
     return W
 

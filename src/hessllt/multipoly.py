@@ -25,10 +25,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
+from typing import Union
 
-import numpy as np
+from .lazynp import np
 
-MPoly = dict[tuple[int, ...], int | Fraction | np.ndarray]
+MPoly = dict[tuple[int, ...], Union[int, Fraction, "np.ndarray"]]
 
 
 def _nonzero(c) -> bool:

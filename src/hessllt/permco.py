@@ -30,8 +30,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
-import numpy as np
-
 from .characters import (
     frobenius_inverse,
     graded_class_function,
@@ -52,6 +50,7 @@ from .combinat import (
 from .errors import BudgetExceededError, check
 from .gkm import GKM_N_BUDGET, GkmModel, perm_monomial_map, quotient_graded_character
 from .hessgraph import HessenbergFunction, llt, orientation_e_expansion
+from .lazynp import np
 from .linalg import SubspaceTracer, certified_integer_nullspace
 from .multipoly import monomial_exponents, monomial_positions
 from .qrat import QPoly, QRat, format_poly

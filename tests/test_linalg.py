@@ -178,15 +178,20 @@ class TestBlockedEngine:
     def test_unit_lower_inverse_is_the_exact_inverse(self, k):
         # only the strict lower part of S is read; the inverse of a unit
         # lower triangle is integral, found exactly by forward substitution
-        # over Python ints
+        # over Python ints.  Rows with an all-zero strict lower part, which
+        # the substitution skips, come interleaved with full rows (every
+        # other row zeroed) and as the whole matrix (S = I)
         rng = np.random.default_rng(k)
-        S = rng.integers(0, P, size=(k, k))
-        exact = [[int(i == j) for j in range(k)] for i in range(k)]
-        for i in range(k):
-            for m in range(i):
-                exact[i] = [x - int(S[i, m]) * y for x, y in zip(exact[i], exact[m])]
-        W = linalg._unit_lower_inverse(S.astype(np.float64), P)
-        assert W.astype(np.int64).tolist() == [[x % P for x in row] for row in exact]
+        full = rng.integers(0, P, size=(k, k))
+        interleaved = full.copy()
+        interleaved[1::2] = 0
+        for S in (full, interleaved, np.eye(k, dtype=np.int64)):
+            exact = [[int(i == j) for j in range(k)] for i in range(k)]
+            for i in range(k):
+                for m in range(i):
+                    exact[i] = [x - int(S[i, m]) * y for x, y in zip(exact[i], exact[m])]
+            W = linalg._unit_lower_inverse(S.astype(np.float64), P)
+            assert W.astype(np.int64).tolist() == [[x % P for x in row] for row in exact]
 
     def test_nullspace_small_is_the_rref_nullspace(self):
         rng = np.random.default_rng(9)
