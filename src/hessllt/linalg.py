@@ -10,7 +10,10 @@ When the two bounds meet, the dimension is pinned exactly.
 
 Candidate vectors lifted from mod-p solutions (CRT across several primes
 plus rational reconstruction) are always verified exactly before use, so
-wrong lifts cannot corrupt results, only delay them.
+wrong lifts cannot corrupt results, only delay them.  A nullspace takes
+its primes by one rule: each prime is eliminated once, its residues join
+the group of primes with the same pivots, and the group of the best
+pivots yet is lifted, so no correct residue is ever thrown away.
 
 Traces of a permutation action restricted to an invariant subspace are
 computed by SubspaceTracer from the reduced row echelon form R mod p of a
@@ -293,46 +296,32 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
     independent over Q because each canonical column is nonzero at its own
     free coordinate and zero at the others.  The bounds therefore meet and
     the dimension is pinned, so the verified columns are the canonical
-    basis whatever the number of primes behind them.  Reconstruction is
-    tried from the reference prime on; a failure adds a prime, except that a
-    verification failure with two or more primes restarts from the prime
-    after the reference (an unlucky reference prime dropped the rank).  Mod p
-    the rank of a column prefix can only drop, so a later prime with more
-    rank, or equal rank and lexicographically earlier pivots, proves that at
-    once: it becomes the reference with its elimination reused.  Any other
-    prime with other pivots is skipped.
+    basis whatever the number of primes behind them.  One rule picks the
+    primes: each of SMALL_PRIMES is eliminated once and its residues join
+    the group of primes with its pivots, and whenever the pivots are the
+    best yet (most rank, then lexicographically earliest: the rank of a
+    column prefix can only drop mod p), the whole group is lifted and
+    verified.  No residue is dropped, so a group's modulus keeps growing.
     """
     A = np.asarray(A)
     ncols = A.shape[1]
     if A.shape[0] == 0 or ncols == 0:
         return np.eye(ncols, dtype=np.int64)
-    residues: list[np.ndarray] = []
-    moduli: list[int] = []
-    start = i = 0  # SMALL_PRIMES[start] is the reference prime
-    while True:
-        if i == len(SMALL_PRIMES):
-            # this reference has no prime left: the prime after it is the next
-            start += 1
-            if start == len(SMALL_PRIMES):
-                raise ArithmeticError("nullspace reconstruction failed at every prime")
-            i, residues, moduli = start, [], []
-        p = SMALL_PRIMES[i]
-        i += 1
+    groups: dict[tuple[int, ...], tuple[list[np.ndarray], list[int]]] = {}
+    best: tuple = (1,)  # sorts after every (-rank, pivots)
+    for p in SMALL_PRIMES:
         pivots, free, basis = nullspace_small(A, p)
-        if moduli and pivots != ref_pivots:
-            # the luckier prime has more rank, then earlier pivots
-            if (-len(pivots), pivots) > (-len(ref_pivots), ref_pivots):
-                continue
-            residues, moduli = [], []  # the reference dropped rank
-        if not moduli:
-            start, ref_pivots, nullity = i - 1, pivots, len(free)
-            if nullity == 0:
-                # rank_p = ncols forces rank_Q = ncols: the nullspace is 0
-                return np.zeros((ncols, 0), dtype=np.int64)
+        if not free:
+            # rank_p = ncols forces rank_Q = ncols: the nullspace is 0
+            return np.zeros((ncols, 0), dtype=np.int64)
+        residues, moduli = groups.setdefault(tuple(pivots), ([], []))
         residues.append(basis)
         moduli.append(p)
+        if (-len(pivots), pivots) > best:
+            continue  # another prime had more rank or earlier pivots
+        best = (-len(pivots), pivots)
         cols: list[list[int]] = []
-        for j in range(nullity):
+        for j in range(len(free)):
             vec = lift_vector([r[:, j] for r in residues], moduli)
             if vec is None:
                 break
@@ -340,16 +329,11 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
         else:
             V = np.array(cols, dtype=object).T
             peak = int(np.abs(V).max())
-            row_l1 = int(np.abs(A).sum(axis=1).max())
-            if peak * row_l1 < 2**62 and peak < 2**62:
-                V = V.astype(np.int64)
-                ok = not np.any(A @ V)
-            else:
-                ok = not np.any(A.astype(object) @ V)
-            if ok:
+            if peak * int(np.abs(A).sum(axis=1).max()) < 2**62 and peak < 2**62:
+                V = V.astype(np.int64)  # else A @ V runs on Python ints
+            if not np.any(A @ V):
                 return V
-            if len(moduli) > 1:
-                i = len(SMALL_PRIMES)  # a vector failed exact verification: unlucky reference prime
+    raise ArithmeticError("nullspace reconstruction failed at every prime")
 
 
 # --------------------------------------------------------------- tracing

@@ -7,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hessllt.gkm as gkm
+import hessllt.linalg as linalg
 from hessllt.cli import main
 from hessllt.errors import check
 from hessllt.gkm import gkm_report
@@ -148,6 +151,61 @@ class TestVerifyCommand:
         code, obj, _ = run_json(capsys, "verify", "--scope", "permutohedron", "--n", "3")
         assert code == 0
         assert obj["checks"] and all(c["passed"] for c in obj["checks"])
+
+
+def zero_the_last_nonzero_row(A):
+    rows = np.flatnonzero(A.any(axis=1))
+    if rows.size:
+        A[rows[-1]] = 0
+
+
+def zero_the_last_pivot_column(A):
+    _, pivots, _ = linalg.blocked_rref(A, linalg.SMALL_PRIMES[0], full=False)
+    if pivots:
+        A[:, pivots[-1]] = 0
+
+
+class TestNullspaceRetries:
+    """An unlucky first prime costs certified nullspaces more primes and
+    changes no report byte."""
+
+    @staticmethod
+    def report(capsys, monkeypatch, argv, fault=None):
+        """The report without timing_seconds, its exit code and the primes
+        eliminated, with fault applied to each matrix at the first prime."""
+        real = linalg.nullspace_small
+        primes = set()
+
+        def eliminate(A, p):
+            primes.add(p)
+            if fault and p == linalg.SMALL_PRIMES[0]:
+                A = np.array(A)
+                fault(A)
+            return real(A, p)
+
+        monkeypatch.setattr(linalg, "nullspace_small", eliminate)
+        monkeypatch.setattr(gkm, "_space_cache", {})  # build every degree piece afresh
+        code, obj, _ = run_json(capsys, "verify", *argv)
+        obj.pop("timing_seconds")
+        return code, obj, primes
+
+    @pytest.mark.parametrize(
+        "argv, fault, retries",
+        [
+            # every gkm constraint matrix has a redundant last row, so
+            # there this fault leaves each elimination as it was
+            (("--scope", "gkm", "--h", "2,3,4,4"), zero_the_last_nonzero_row, False),
+            (("--scope", "permutohedron", "--n", "4"), zero_the_last_nonzero_row, True),
+            (("--scope", "gkm", "--h", "2,3,4,4"), zero_the_last_pivot_column, True),
+        ],
+        ids=["gkm-row", "permutohedron-row", "gkm-pivot-column"],
+    )
+    def test_an_unlucky_first_prime_changes_no_report(self, capsys, monkeypatch, argv, fault, retries):
+        code, expected, primes = self.report(capsys, monkeypatch, argv)
+        assert code == 0 and primes == {linalg.SMALL_PRIMES[0]}
+        code, obj, primes = self.report(capsys, monkeypatch, argv, fault)
+        assert code == 0 and obj == expected
+        assert (len(primes) > 1) == retries
 
 
 class TestReportRecords:

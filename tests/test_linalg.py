@@ -417,6 +417,15 @@ class TestReconstruction:
         assert integerize([Fraction(0), Fraction(2, 7)]) == [0, 1]
 
 
+@st.composite
+def wide_entry_matrices(draw):
+    """1-2 rows, 2-5 columns, entries of absolute value below 2**36: the
+    kernel entries need several primes to reconstruct."""
+    m, n = draw(st.integers(1, 2)), draw(st.integers(2, 5))
+    entry = st.integers(-(2**36) + 1, 2**36 - 1)
+    return np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+
+
 class TestCertifiedNullspace:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -428,6 +437,20 @@ class TestCertifiedNullspace:
         V = certified_integer_nullspace(A)
         exact_rank, _, _ = frac_rref(F(A.tolist()))
         assert V.shape == (n, n - exact_rank)
+        assert not np.any(A.astype(object) @ V.astype(object))
+        if V.shape[1]:
+            vrank, _, _ = frac_rref(F(V.T.tolist()))
+            assert vrank == V.shape[1]
+
+    @given(wide_entry_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_wide_entries_take_each_prime_once(self, A):
+        with pytest.MonkeyPatch.context() as mp:
+            used = TestLiftPaths.primes_used(mp)
+            V = certified_integer_nullspace(A)
+        assert len(used) == len(set(used))
+        exact_rank, _, _ = frac_rref(F(A.tolist()))
+        assert V.shape == (A.shape[1], A.shape[1] - exact_rank)
         assert not np.any(A.astype(object) @ V.astype(object))
         if V.shape[1]:
             vrank, _, _ = frac_rref(F(V.T.tolist()))
@@ -480,14 +503,23 @@ class TestLiftPaths:
         # the run without another elimination
         assert used == list(SMALL_PRIMES[:2])
 
-    def test_failed_two_prime_verification_restarts_after_the_reference(self, monkeypatch):
+    def test_failed_two_prime_verification_adds_the_next_prime(self, monkeypatch):
         used = self.primes_used(monkeypatch)
         V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0] * SMALL_PRIMES[1], 0], [0, 1]]))
         assert V.shape == (2, 0)
         # the first two primes both drop the rank, with the same pivots, so
-        # the two-prime lift fails verification and the second prime is the
-        # next reference; the third has full rank
-        assert used == [SMALL_PRIMES[0], SMALL_PRIMES[1], SMALL_PRIMES[1], SMALL_PRIMES[2]]
+        # the one- and two-prime lifts fail verification; the third prime,
+        # eliminated once like the others, has full rank
+        assert used == list(SMALL_PRIMES[:3])
+
+    def test_kernel_past_the_two_prime_bound_keeps_every_residue(self, monkeypatch):
+        used = self.primes_used(monkeypatch)
+        V = certified_integer_nullspace(np.array([[982373604, 715064864]]))
+        assert V.tolist() == [[-178766216], [245593401]]
+        # the two-prime lift reconstructs a wrong fraction, which fails
+        # verification; the third prime joins the same group and the
+        # three-prime modulus outgrows the kernel entries
+        assert used == list(SMALL_PRIMES[:3])
 
     def test_equal_rank_with_earlier_pivots_replaces_the_reference(self, monkeypatch):
         used = self.primes_used(monkeypatch)
