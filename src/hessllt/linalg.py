@@ -301,7 +301,8 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
     the group of primes with its pivots, and whenever the pivots are the
     best yet (most rank, then lexicographically earliest: the rank of a
     column prefix can only drop mod p), the whole group is lifted and
-    verified.  No residue is dropped, so a group's modulus keeps growing.
+    verified.  At a prime with the rational pivots the echelon form is the
+    rational one mod p, so no residue is dropped and the modulus grows.
     """
     A = np.asarray(A)
     ncols = A.shape[1]

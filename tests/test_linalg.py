@@ -516,8 +516,8 @@ class TestLiftPaths:
         used = self.primes_used(monkeypatch)
         V = certified_integer_nullspace(np.array([[982373604, 715064864]]))
         assert V.tolist() == [[-178766216], [245593401]]
-        # the two-prime lift reconstructs a wrong fraction, which fails
-        # verification; the third prime joins the same group and the
+        # the one- and two-prime lifts reconstruct wrong fractions, which
+        # fail verification; the third prime joins the same group and the
         # three-prime modulus outgrows the kernel entries
         assert used == list(SMALL_PRIMES[:3])
 
