@@ -226,18 +226,20 @@ def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
     return out
 
 
-def _product_columns(model: GkmModel, prev: GkmSpace) -> np.ndarray:
+def _product_columns(model: GkmModel, prev: GkmSpace, tail: np.ndarray) -> np.ndarray:
     """Columns t_i * f for every variable t_i and every basis column f of the
-    previous degree, block i holding t_i times every previous column."""
+    previous degree, block i holding t_i times every previous column, then
+    the columns of tail, all written into one allocation."""
     n = model.n
     d = prev.degree + 1
     M = len(monomials(n, d))
     B = prev.matrix
     K = B.shape[1]
-    out = np.zeros((len(model.vertices) * M, n * K), dtype=B.dtype)
+    out = np.zeros((len(model.vertices) * M, n * K + tail.shape[1]), dtype=B.dtype)
     for i in range(1, n + 1):
         rows = (np.arange(len(model.vertices))[:, None] * M + _mono_shift_map(n, d, i)).ravel()
         out[rows, (i - 1) * K:i * K] = B
+    out[:, n * K:] = tail
     return out
 
 
@@ -265,8 +267,7 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
     p = SMALL_PRIMES[0]
     cand = _staircase_columns(model, d)
     if d:
-        prods = _product_columns(model, degree_piece(model, d - 1))
-        cand = np.concatenate([prods, cand], axis=1)
+        cand = _product_columns(model, degree_piece(model, d - 1), cand)
     rank, pivots, _ = blocked_rref(cand, p, full=False)
     if rank > k_target:
         raise ArithmeticError("independent solutions exceed the twin dimension")

@@ -29,7 +29,7 @@ def test_every_trace_target_is_defined_by_its_owner(monkeypatch):
 
 
 @pytest.mark.parametrize("workload", ["gkm-n4", "identities-n5", "llt-n7", "permutohedron-n5"])
-def test_gkm_workload_report_matches_its_digest(monkeypatch, tmp_path, workload):
+def test_workload_report_matches_its_digest(monkeypatch, tmp_path, workload):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     run = importlib.import_module("run")
     out = tmp_path / "record.json"

@@ -305,3 +305,34 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outs.append(TIMING.sub("T", proc.stdout))
         assert outs[0] == outs[1]
+
+
+class TestBlasThreads:
+    """cli.main runs OpenBLAS on one thread unless the caller exported a count.
+    NumPy loads on first use, so the default set by main reaches OpenBLAS."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "sys.path[:0] = sys.argv[1:]\n"
+        "from hessllt import cli\n"
+        "import child\n"
+        "code = cli.main(['verify', '--scope', 'gkm', '--h', '2,2'])\n"
+        "print(json.dumps([code, child._blas_record()['blas_threads']]))\n"
+    )
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="OpenBLAS caps its threads at the CPUs")
+    @pytest.mark.parametrize("preset, expected", [(None, 1), ("2", 2)])
+    def test_openblas_thread_count_after_main(self, preset, expected):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        perfbench = SRC.parent / "perfbench"
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(SRC), str(perfbench)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, threads = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        if threads is None:
+            pytest.skip("NumPy's BLAS is not an OpenBLAS with a thread-count symbol")
+        assert threads == expected

@@ -493,14 +493,13 @@ class TestLiftPaths:
         assert V.tolist() == [[3000], [1]]
         assert used == list(SMALL_PRIMES[:2])
 
-    def test_rank_drop_at_the_reference_prime_restarts(self, monkeypatch):
+    def test_full_rank_at_a_later_prime_ends_the_call(self, monkeypatch):
         used = self.primes_used(monkeypatch)
         V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0], 0], [0, 1]]))
         assert V.shape == (2, 0)
-        # the one-prime lift (1, 0) fails verification, so a prime is added;
-        # its rank 2 exceeds the reference's, which proves the reference
-        # prime unlucky, so it becomes the reference and its nullity 0 ends
-        # the run without another elimination
+        # the first prime drops the rank, so its group, pivots (1,), lifts
+        # (1, 0), which fails verification; the second prime has no free
+        # column, and rank_p = ncols proves the nullspace 0 with no lift
         assert used == list(SMALL_PRIMES[:2])
 
     def test_failed_two_prime_verification_adds_the_next_prime(self, monkeypatch):
@@ -521,23 +520,24 @@ class TestLiftPaths:
         # three-prime modulus outgrows the kernel entries
         assert used == list(SMALL_PRIMES[:3])
 
-    def test_equal_rank_with_earlier_pivots_replaces_the_reference(self, monkeypatch):
+    def test_earlier_pivots_open_the_group_that_is_lifted(self, monkeypatch):
         used = self.primes_used(monkeypatch)
         V = certified_integer_nullspace(np.array([[SMALL_PRIMES[0], 1]]))
         assert V.tolist() == [[-1], [SMALL_PRIMES[0]]]
-        # the second prime has rank 1 with pivot 0 against the reference's
-        # pivot 1, which proves the reference unlucky: it becomes the
-        # reference at once (the kernel entry needs three primes to
-        # reconstruct)
+        # the first prime's group has pivots (1,); the second prime has the
+        # same rank with pivots (0,), which are earlier, so its new group is
+        # the one lifted from then on, and the first prime's residue is never
+        # read again (the kernel entry needs three primes of that group)
         assert used == list(SMALL_PRIMES[:4])
 
-    def test_equal_rank_with_later_pivots_is_skipped(self, monkeypatch):
+    def test_later_pivots_stay_out_of_the_lifted_group(self, monkeypatch):
         used = self.primes_used(monkeypatch)
         V = certified_integer_nullspace(np.array([[SMALL_PRIMES[1], 1]]))
         assert V.tolist() == [[-1], [SMALL_PRIMES[1]]]
-        # the second prime drops the first column: pivot 1 against the
-        # reference's pivot 0, so it is skipped and the lift goes on with the
-        # third and fourth
+        # the second prime drops the first column: its pivots (1,) come after
+        # the first prime's (0,), so its residue goes to a group of its own
+        # that is not lifted, and the group (0,) is lifted again with the
+        # third and fourth primes
         assert used == list(SMALL_PRIMES[:4])
 
 
