@@ -39,8 +39,8 @@ _reduce, a multiply by 1/p with a truncated quotient, is exact on all of
 it.  The work follows the nonzeros: a pivot updates only the rows with a
 nonzero multiplier, and a trailing product only the rows whose multipliers
 are not all zero, which for the sparse 0/1 coinvariant matrices is a small
-part.  Products of inner dimension 32 gain nothing from a second BLAS
-thread, so cli.main sets OpenBLAS to one unless the caller chose a count.
+part.  Products of inner dimension at most 32 gain nothing from a second
+BLAS thread, so cli.main runs OpenBLAS on one unless the caller set a count.
 """
 
 from __future__ import annotations
