@@ -176,15 +176,17 @@ class GkmSpace:
 
     matrix holds the basis columns over the coordinates (vertex, monomial)
     -> vertex_index * #monomials + monomial_index.  certificate records how
-    the dimension was pinned.
+    the dimension was pinned.  last_var holds each column's last variable:
+    i for a product t_i * f (_product_columns), 0 for the others (default).
     """
 
-    def __init__(self, model: GkmModel, degree: int, matrix: np.ndarray, certificate: dict):
+    def __init__(self, model: GkmModel, degree: int, matrix: np.ndarray, certificate: dict, last_var=None):
         self.model = model
         self.degree = degree
         self.matrix = matrix
         self.dim = matrix.shape[1]
         self.certificate = certificate
+        self.last_var = np.zeros(self.dim, dtype=np.intp) if last_var is None else last_var
         self._tracer: SubspaceTracer | None = None
         self._lock = threading.Lock()
 
@@ -226,21 +228,23 @@ def _staircase_columns(model: GkmModel, d: int) -> np.ndarray:
     return out
 
 
-def _product_columns(model: GkmModel, prev: GkmSpace, tail: np.ndarray) -> np.ndarray:
-    """Columns t_i * f for every variable t_i and every basis column f of the
-    previous degree, block i holding t_i times every previous column, then
-    the columns of tail, all written into one allocation."""
+def _product_columns(model: GkmModel, prev: GkmSpace, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Columns t_i * f for the basis columns f of the previous degree whose
+    last variable is at most i, block i holding them, then the columns of
+    tail, in one allocation, with each column's last variable (0 on tail):
+    so each t^m g over a free Q[t]-basis g is formed once, t^m in order."""
     n = model.n
     d = prev.degree + 1
     M = len(monomials(n, d))
-    B = prev.matrix
-    K = B.shape[1]
-    out = np.zeros((len(model.vertices) * M, n * K + tail.shape[1]), dtype=B.dtype)
-    for i in range(1, n + 1):
+    blocks = [np.flatnonzero(prev.last_var <= i) for i in range(1, n + 1)]
+    last = np.repeat([*range(1, n + 1), 0], [*map(len, blocks), tail.shape[1]])
+    out = np.zeros((len(model.vertices) * M, len(last)), dtype=prev.matrix.dtype)
+    ends = np.cumsum([0, *map(len, blocks)])
+    for i, cols in enumerate(blocks, 1):
         rows = (np.arange(len(model.vertices))[:, None] * M + _mono_shift_map(n, d, i)).ravel()
-        out[rows, (i - 1) * K:i * K] = B
-    out[:, n * K:] = tail
-    return out
+        out[rows, ends[i - 1]:ends[i]] = prev.matrix[:, cols]
+    out[:, ends[-1]:] = tail
+    return out, last
 
 
 def _lifted_nullspace(C: np.ndarray, k_target: int) -> np.ndarray:
@@ -257,29 +261,31 @@ def _certified_space(model: GkmModel, d: int) -> GkmSpace:
 
     xi maps X_d onto Y_d (_check_xi), so dim X_d is the twin dimension
     that TwinPiece certifies.  Exhibited columns, verified exactly and
-    independent mod p, must meet it: the products t_i * f of the previous
-    degree's basis with the staircase classes x^a (at d = 0 just the unit
-    class), or, when those fall short, the CRT-lifted nullspace of the
-    constraint matrix, which certified_integer_nullspace pins by itself."""
+    independent mod p, must meet it: the products t_i * f, i from the last
+    variable of f on, of the previous degree's basis with the staircase
+    classes x^a (at d = 0 the unit class), or, when those fall short, the
+    CRT-lifted nullspace of C, which certified_integer_nullspace pins."""
     twin = model.twin()
     _check_xi(model, twin, d)
     k_target = degree_piece(twin, d).dim
     p = SMALL_PRIMES[0]
-    cand = _staircase_columns(model, d)
+    mat = _staircase_columns(model, d)
+    last = np.zeros(mat.shape[1], dtype=np.intp)
     if d:
-        cand = _product_columns(model, degree_piece(model, d - 1), cand)
-    rank, pivots, _ = blocked_rref(cand, p, full=False)
+        mat, last = _product_columns(model, degree_piece(model, d - 1), mat)
+    rank, pivots, _ = blocked_rref(mat, p, full=False)
     if rank > k_target:
         raise ArithmeticError("independent solutions exceed the twin dimension")
     if rank == k_target:
-        mat = np.ascontiguousarray(cand[:, pivots])
+        if rank < mat.shape[1]:  # else the candidates are the basis, with no copy
+            mat, last = np.ascontiguousarray(mat[:, pivots]), last[pivots]
         route = "products"
     else:
-        mat = _lifted_nullspace(_constraint_matrix(model, d), k_target)
+        mat, last = _lifted_nullspace(_constraint_matrix(model, d), k_target), None
         route = "crt-lift"
     _verify_columns(model, d, mat)
     cert = {"route": route, "prime": p, "twin_dimension": k_target, "exhibited": int(mat.shape[1])}
-    return GkmSpace(model, d, mat, cert)
+    return GkmSpace(model, d, mat, cert, last)
 
 
 def _xi_gather(model: GkmModel, d: int) -> np.ndarray:
@@ -337,6 +343,14 @@ class TwinPiece:
         return sum(murnaghan_nakayama(lam, cycle_type(sigma)) * k for lam, k in self.kernel_dims.items())
 
 
+@lru_cache(maxsize=None)
+def _cleared_arc_matrix(lam: tuple[int, ...], i: int, j: int) -> np.ndarray:
+    """A^T, A = I - rho_lam((i j)) with denominators cleared: the same at every degree."""
+    A = np.identity(murnaghan_nakayama(lam, (1,) * sum(lam)), dtype=object)
+    A -= np.array(word_product(seminormal_matrices(lam), transposition(sum(lam), i, j)))
+    return (A.T * lcm(*(x.denominator for x in A.flat))).astype(np.int64)  # integral, so exact
+
+
 def _kernel_dim(h: HessenbergFunction, lam: tuple[int, ...], d: int) -> int:
     """dim K_lam(d), pinned from both sides by certified_integer_nullspace.
     Unknown r * M + m is the coefficient of monomial m in entry r of v; each
@@ -347,10 +361,8 @@ def _kernel_dim(h: HessenbergFunction, lam: tuple[int, ...], d: int) -> int:
     f = murnaghan_nakayama(lam, (1,) * n)
     blocks = [np.zeros((0, f * M), dtype=np.int64)]
     for j, i in h.edge_pairs():
-        A = np.identity(f, dtype=object) - np.array(word_product(seminormal_matrices(lam), transposition(n, i, j)))
-        den = lcm(*(x.denominator for x in A.flat))
         S = np.eye(len(monomials(n - 1, d)), dtype=np.int64)[:, _subst_map(n, d, i, j)]
-        blocks.append(np.kron(np.array([[int(x * den) for x in row] for row in A.T]), S))
+        blocks.append(np.kron(_cleared_arc_matrix(lam, i, j), S))
     C = np.concatenate(blocks)
     return certified_integer_nullspace(C[C.any(axis=1)]).shape[1]
 

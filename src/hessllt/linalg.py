@@ -190,15 +190,17 @@ def _replay(T: np.ndarray, L: np.ndarray, invs: list[int], q: int, p: int) -> No
     _sub_product(T[q + k:], L[q + k:], T[q:q + k], p)
 
 
-def _back_substitute(U: np.ndarray, F: np.ndarray, p: int) -> None:
-    """F <- U^-1 F mod p in place, for U unit upper triangular and F
-    reduced: blocks of _PANEL rows from the bottom, each block applying the
-    inverse of its diagonal block and then clearing the rows above."""
-    b = len(U)
+def _back_substitute(E: np.ndarray, pivots: list[int], F: np.ndarray, p: int) -> None:
+    """F <- U^-1 F mod p in place, for U = E[:len(pivots), pivots] unit upper
+    triangular and F reduced: blocks of _PANEL rows from the bottom, each
+    gathered from E before F is written (F may be rows of E: no earlier pivot
+    column changes), applying its diagonal inverse and clearing the rows above."""
+    b = len(pivots)
     while b > 0:
         a = max(0, b - _PANEL)
-        F[a:b] = _reduce(_unit_lower_inverse(U[a:b, a:b].T, p).T @ F[a:b], p)
-        _sub_product(F[:a], U[:a, a:b], F[a:b], p)
+        U = E[:b, pivots[a:b]]
+        F[a:b] = _reduce(_unit_lower_inverse(U[a:].T, p).T @ F[a:b], p)
+        _sub_product(F[:a], U[:a], F[a:b], p)
         b = a
 
 
@@ -262,7 +264,7 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
         if r == nrows:
             break
     if full and r:
-        _back_substitute(A[:r, pivots], A[:r], p)
+        _back_substitute(A, pivots, A[:r], p)
     return r, pivots, A
 
 
@@ -283,7 +285,7 @@ def nullspace_small(A: np.ndarray, p: int) -> tuple[list[int], list[int], np.nda
     basis[free, range(len(free))] = 1
     if pivots and free:
         F = E[:rank, free]
-        _back_substitute(E[:rank, pivots], F, p)
+        _back_substitute(E, pivots, F, p)
         basis[pivots, :] = ((-F) % p).astype(np.int64)
     return pivots, free, basis
 
@@ -331,9 +333,10 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
         else:
             V = np.array(cols, dtype=object).T
             peak = int(np.abs(V).max())
-            if peak * int(np.abs(A).sum(axis=1).max()) < 2**62 and peak < 2**62:
+            norm = max(int(np.abs(A[s]).sum(axis=1).max()) for s in _chunks(len(A), ncols))  # by row blocks
+            if peak * norm < 2**62 and peak < 2**62:
                 V = V.astype(np.int64)  # else A @ V runs on Python ints
-            if not np.any(A @ V):
+            if not any(np.any(A[s] @ V) for s in _chunks(len(A), ncols)):
                 return V
     raise ArithmeticError("nullspace reconstruction failed at every prime")
 

@@ -310,11 +310,11 @@ def _staircase_columns(n: int, d: int) -> np.ndarray:
     """The staircase basis of the degree-d ideal piece: for each non-standard
     monomial u in the order of monomials(n, d), the column g_k * u / t_k^k
     of its leading variable k, placed by monomial_positions.  Entries are 0
-    or 1, in int64 (int8 overflows % p)."""
+    or 1, in int32: % p stays exact for p < 2**31 (int8 overflows % p)."""
     exps = monomial_exponents(n, d)
     lead = _leading_variable(exps)
     reducible = np.flatnonzero(lead)
-    out = np.zeros((len(exps), len(reducible)), dtype=np.int64)
+    out = np.zeros((len(exps), len(reducible)), dtype=np.int32)
     for k in range(1, n + 1):
         cols = np.flatnonzero(lead[reducible] == k)
         quotients = exps[reducible[cols]] - k * np.eye(n, dtype=np.int64)[k - 1]

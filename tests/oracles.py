@@ -17,7 +17,9 @@ relabeling each face.  The character of the polynomial ring and the
 substitution q -> 1/q are computed as rational functions of q: they are the
 routes that the checks of the library replace by cleared denominators.
 frac_rref, the Fraction echelon form, is also the
-oracle of the certified mod-p engine.  FractionPoly, the dense polynomial
+oracle of the certified mod-p engine, back_substitute_by_full_copy of its
+back-substitution, and product_columns_all of the flavor-X candidates
+that the last-variable rule prunes.  FractionPoly, the dense polynomial
 with one Fraction per coefficient, is the oracle of the integer-numerator
 QPoly, and fraction_rat_string of QRat.to_string.  The named basis elements
 are here for the tests that build symmetric functions by hand.
@@ -53,11 +55,13 @@ from hessllt.gkm import (
     GkmSpace,
     _ambient_src,
     _check_degree_budget,
+    _mono_shift_map,
     _verify_columns,
     _xi_gather,
     degree_piece,
 )
 from hessllt.hessgraph import HessenbergFunction, _tally_poly
+from hessllt.linalg import _PANEL, _reduce, _sub_product, _unit_lower_inverse
 from hessllt.multipoly import (MPoly, monomials, mp_add, mp_divide_linear, mp_mul, mp_permute, mp_sub,
                                mp_var)
 from hessllt.permco import PermutohedronFace
@@ -98,6 +102,19 @@ def frac_inverse(mat: list[list[Fraction]]) -> list[list[Fraction]]:
     )
     assert pivots == list(range(size)), "transition matrix is singular"
     return [row[size:] for row in rref]
+
+
+def back_substitute_by_full_copy(E: np.ndarray, pivots: list[int], F: np.ndarray, p: int) -> None:
+    """linalg._back_substitute as it was before it gathered its blocks: the
+    whole rank x rank pivot block U = E[:rank, pivots] is copied first, then
+    F <- U^-1 F mod p in blocks of _PANEL rows from the bottom."""
+    U = E[:len(pivots), pivots]
+    b = len(U)
+    while b > 0:
+        a = max(0, b - _PANEL)
+        F[a:b] = _reduce(_unit_lower_inverse(U[a:b, a:b].T, p).T @ F[a:b], p)
+        _sub_product(F[:a], U[:a, a:b], F[a:b], p)
+        b = a
 
 
 def newton_in_p(k: int, sign: int) -> dict[Partition, Fraction]:
@@ -463,6 +480,24 @@ def staircase_columns_by_lookup(model: GkmModel, d: int) -> np.ndarray:
         for j, src in enumerate(exps):
             out[iw * len(monos) + int(relabel[src]), j] = 1
     return out
+
+
+def product_columns_all(model: GkmModel, prev: GkmSpace, tail: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """gkm._product_columns without the last-variable rule: t_i * f for
+    every variable t_i and every basis column f of the previous degree,
+    block i holding t_i times every previous column, then the columns of
+    tail; the last variable recorded is i in block i and 0 on tail."""
+    n = model.n
+    d = prev.degree + 1
+    M = len(monomials(n, d))
+    B = prev.matrix
+    K = B.shape[1]
+    out = np.zeros((len(model.vertices) * M, n * K + tail.shape[1]), dtype=B.dtype)
+    for i in range(1, n + 1):
+        rows = (np.arange(len(model.vertices))[:, None] * M + _mono_shift_map(n, d, i)).ravel()
+        out[rows, (i - 1) * K:i * K] = B
+    out[:, n * K:] = tail
+    return out, np.repeat([*range(1, n + 1), 0], [K] * n + [tail.shape[1]])
 
 
 def values_by_lookup(model: GkmModel, d: int, coords) -> list[MPoly]:

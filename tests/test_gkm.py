@@ -33,6 +33,7 @@ from oracles import (
     first_violated_edge_by_substitution,
     frac_rref,
     product_by_dicts,
+    product_columns_all,
     pushforward_by_dicts,
     quotient_character_bruteforce,
     relabeling_map_by_lookup,
@@ -774,3 +775,84 @@ class TestExactVerification:
         edge = f"({mx.vertices[iu]}, {mx.vertices[iv]}) with label t_{a} - t_{b}"
         with pytest.raises(ArithmeticError, match=re.escape(f"degree-2 congruence on edge {edge}")):
             gkm._verify_columns(mx, 2, scaled)
+
+
+# The degrees d <= |h| + 1 whose flavor-X piece is pinned by the CRT lift,
+# as they were before the last-variable rule (every other degree takes the
+# products route).  The rule changed none of them, nor any at d <= |h| + 3.
+CRT_LIFT_DEGREES = {
+    "1": (), "1,2": (0,), "2,2": (), "1,2,3": (0,), "1,3,3": (0, 1), "2,2,3": (0, 1), "2,3,3": (1,),
+    "3,3,3": (), "1,2,3,4": (0,), "1,2,4,4": (0, 1), "1,3,3,4": (0, 1), "1,3,4,4": (0, 1, 2),
+    "1,4,4,4": (0, 1, 2, 3), "2,2,3,4": (0, 1), "2,2,4,4": (0, 1, 2), "2,3,3,4": (0, 1, 2),
+    "2,3,4,4": (1, 2), "2,4,4,4": (1, 2, 3), "3,3,3,4": (0, 1, 2, 3), "3,3,4,4": (1, 2, 3),
+    "3,4,4,4": (2, 3), "4,4,4,4": (),
+}
+
+
+class TestLastVariableRule:
+    """_product_columns forms t_i * f only where i is at least the last
+    variable of f.  Against the all-products oracle the certificates and
+    the spans agree; on 4,4,4,4, whose X is free over Q[t] on the staircase
+    classes, the candidates of every degree are exactly a basis; and a
+    shortfall still falls back to the CRT lift."""
+
+    def test_spans_and_certificates_match_all_products(self, monkeypatch):
+        # spans by Fraction rank at n <= 3, by rank mod p on 2,3,4,4 (both
+        # sides are verified X classes, so the Q rank cannot exceed dim X_d)
+        cases = [(GkmModel(h, "X"), d) for n in (1, 2, 3) for h in hessenberg_all(n) for d in range(h.size() + 2)]
+        cases += [(GkmModel(H("2,3,4,4"), "X"), d) for d in range(H("2,3,4,4").size() + 2)]
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        lean = [degree_piece(model, d) for model, d in cases]
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        monkeypatch.setattr(gkm, "_product_columns", product_columns_all)
+        for (model, d), piece in zip(cases, lean):
+            full = degree_piece(model, d)
+            assert piece.certificate == full.certificate, (model, d)
+            both = np.concatenate([piece.matrix, full.matrix], axis=1)
+            if model.n <= 3:
+                rank = frac_rref([[Fraction(int(x)) for x in col] for col in both.T])[0]
+            else:
+                rank = hessllt.linalg.blocked_rref(both, hessllt.linalg.SMALL_PRIMES[1], full=False)[0]
+            assert rank == piece.dim == full.dim, (model, d)
+
+    def test_every_4444_degree_has_exactly_dim_candidates(self, monkeypatch):
+        widths = {}
+        real = gkm._product_columns
+
+        def recording(model, prev, tail):
+            out, last = real(model, prev, tail)
+            widths[prev.degree + 1] = out.shape[1]
+            return out, last
+
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        monkeypatch.setattr(gkm, "_product_columns", recording)
+        mx = GkmModel(H("4,4,4,4"), "X")
+        pieces = [degree_piece(mx, d) for d in range(mx.h.size() + 2)]
+        assert [piece.dim for piece in pieces] == [1, 7, 27, 76, 174, 344, 610, 996]
+        assert widths == {d: pieces[d].dim for d in range(1, len(pieces))}
+        assert {piece.certificate["route"] for piece in pieces} == {"products"}
+
+    def test_routes_are_unchanged_for_every_h_up_to_n4(self):
+        for n in range(1, 5):
+            for h in hessenberg_all(n):
+                mx = GkmModel(h, "X")
+                lifted = tuple(d for d in range(h.size() + 2)
+                               if degree_piece(mx, d).certificate["route"] == "crt-lift")
+                assert lifted == CRT_LIFT_DEGREES[",".join(map(str, h.values))], h
+
+    def test_a_shortfall_falls_back_to_the_crt_lift(self, monkeypatch):
+        # recording t_n as the last variable of every product leaves degree 2
+        # of 3,3,3 with t_3 * f only for the products f of degree 1: 11
+        # candidates for dim 14, so the piece is lifted, with the same dims
+        real = gkm._product_columns
+
+        def last_is_n(model, prev, tail):
+            out, last = real(model, prev, tail)
+            return out, np.where(last > 0, model.n, 0)
+
+        monkeypatch.setattr(gkm, "_space_cache", {})
+        monkeypatch.setattr(gkm, "_product_columns", last_is_n)
+        mx = GkmModel(H("3,3,3"), "X")
+        pieces = [degree_piece(mx, d) for d in range(mx.h.size() + 2)]
+        assert [piece.dim for piece in pieces] == [1, 5, 14, 29, 50]
+        assert [piece.certificate["route"] for piece in pieces][:3] == ["products", "products", "crt-lift"]

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -23,7 +24,7 @@ from hessllt.linalg import (
     rational_reconstruct,
 )
 from hessllt.permco import _staircase_columns, coinvariant_closed_form_check
-from oracles import frac_rref, ideal_span_columns
+from oracles import back_substitute_by_full_copy, frac_rref, ideal_span_columns
 
 P = SMALL_PRIMES[0]
 
@@ -216,6 +217,56 @@ class TestBlockedEngine:
                 if j2 != j:
                     assert basis[f, j2] == 0
         assert not np.any((A @ basis) % P)
+
+
+class TestGatheredBackSubstitution:
+    """_back_substitute gathers the pivot columns of one block of _PANEL
+    rows at a time; the oracle copies the whole rank x rank pivot block
+    first.  The outputs agree entry for entry, also where F is rows of E."""
+
+    CASES = [
+        ((70, 90), 45),  # two blocks
+        ((300, 290), 270),  # many blocks
+        ((50, 80), 33),  # a block of one row
+        ((40, 100), 40),  # full row rank
+        ((20, 20), 0),  # nothing to substitute
+    ]
+
+    @pytest.mark.parametrize("shape, rank", CASES)
+    def test_direct_calls_match_the_full_copy(self, shape, rank):
+        rng = np.random.default_rng(sum(shape) + rank)
+        r, pivots, E = blocked_rref(residue_matrix(rng, *shape, rank), P, full=False)
+        free = [c for c in range(shape[1]) if c not in set(pivots)]
+        for F_of in (lambda M: M[:r], lambda M: M[:r, free].copy()):  # F aliasing E, then a copy
+            got, expected = E.copy(), E.copy()
+            linalg._back_substitute(got, pivots, F_of(got), P)
+            back_substitute_by_full_copy(expected, pivots, F_of(expected), P)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("shape, rank", CASES)
+    def test_rref_and_nullspace_match_the_full_copy(self, monkeypatch, shape, rank):
+        rng = np.random.default_rng(sum(shape) + rank)
+        A = residue_matrix(rng, *shape, rank)
+        A[rng.integers(0, shape[0], size=shape[0] // 2), :] = 0  # sparse rows
+        got = blocked_rref(A, P), nullspace_small(A, P)
+        monkeypatch.setattr(linalg, "_back_substitute", back_substitute_by_full_copy)
+        expected = blocked_rref(A, P), nullspace_small(A, P)
+        for x, y in zip(got, expected):
+            assert x[:2] == y[:2]
+            assert np.array_equal(x[2], y[2])
+
+    def test_staircase_nullspace_peak_memory(self):
+        # n = 5, d = 10: 1000 x 1001, in int32; the float64 copy of
+        # blocked_rref is 8 MB, and no other full-size array is built
+        A = _staircase_columns(5, 10).T
+        tracemalloc.start()
+        try:
+            V = certified_integer_nullspace(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert V.shape == (1001, 1)
+        assert peak < 12 * 2**20, peak / 2**20
 
 
 class TestReduce:
@@ -463,6 +514,30 @@ class TestCertifiedNullspace:
     def test_zero_rows(self):
         V = certified_integer_nullspace(np.zeros((0, 3), dtype=np.int64))
         assert V.shape == (3, 3)
+
+    def test_row_blocks_of_the_verification(self, monkeypatch):
+        # with 64-entry chunks the bound and A @ V run over 8-row blocks; a
+        # corrupted lift whose only failing row is in the last block is caught
+        rng = random.Random(17)
+        A = random_int_matrix(rng, 30, 8, rank_deficit=3)
+        A[-1] = A[0]
+        expected = certified_integer_nullspace(A)
+        monkeypatch.setattr(linalg, "_CHUNK", 64)
+        assert np.array_equal(certified_integer_nullspace(A), expected)
+        B = np.zeros((30, 8), dtype=np.int64)
+        B[-1, 0] = 1  # the kernel is e_2..e_8; e_1 breaks the last row only
+        assert np.array_equal(certified_integer_nullspace(B), np.eye(8, dtype=np.int64)[:, 1:])
+        real = linalg.lift_vector
+
+        def leaking(residues, moduli):
+            vec = real(residues, moduli)
+            if vec is not None:
+                vec[0] += 1
+            return vec
+
+        monkeypatch.setattr(linalg, "lift_vector", leaking)
+        with pytest.raises(ArithmeticError):
+            certified_integer_nullspace(B)
 
 
 class TestLiftPaths:

@@ -185,7 +185,7 @@ class TestCoinvariants:
         for n in range(1, 6):
             for d in range(n * (n - 1) // 2 + 1):
                 staircase = permco._staircase_columns(n, d)
-                assert staircase.dtype == np.int64
+                assert staircase.dtype == np.int32
                 size = comb(n + d - 1, d) - mahonian(n, d)
                 assert staircase.shape == (comb(n + d - 1, d), size), (n, d)
                 if size:
