@@ -39,8 +39,12 @@ _reduce, a multiply by 1/p with a truncated quotient, is exact on all of
 it.  The work follows the nonzeros: a pivot updates only the rows with a
 nonzero multiplier, and a trailing product only the rows whose multipliers
 are not all zero, which for the sparse 0/1 coinvariant matrices is a small
-part.  Products of inner dimension at most 32 gain nothing from a second
+part, and rows already in echelon form with unit pivots, such as the
+transposed staircase bases of the coinvariant ideal, are taken as they
+stand.  Products of inner dimension at most 32 gain nothing from a second
 BLAS thread, so cli.main runs OpenBLAS on one unless the caller set a count.
+The exact check A @ V == 0 of a lifted nullspace runs in float64 through
+BLAS when peak |V| * max row sum |A| < 2**53 bounds every partial sum.
 """
 
 from __future__ import annotations
@@ -204,18 +208,29 @@ def _back_substitute(E: np.ndarray, pivots: list[int], F: np.ndarray, p: int) ->
         b = a
 
 
+def _unit_echelon_run(A: np.ndarray, lead: np.ndarray) -> int:
+    """How many leading rows of the reduced A are in echelon form with unit
+    pivots: row i has a 1 at lead[i] (ncols for a zero row) < every lead below."""
+    below = np.minimum.accumulate(np.append(lead, A.shape[1])[:0:-1])[::-1]  # min(lead[i+1:], ncols)
+    k = int(np.append(lead < below, False).argmin())
+    return int(np.append(A[np.arange(k), lead[:k]] == 1, False).argmin())
+
+
 def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[int], np.ndarray]:
     """Gaussian elimination mod a sub-2**22 prime, grouped into BLAS-3 blocks.
 
     Entries live as integer-valued float64, and every entry stays reduced
     below p between steps: the entry reduction leaves it so, and each
-    update below is reduced as it is written.  Columns go in panels of
-    _PANEL.  Inside a panel, pivots are taken one at a time: the first
-    nonzero row is swapped up, its panel row is scaled by the inverse pivot
-    (a product below p**2, reduced at once), and the other nonzero rows of
-    the column, the only rows with a nonzero multiplier, lose a multiple of
-    it in the panel's columns and are reduced at once; their multipliers are
-    recorded in full-height columns.  When the panel ends the trailing
+    update below is reduced as it is written.  The longest leading run of
+    rows already in echelon form with unit pivots (_unit_echelon_run) is
+    taken as it stands, since the loop below would swap, scale and update
+    nothing there; the other columns go in panels of _PANEL from the column
+    after the run's last pivot.  Inside a panel, pivots are taken one at a
+    time: the first nonzero row is swapped up, its panel row is scaled by
+    the inverse pivot (a product below p**2, reduced at once), and the other
+    nonzero rows of the column, the only rows with a nonzero multiplier,
+    lose a multiple of it in the panel's columns and are reduced at once;
+    their multipliers are recorded in full-height columns.  When the panel ends the trailing
     columns receive its eliminations by _replay, whose products gather only
     the rows with a multiplier.  Exactness: every product has inner
     dimension at most _PANEL and operands reduced below p, so no value
@@ -230,11 +245,14 @@ def blocked_rref(A: np.ndarray, p: int, full: bool = True) -> tuple[int, list[in
         A = np.array(A, dtype=object)  # NumPy may read ints past 2**63 as float64
     nrows, ncols = A.shape
     A, given = np.empty((nrows, ncols)), A
+    lead = np.full(nrows, ncols)  # first nonzero column of each row, ncols for a zero row
     for s in _chunks(nrows, ncols):
-        A[s] = given[s] % p  # exact in int64 or object arithmetic, then float64
-    pivots: list[int] = []
-    r = 0
-    for c0 in range(0, ncols, _PANEL):
+        np.remainder(given[s], p, out=A[s], casting="unsafe")  # exact, then cast in small buffers
+        if ncols:  # argmax needs a column; its boolean chunk is freed before the next remainder
+            lead[s] = np.where(A[s].any(axis=1), (A[s] != 0).argmax(axis=1), ncols)
+    r = _unit_echelon_run(A, lead)
+    pivots: list[int] = lead[:r].tolist()
+    for c0 in range(pivots[-1] + 1 if r else 0, ncols if r < nrows else 0, _PANEL):  # none if no row is left
         c1 = min(c0 + _PANEL, ncols)
         q = r
         L = np.zeros((nrows, c1 - c0))
@@ -329,14 +347,16 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
             vec = lift_vector([r[:, j] for r in residues], moduli)
             if vec is None:
                 break
-            cols.append(integerize(vec))
+            cols.append(integerize(vec) if Fraction in map(type, vec) else vec)  # ints: primitive by the free 1
         else:
             V = np.array(cols, dtype=object).T
             peak = int(np.abs(V).max())
             norm = max(int(np.abs(A[s]).sum(axis=1).max()) for s in _chunks(len(A), ncols))  # by row blocks
             if peak * norm < 2**62 and peak < 2**62:
                 V = V.astype(np.int64)  # else A @ V runs on Python ints
-            if not any(np.any(A[s] @ V) for s in _chunks(len(A), ncols)):
+            kind = np.float64 if peak * norm < 2**53 else V.dtype  # float64 holds every partial sum exactly
+            W = V.astype(kind, copy=False)
+            if not any(np.any(A[s].astype(kind, copy=False) @ W) for s in _chunks(len(A), ncols)):
                 return V
     raise ArithmeticError("nullspace reconstruction failed at every prime")
 

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 import hessllt.cli
-from hessllt import gkm, hessgraph, permco, symfunc
+from hessllt import gkm, hessgraph, linalg, permco, symfunc
 from hessllt.characters import graded_dimension, regular_character, sign_character, trivial_character
 from hessllt.combinat import cycle_type, partitions_of
 from hessllt.errors import VerificationError
@@ -237,6 +237,13 @@ def second_addend_unscaled(real):
         self, other.scale(Fraction(other.den, math.lcm(self.den, other.den))))
 
 
+def non_unit_leads_accepted(real):
+    """The echelon run of blocked_rref with every nonzero lead read as a 1:
+    a leading row that leads with another residue is kept as a pivot row
+    unscaled."""
+    return lambda A, lead: real(A != 0, lead)
+
+
 def face_module_bump(i: int, delta: Callable):
     return wrap(
         permco, "face_module_character",
@@ -364,6 +371,22 @@ TABLE = (
           "closed_form_with_induced_trivial", "closed_form_with_induced_sign",
           "q_equals_one_is_regular", "palindromicity_with_sign_twist",
           "polynomial_ring_factors_through_invariants", "polynomial_ring_palindromicity"),
+    # the transposed staircase bases lead with 1s, but the coinvariant
+    # tracers eliminate their integer nullspace bases, whose rows can lead
+    # with -1: the tracer's echelon form is then not reduced and its traces
+    # are wrong.  No elimination of the gkm report at n = 3 has such a lead
+    # inside its run.
+    fault("echelon-run-accepts-non-unit-leads",
+          wrap(linalg, "_unit_echelon_run", non_unit_leads_accepted), "permco",
+          "coinvariant-closed-forms", "coinvariant-moment-graph-cross-check"),
+    fault("echelon-run-accepts-non-unit-leads",
+          wrap(linalg, "_unit_echelon_run", non_unit_leads_accepted), "coinvariant",
+          "closed_form_with_induced_trivial", "closed_form_with_induced_sign",
+          "q_equals_one_is_regular", "identity_value_is_q_factorial",
+          "palindromicity_with_sign_twist", "polynomial_ring_factors_through_invariants",
+          "polynomial_ring_palindromicity"),
+    fault("echelon-run-accepts-non-unit-leads",
+          wrap(linalg, "_unit_echelon_run", non_unit_leads_accepted), "gkm"),
     fault("coinvariant-plus-regular", coinvariant_bump(regular_character), "permco",
           "coinvariant-closed-forms", "coinvariant-moment-graph-cross-check"),
     fault("coinvariant-plus-regular", coinvariant_bump(regular_character), "coinvariant",

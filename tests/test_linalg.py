@@ -269,6 +269,168 @@ class TestGatheredBackSubstitution:
         assert peak < 12 * 2**20, peak / 2**20
 
 
+def echelon_prefix(rng, shape, leads, tail_rows=0, density=0.3):
+    """Rows in echelon form with unit pivots at the sorted columns `leads`,
+    random entries in [0, 9) to the right of each lead, then `tail_rows`
+    random rows that vanish up to the last lead (zero rows between)."""
+    m, n = shape
+    A = np.zeros((m, n), dtype=np.int64)
+    for i, c in enumerate(leads):
+        A[i, c] = 1
+        A[i, c + 1:] = rng.integers(0, 9, size=n - c - 1) * (rng.random(n - c - 1) < density)
+    c = leads[-1] + 1 if len(leads) else 0
+    tail = (tail_rows, n - c)
+    A[m - tail_rows:, c:] = rng.integers(-9, 9, size=tail) * (rng.random(tail) < density)
+    return A
+
+
+def unit_echelon_run(M):
+    """The run by its definition, one row at a time: row i belongs while it
+    has a first nonzero entry, that entry is 1, and every row below is zero
+    up to and including its column."""
+    ncols = M.shape[1]
+    leads = [int(np.flatnonzero(row)[0]) if row.any() else ncols for row in M]
+    k = 0
+    while k < len(M) and leads[k] < ncols and M[k, leads[k]] == 1 and leads[k] < min(leads[k + 1:], default=ncols):
+        k += 1
+    return k
+
+
+class TestEchelonRun:
+    """blocked_rref takes the leading rows already in echelon form with unit
+    pivots as they stand.  Every output still equals the per-pivot oracle,
+    and the recorded run has the length each case is built to have."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        real = linalg._unit_echelon_run
+        seen = []
+
+        def recording(A, lead):
+            seen.append(real(A, lead))
+            return seen[-1]
+
+        monkeypatch.setattr(linalg, "_unit_echelon_run", recording)
+        return seen
+
+    @staticmethod
+    def case(name):
+        """(matrix, run length) for one named case."""
+        rng = np.random.default_rng(sorted(TestEchelonRun.CASES).index(name))
+        leads = [0, 3, 4, 9, 17, 30, 31, 40, 52, 60]
+        if name == "non-unit lead":
+            A = echelon_prefix(rng, (25, 70), leads, tail_rows=15)
+            A[4, leads[4]] = 3
+            return A, 4
+        if name == "zero row in the run":
+            A = echelon_prefix(rng, (25, 70), leads, tail_rows=15)
+            A[6] = 0
+            return A, 6
+        if name == "lower row on a lead column":
+            A = echelon_prefix(rng, (25, 70), leads, tail_rows=15)
+            A[20, leads[5]] = -2
+            return A, 5
+        if name == "run covers every row":
+            return echelon_prefix(rng, (10, 70), leads), 10
+        if name == "run ends at the last column":
+            A = echelon_prefix(rng, (14, 62), leads + [61])
+            return A, 11  # the three rows below are zero
+        if name == "run across panels, then a tail":
+            long_leads = sorted(rng.choice(200, size=80, replace=False))
+            return echelon_prefix(rng, (120, 200), long_leads, tail_rows=40), 80
+        if name == "identity":
+            return np.eye(40, dtype=np.int64), 40
+        raise KeyError(name)
+
+    CASES = ("non-unit lead", "zero row in the run", "lower row on a lead column", "run covers every row",
+             "run ends at the last column", "run across panels, then a tail", "identity")
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_cases_match_the_oracle(self, runs, name):
+        A, run = self.case(name)
+        assert_matches_the_oracle(A)
+        assert set(runs) == {run}
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+    def test_empty_matrices(self, runs, shape):
+        A = np.zeros(shape, dtype=np.int64)
+        assert_matches_the_oracle(A)
+        assert set(runs) == {0}
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_prefix_and_tail(self, runs, seed):
+        rng = np.random.default_rng(1000 + seed)
+        m, n = rng.integers(1, 80, size=2)
+        k = int(rng.integers(0, min(m, n) + 1))
+        leads = sorted(rng.choice(n, size=k, replace=False))
+        A = echelon_prefix(rng, (m, n), leads, tail_rows=int(rng.integers(0, m - k + 1)),
+                           density=rng.random())
+        if rng.random() < 0.3:
+            A[rng.integers(0, m), rng.integers(0, n)] = rng.choice([2, 3, -1])  # a lead or a tail entry
+        assert_matches_the_oracle(A)
+        assert set(runs) == {unit_echelon_run(A % P)}
+
+    @pytest.mark.parametrize("d", range(11))
+    def test_staircase_columns_need_no_replay(self, monkeypatch, d):
+        # every row of the transposed staircase basis leads with a 1 at its
+        # leading monomial, and the leads rise: the run is the whole matrix
+        calls = []
+        real = linalg._replay
+        monkeypatch.setattr(linalg, "_replay", lambda *args: calls.append(args) or real(*args))
+        A = _staircase_columns(5, d).T
+        rank, pivots, _ = blocked_rref(A, P, full=False)
+        assert not calls
+        assert rank == len(A)
+
+
+def doubling_chain(k):
+    """k x (k + 1) rows e_i - 2 e_{i+1}: max row sum 3, and the kernel is
+    (2**k, 2**(k-1), ..., 2, 1)."""
+    A = np.zeros((k, k + 1), dtype=np.int64)
+    A[range(k), range(k)] = 1
+    A[range(k), range(1, k + 1)] = -2
+    return A
+
+
+class TestFloatVerification:
+    """certified_integer_nullspace checks A @ V == 0 in float64 when
+    peak |V| * max row sum |A| < 2**53, in int64 otherwise.  On both sides
+    of the bound, V with its single large entry off by one is refused; past
+    it, float64 would have accepted that V."""
+
+    BELOW, ABOVE = 50, 53  # peak * norm = 3 * 2**k
+
+    def test_the_chains_straddle_the_bound(self):
+        assert 3 * 2**self.BELOW < 2**53 <= 3 * 2**self.ABOVE < 2**62
+        A = doubling_chain(self.ABOVE)
+        off = np.array([2**self.ABOVE + 1] + [2**j for j in reversed(range(self.ABOVE))])
+        assert not np.any(A.astype(np.float64) @ off.astype(np.float64))  # 2**53 + 1 rounds to 2**53
+        assert np.any(A @ off)
+
+    @pytest.mark.parametrize("k", [BELOW, ABOVE])
+    def test_exact_kernel(self, k):
+        V = certified_integer_nullspace(doubling_chain(k))
+        assert V.dtype == np.int64 and V[:, 0].tolist() == [2**j for j in reversed(range(k + 1))]
+
+    @pytest.mark.parametrize("k", [BELOW, ABOVE])
+    def test_off_by_one_is_refused(self, monkeypatch, k):
+        real = linalg.lift_vector
+
+        def off_by_one(residues, moduli):
+            vec = real(residues, moduli)
+            if vec is not None:
+                vec[0] += 1
+            return vec
+
+        monkeypatch.setattr(linalg, "lift_vector", off_by_one)
+        with pytest.raises(ArithmeticError, match="nullspace reconstruction failed at every prime"):
+            certified_integer_nullspace(doubling_chain(k))
+
+    def test_fraction_lifts_are_integerized(self):
+        # the canonical kernel column of [[7, -12]] is (12/7, 1); scaled, (12, 7)
+        assert certified_integer_nullspace(np.array([[7, -12]])).tolist() == [[12], [7]]
+
+
 class TestReduce:
     """_reduce against Python's % on the values where a floating-point
     quotient is closest to going wrong."""
@@ -617,7 +779,8 @@ class TestLiftPaths:
 
 
 class TestEngineFaults:
-    """A trailing product that skips a row is caught by exact verification."""
+    """A trailing product that skips a row, or an echelon run that keeps a
+    non-unit pivot, is caught by exact verification."""
 
     @pytest.fixture
     def skipping_gemm(self, monkeypatch):
@@ -642,6 +805,17 @@ class TestEngineFaults:
         with pytest.raises(ArithmeticError):
             certified_integer_nullspace(A)
         assert skipping_gemm
+
+    def test_non_unit_lead_in_the_run_is_refused(self, monkeypatch):
+        # the run rule reading every nonzero lead as a 1 keeps the lead 2 of
+        # row 0 unscaled; back-substitution then assumes a unit pivot and
+        # the lifted column (1, -1, 1) fails A @ V == 0 at every prime
+        real = linalg._unit_echelon_run
+        monkeypatch.setattr(linalg, "_unit_echelon_run", lambda A, lead: real(A != 0, lead))
+        with pytest.raises(ArithmeticError, match="nullspace reconstruction failed at every prime"):
+            certified_integer_nullspace(np.array([[2, 1, 0], [0, 1, 1]]))
+        monkeypatch.undo()
+        assert certified_integer_nullspace(np.array([[2, 1, 0], [0, 1, 1]])).tolist() == [[1], [-2], [2]]
 
     def test_coinvariant_closed_forms_fail(self, skipping_gemm):
         # at n <= 4 the staircase eliminations leave no multiplier row to skip
