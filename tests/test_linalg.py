@@ -316,7 +316,7 @@ class TestEchelonRun:
     @staticmethod
     def case(name):
         """(matrix, run length) for one named case."""
-        rng = np.random.default_rng(sorted(TestEchelonRun.CASES).index(name))
+        rng = np.random.default_rng(7)
         leads = [0, 3, 4, 9, 17, 30, 31, 40, 52, 60]
         if name == "non-unit lead":
             A = echelon_prefix(rng, (25, 70), leads, tail_rows=15)
