@@ -46,15 +46,13 @@ from .combinat import all_permutations, compose, cycle_type, inverse, partitions
 from .errors import BudgetExceededError, VerificationError, check
 from .hessgraph import HessenbergFunction, csf, llt
 from .lazynp import np
-from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace
+from .linalg import SMALL_PRIMES, SubspaceTracer, blocked_rref, certified_integer_nullspace, exact_product
 from .multipoly import (MPoly, monomial_exponents, monomial_positions, monomials, mp_divide_linear,
                         mp_is_zero, mp_mul, mp_permute, mp_sub, mp_var)
 from .symfunc import SymFunc, murnaghan_nakayama
 
 GKM_N_BUDGET = 4
 GKM_DEGREE_SLACK = 3  # degree pieces available up to |h| + slack
-
-_EXACT_ENTRY_BOUND = 1 << 40  # congruence sums of larger basis entries run in Python ints
 
 _VALID_QUOTIENTS = {("X", "t_vars"), ("X", "x_classes"), ("Y", "t_vars")}
 
@@ -125,43 +123,40 @@ def _subst_map(n: int, d: int, a: int, b: int) -> np.ndarray:
     return monomial_positions(np.delete(exps, a - 1, axis=1), d)
 
 
+def _subst_matrix(n: int, d: int, a: int, b: int) -> np.ndarray:
+    """S_ab, the 0/1 matrix of t_a := t_b on degree-d coefficient vectors:
+    the edge (u, v) with label t_a - t_b holds for f iff S_ab f(u) = S_ab f(v)."""
+    return np.eye(len(monomials(n - 1, d)), dtype=np.int8)[:, _subst_map(n, d, a, b)]
+
+
 def _constraint_matrix(model: GkmModel, d: int) -> np.ndarray:
     """All edge congruences at degree d as one +-1 integer matrix.
 
-    Column (iv, e) is the coefficient of monomial e at vertex iv; each edge
-    contributes one row per image monomial of the substitution t_a := t_b,
-    stating that the substituted difference of endpoint values vanishes.
+    Column (iv, e) is the coefficient of monomial e at vertex iv; the block
+    row of edge k holds S_ab at the columns of vertex iu and -S_ab at those
+    of iv, one row per image monomial of the substitution t_a := t_b.
     """
     n = model.n
     M = len(monomials(n, d))
-    mprime = len(monomials(n - 1, d))
-    A = np.zeros((len(model.edges) * mprime, len(model.vertices) * M), dtype=np.int64)
-    src = np.arange(M)
+    A = np.zeros((len(model.edges), len(monomials(n - 1, d)), len(model.vertices), M), dtype=np.int64)
     for k, (iu, iv, a, b) in enumerate(model.edges):
-        rows = k * mprime + _subst_map(n, d, a, b)
-        A[rows, iu * M + src] = 1
-        A[rows, iv * M + src] = -1
-    return A
+        A[k, :, iu] = _subst_matrix(n, d, a, b)
+        A[k, :, iv] = -A[k, :, iu]
+    return A.reshape(-1, len(model.vertices) * M)
 
 
 def _verify_columns(model: GkmModel, d: int, mat: np.ndarray) -> None:
     """Exact check that every column satisfies every edge congruence;
     raises VerificationError naming the first edge that fails.
 
-    Works per edge on the difference of the two vertex blocks, bucketing
-    coefficients by image monomial of the substitution; all buckets must
-    vanish.  The sums run in int64 while every entry is at most
-    _EXACT_ENTRY_BOUND, far below 2**62, and in Python ints beyond."""
+    Per edge, S_ab f(u) = S_ab f(v), the sums by image monomial of each
+    endpoint value, both through exact_product: no sum or difference is
+    formed in the dtype of mat."""
     n = model.n
     M = len(monomials(n, d))
-    mprime = len(monomials(n - 1, d))
-    if mat.dtype != object and mat.size and int(np.abs(mat).max()) > _EXACT_ENTRY_BOUND:
-        mat = mat.astype(object)
     for iu, iv, a, b in model.edges:
-        diff = mat[iu * M:(iu + 1) * M, :] - mat[iv * M:(iv + 1) * M, :]
-        buckets = np.zeros((mprime, mat.shape[1]), dtype=mat.dtype)
-        np.add.at(buckets, _subst_map(n, d, a, b), diff)
-        if np.any(buckets != 0):
+        S = _subst_matrix(n, d, a, b)
+        if not np.array_equal(*(exact_product(S, mat[i * M:(i + 1) * M]) for i in (iu, iv))):
             raise VerificationError(
                 f"column violates the degree-{d} congruence on edge "
                 f"({model.vertices[iu]}, {model.vertices[iv]}) with label t_{a} - t_{b}"
@@ -355,15 +350,12 @@ def _kernel_dim(h: HessenbergFunction, lam: tuple[int, ...], d: int) -> int:
     """dim K_lam(d), pinned from both sides by certified_integer_nullspace.
     Unknown r * M + m is the coefficient of monomial m in entry r of v; each
     arc (j, i) adds the rows of v A, A = I - rho_lam((i j)) with denominators
-    cleared, reduced by t_i := t_j: A^T (x) the 0/1 substitution matrix."""
+    cleared, reduced by t_i := t_j: A^T (x) S_ij (_subst_matrix)."""
     n = h.n
     M = len(monomials(n, d))
     f = murnaghan_nakayama(lam, (1,) * n)
-    blocks = [np.zeros((0, f * M), dtype=np.int64)]
-    for j, i in h.edge_pairs():
-        S = np.eye(len(monomials(n - 1, d)), dtype=np.int64)[:, _subst_map(n, d, i, j)]
-        blocks.append(np.kron(_cleared_arc_matrix(lam, i, j), S))
-    C = np.concatenate(blocks)
+    arcs = [np.kron(_cleared_arc_matrix(lam, i, j), _subst_matrix(n, d, i, j)) for j, i in h.edge_pairs()]
+    C = np.concatenate([np.zeros((0, f * M), dtype=np.int64), *arcs])
     return certified_integer_nullspace(C[C.any(axis=1)]).shape[1]
 
 
@@ -373,10 +365,10 @@ def _kernel_dim(h: HessenbergFunction, lam: tuple[int, ...], d: int) -> int:
 class EquivariantClass:
     """Degree-d classes of a model in the coordinates of GkmSpace.matrix:
     a vector is one class, a matrix with one column per class is a batch.
-    The constructor takes integer entries only, int64 or Python ints, and
-    checks every edge congruence exactly (_verify_columns);
-    the actions and xi are gathers of the coordinates, and the localization
-    pushforward scatters them."""
+    The constructor takes integer entries of any integer dtype or Python
+    ints, and checks every edge congruence exactly (_verify_columns); the
+    actions and xi are gathers of the coordinates, and the localization
+    pushforward one integer matrix applied to them."""
 
     def __init__(self, model: GkmModel, degree: int, coords):
         coords = np.asarray(coords)
@@ -546,19 +538,19 @@ def _complement_factors(h_values: tuple[int, ...]) -> tuple[tuple[MPoly, ...], t
 
 
 @lru_cache(maxsize=None)
-def _numerator_terms(h_values: tuple[int, ...], d: int) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-    """Per vertex w, the terms c t^e of sgn(w) C_w as their coefficients and
-    a matrix with one row per term: the positions among the monomials of
-    degree d + deg C_w of t^e times every degree-d monomial."""
+def _numerator_matrix(h_values: tuple[int, ...], d: int) -> np.ndarray:
+    """P_d, the integer matrix of f -> sum_w sgn(w) C_w f(w) into the
+    monomials of degree d + #non-arcs: a term c t^e of C_w puts sgn(w) c at
+    row t^e m, column (w, m).  int8 holds it: |c| <= 2**#non-arcs <= 64."""
     factors, signs = _complement_factors(h_values)
     n = len(h_values)
     exps = monomial_exponents(n, d)
     top = d + sum(next(iter(factors[0])))  # every term of every C_w has degree #non-arcs
-    return tuple(
-        (tuple(sign * c for c in cw.values()),
-         monomial_positions(np.array(list(cw), dtype=np.int64)[:, None, :] + exps, top))
-        for cw, sign in zip(factors, signs)
-    )
+    P = np.zeros((len(monomials(n, top)), len(factors), len(exps)), dtype=np.int8)
+    for iw, (cw, sign) in enumerate(zip(factors, signs)):
+        rows = monomial_positions(np.array(list(cw), dtype=np.int64)[:, None, :] + exps, top)
+        P[rows, iw, np.arange(len(exps))] = np.array([sign * c for c in cw.values()], dtype=np.int8)[:, None]
+    return P.reshape(len(P), -1)
 
 
 def localization_pushforward(f: EquivariantClass) -> MPoly:
@@ -569,15 +561,12 @@ def localization_pushforward(f: EquivariantClass) -> MPoly:
     sum_w sgn(w) f(w) C_w over prod_{j<i} (t_i - t_j), where C_w is the
     product over non-arcs; the numerator must be exactly divisible, and the
     quotient is the result (degree deg f - |h|, or zero), in Python ints.
-    The numerator is formed on the coordinates: vertex by vertex, each term
-    c t^e of sgn(w) C_w adds c times the block of w at the positions of
-    _numerator_terms.  For a batch class column k of the result is the
-    pushforward of column k, and one column that is not divisible makes the
-    call raise.
+    The numerator is P_d f (_numerator_matrix, by exact_product).  For a
+    batch class column k of the result is the pushforward of column k, and
+    one column that is not divisible makes the call raise.
 
-    It runs on int64 rows when this a-priori bound is below 2**62.  With B
-    the largest entry of f and M the number of degree-d monomials, no sum
-    building the numerator exceeds L = B M sum_w |C_w|_1.  Dividing a
+    The division runs on int64 coefficients when this bound is below
+    2**62, with L the largest column sum of |numerator|.  Dividing a
     degree-D polynomial a by t_i - t_j, each quotient coefficient is a sum
     of distinct ones of a, so |quotient|_1 <= D |a|_1, and each intermediate
     is a coefficient of a plus one of the quotient: no value exceeds
@@ -588,17 +577,12 @@ def localization_pushforward(f: EquivariantClass) -> MPoly:
     n = model.n
     pairs = n * (n - 1) // 2
     top = f.degree + pairs - model.h.size()
-    terms = _numerator_terms(model.h.values, f.degree)
-    peak = int(np.abs(f.coords).max()) if f.coords.size else 0
-    l1 = peak * len(monomials(n, f.degree)) * sum(abs(c) for coefs, _ in terms for c in coefs)
-    coords = f.coords.astype(np.int64 if 2 * l1 * max(top, 1) ** pairs < 2**62 else object)
-    blocks = coords.reshape((len(terms), -1) + coords.shape[1:])
+    acc = exact_product(_numerator_matrix(model.h.values, f.degree), f.coords)
+    flat = acc.reshape(len(acc), -1)
+    l1 = int(np.abs(flat).sum(axis=0, dtype=object).max(initial=0))
+    acc = acc.astype(np.int64 if 2 * l1 * max(top, 1) ** pairs < 2**62 else object)
     mons = monomials(n, top)
-    acc = np.zeros((len(mons),) + coords.shape[1:], dtype=coords.dtype)
-    for (coefs, positions), block in zip(terms, blocks):
-        for c, pos in zip(coefs, positions):
-            acc[pos] += c * block
-    num: MPoly = {mons[k]: acc[k] for k in np.flatnonzero(acc.reshape(len(acc), -1).any(axis=1))}
+    num: MPoly = {mons[k]: acc[k] for k in np.flatnonzero(flat.any(axis=1))}
     try:
         for j in range(1, n + 1):
             for i in range(j + 1, n + 1):

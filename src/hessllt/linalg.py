@@ -43,8 +43,8 @@ part, and rows already in echelon form with unit pivots, such as the
 transposed staircase bases of the coinvariant ideal, are taken as they
 stand.  Products of inner dimension at most 32 gain nothing from a second
 BLAS thread, so cli.main runs OpenBLAS on one unless the caller set a count.
-The exact check A @ V == 0 of a lifted nullspace runs in float64 through
-BLAS when peak |V| * max row sum |A| < 2**53 bounds every partial sum.
+exact_product is the one rule for an exact integer product of data: the
+nullspace check here, the edge congruences and localization numerator in gkm.
 """
 
 from __future__ import annotations
@@ -350,15 +350,30 @@ def certified_integer_nullspace(A: np.ndarray) -> np.ndarray:
             cols.append(integerize(vec) if Fraction in map(type, vec) else vec)  # ints: primitive by the free 1
         else:
             V = np.array(cols, dtype=object).T
-            peak = int(np.abs(V).max())
-            norm = max(int(np.abs(A[s]).sum(axis=1).max()) for s in _chunks(len(A), ncols))  # by row blocks
-            if peak * norm < 2**62 and peak < 2**62:
-                V = V.astype(np.int64)  # else A @ V runs on Python ints
-            kind = np.float64 if peak * norm < 2**53 else V.dtype  # float64 holds every partial sum exactly
-            W = V.astype(kind, copy=False)
-            if not any(np.any(A[s].astype(kind, copy=False) @ W) for s in _chunks(len(A), ncols)):
-                return V
+            if not exact_product(A, V).any():
+                return V if max(map(abs, V.flat)) >> 63 else V.astype(np.int64)
     raise ArithmeticError("nullspace reconstruction failed at every prime")
+
+
+def exact_product(A: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A @ V, exact, for arrays of any integer dtype or of Python ints (V
+    may be a vector).  Every partial sum is an integer of absolute value at
+    most peak * norm: peak the largest |entry| of V, read in Python ints,
+    and norm the largest row sum of |A|, taken in float64 (Python ints for
+    an object A), exact below 2**53 and, rounding being monotone, never
+    below it from above.  Under 2**53 the product runs in float64 through
+    BLAS, one row block of A at a time, in any order exactly, and returns
+    int64; else it runs over Python ints and returns an object array."""
+    peak = max(int(V.max()), -int(V.min())) if V.size else 0
+    blocks = list(_chunks(len(A), A.shape[1]))
+    wide = object if A.dtype == object else np.float64  # for the row sums of |A|
+    norm = max((int(np.abs(A[s], dtype=wide).sum(axis=1).max()) for s in blocks), default=0)
+    kind = np.float64 if max(peak, 1) * norm < 2**53 else object
+    W = V.astype(kind)
+    out = np.empty((len(A),) + V.shape[1:], dtype=np.int64 if kind is np.float64 else object)
+    for s in blocks:
+        out[s] = A[s].astype(kind) @ W
+    return out
 
 
 # --------------------------------------------------------------- tracing

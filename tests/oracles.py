@@ -18,8 +18,9 @@ substitution q -> 1/q are computed as rational functions of q: they are the
 routes that the checks of the library replace by cleared denominators.
 frac_rref, the Fraction echelon form, is also the
 oracle of the certified mod-p engine, back_substitute_by_full_copy of its
-back-substitution, and product_columns_all of the flavor-X candidates
-that the last-variable rule prunes.  FractionPoly, the dense polynomial
+back-substitution, matmul_by_python_ints of exact_product, and
+product_columns_all of the flavor-X candidates that the last-variable rule
+prunes.  FractionPoly, the dense polynomial
 with one Fraction per coefficient, is the oracle of the integer-numerator
 QPoly, and fraction_rat_string of QRat.to_string.  The named basis elements
 are here for the tests that build symmetric functions by hand.
@@ -557,6 +558,14 @@ def xi_by_dicts(model: GkmModel, values: list[MPoly]) -> list[MPoly]:
 def product_by_dicts(a: list[MPoly], b: list[MPoly]) -> list[MPoly]:
     """The vertexwise product of two classes."""
     return [mp_mul(x, y) for x, y in zip(a, b)]
+
+
+def matmul_by_python_ints(A: np.ndarray, V: np.ndarray) -> list[list[int]]:
+    """linalg.exact_product for a 2-D V, as nested lists of sums of Python
+    ints, one product at a time."""
+    k, c = V.shape
+    v = V.tolist()
+    return [[sum(int(row[t]) * int(v[t][j]) for t in range(k)) for j in range(c)] for row in A.tolist()]
 
 
 def pushforward_by_dicts(model: GkmModel, d: int, coords) -> MPoly:

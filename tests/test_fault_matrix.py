@@ -158,15 +158,30 @@ def first_vertex_sign_flip(real):
 
 
 def first_vertex_terms_dropped(real):
-    """The coordinate numerator of the localization sum without the terms of
-    vertex 0: on the complete graph the unit class then sums to -sgn(w_0),
-    which the Vandermonde product does not divide."""
+    """The numerator matrix of the localization sum without the terms of
+    vertex 0, its first block of columns: on the complete graph the unit
+    class then sums to -sgn(w_0), which the Vandermonde product does not
+    divide."""
 
     def dropped(h_values, d):
-        terms = real(h_values, d)
-        return (((), terms[0][1][:0]),) + terms[1:]
+        P = real(h_values, d).copy()
+        P[:, :P.shape[1] // math.factorial(len(h_values))] = 0
+        return P
 
     return dropped
+
+
+def product_rows_one_down(real):
+    """exact_product with each row of its result written one row down (the
+    last wraps to the first).  The nullspace and congruence checks compare
+    with zero or with another product placed alike, so only the
+    localization numerator, whose rows are monomials, sees it."""
+    return lambda A, V: np.roll(real(A, V), 1, axis=0)
+
+
+def both_products(make):
+    """A fault of exact_product in linalg and in gkm, which imports it."""
+    return lambda mp: (wrap(linalg, "exact_product", make)(mp), wrap(gkm, "exact_product", make)(mp))
 
 
 def p2_with_doubled_h11(real):
@@ -307,7 +322,10 @@ TABLE = (
           "localization-integrality-and-equivariance",
           breaks={"localization-integrality-and-equivariance": ("integrality",)}),
     fault("localization-vertex-0-terms-dropped",
-          wrap(gkm, "_numerator_terms", first_vertex_terms_dropped), "gkm",
+          wrap(gkm, "_numerator_matrix", first_vertex_terms_dropped), "gkm",
+          "localization-integrality-and-equivariance",
+          breaks={"localization-integrality-and-equivariance": ("integrality",)}),
+    fault("exact-product-rows-one-down", both_products(product_rows_one_down), "gkm",
           "localization-integrality-and-equivariance",
           breaks={"localization-integrality-and-equivariance": ("integrality",)}),
     # csf and llt are tallied in the m basis and converted to p through the
@@ -582,11 +600,11 @@ UNCOVERED_CONJUNCTS = {
 }
 
 # The cached index maps of the moment graphs, which a locator fault corrupts,
-# the cached numerator terms of the localization sum, built from the
+# the cached numerator matrices of the localization sum, built from the
 # complement factors a sign fault corrupts, and the cached csf and llt,
 # which a table fault corrupts as they are converted to p and a rise fault
 # as they are tallied.
-CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map, gkm._numerator_terms,
+CACHES = (gkm.perm_monomial_map, gkm._mono_shift_map, gkm._subst_map, gkm._numerator_matrix,
           hessgraph._coloring_symfuncs)
 
 
@@ -716,6 +734,29 @@ def test_kernel_dim_off_by_one_is_refused_by_the_x_certificate(monkeypatch):
         monkeypatch)
     with pytest.raises(ArithmeticError, match="the lifted nullspace has 1 columns, the twin dimension is 3"):
         REPORTS["gkm"]()
+
+
+def float_product(real):
+    """exact_product run in float64 at every size, past its 2**53 bound too."""
+    return lambda A, V: A.astype(np.float64) @ V.astype(np.float64)
+
+
+# The degree-1 piece of the complete graph scaled by 2**53, with the entry
+# 2**53 of its first column at vertex (1, 2, 3) raised by 1: the congruence
+# check refuses it on the first edge, and float64, which rounds 2**53 + 1 to
+# 2**53, accepts it.
+REFUSED_SCALED = ("column violates the degree-1 congruence on edge ((1, 2, 3), (2, 1, 3)) "
+                  "with label t_2 - t_1")
+
+
+def test_float_product_past_its_bound_loses_the_congruence_refusal(monkeypatch):
+    model = gkm.GkmModel(COMPLETE, "X")
+    scaled = gkm.degree_piece(model, 1).matrix * 2**53
+    scaled[np.flatnonzero(scaled[:, 0] == 2**53)[0], 0] += 1
+    with pytest.raises(VerificationError, match=re.escape(REFUSED_SCALED)):
+        gkm.EquivariantClass(model, 1, scaled)
+    both_products(float_product)(monkeypatch)
+    gkm.EquivariantClass(model, 1, scaled)
 
 
 def act_without_relabeling(self, sigma):

@@ -312,7 +312,8 @@ class TestEquivariantClasses:
     def test_constructor_takes_int64_and_python_ints(self):
         mx, _ = models("2,2")
         coords = EquivariantClass.x_class(mx, 1).coords
-        for good in (coords, coords.astype(object), coords.tolist(), coords.astype(object) * (1 << 70)):
+        for good in (coords, coords.astype(object), coords.tolist(), coords.astype(object) * (1 << 70),
+                     coords.astype(np.int8), coords.astype(np.uint64)):
             f = EquivariantClass(mx, 1, good)
             scale = int(good[0])
             assert localization_pushforward(f) == {(0, 0): -scale}
@@ -760,21 +761,45 @@ class TestIndexMapsAgainstLookup:
 
 
 class TestExactVerification:
-    """_verify_columns sums in int64 up to _EXACT_ENTRY_BOUND and in Python
-    ints beyond it."""
+    """_verify_columns compares S_ab f(u) with S_ab f(v) through
+    exact_product, which runs in Python ints past its float64 bound and
+    reads every integer dtype exactly."""
 
     def test_scaled_piece_verifies_and_one_changed_entry_names_its_edge(self):
+        # scaled by 2**53 the piece is past the float64 bound, where one
+        # entry moved by 1 away from 0 rounds back
         mx = GkmModel(H("2,3,3"), "X")
-        scaled = degree_piece(mx, 2).matrix * (1 << 41)
+        scaled = degree_piece(mx, 2).matrix * (1 << 53)
         assert scaled.dtype == np.int64
-        assert int(np.abs(scaled).max()) > gkm._EXACT_ENTRY_BOUND
         gkm._verify_columns(mx, 2, scaled)
         iu, iv, a, b = mx.edges[0]
         assert iu == 0
-        scaled[0, 0] += 1
+        S = gkm._subst_matrix(mx.n, 2, a, b)
+        M = S.shape[1]
+        r, c = np.argwhere(scaled[:M])[0]
+        scaled[r, c] += np.sign(scaled[r, c])
+        assert np.array_equal(*(S @ scaled[i * M:(i + 1) * M].astype(np.float64) for i in (iu, iv)))
         edge = f"({mx.vertices[iu]}, {mx.vertices[iv]}) with label t_{a} - t_{b}"
-        with pytest.raises(ArithmeticError, match=re.escape(f"degree-2 congruence on edge {edge}")):
+        with pytest.raises(VerificationError, match=re.escape(f"degree-2 congruence on edge {edge}")):
             gkm._verify_columns(mx, 2, scaled)
+
+    @pytest.mark.parametrize("coords", [np.array([100, 100, 0, -56], dtype=np.int8),
+                                        np.array([200, 56, 0, 0], dtype=np.uint8)])
+    def test_narrow_dtypes_are_checked_exactly(self, coords):
+        # t_1 (t_1 - t_2) * 100 at (1, 2) and -56 t_2 at (2, 1): the sums by
+        # image monomial, 200 and -56 at t_1, agree mod 256 only
+        mx, _ = models("2,2")
+        with pytest.raises(VerificationError, match=re.escape(
+                "degree-1 congruence on edge ((1, 2), (2, 1)) with label t_2 - t_1")):
+            EquivariantClass(mx, 1, coords)
+
+    def test_pushforward_of_the_int64_minimum(self):
+        # on 1,2 there is no arc, and the pushforward of the constant c is 2c
+        mx = GkmModel(H("1,2"), "X")
+        coords = np.array([-2**63, -2**63], dtype=np.int64)
+        expected = localization_pushforward(EquivariantClass(mx, 0, coords.astype(object)))
+        assert expected == {(0, 0): -2**64}
+        assert localization_pushforward(EquivariantClass(mx, 0, coords)) == expected
 
 
 # The degrees d <= |h| + 1 whose flavor-X piece is pinned by the CRT lift,

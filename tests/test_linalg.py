@@ -1,6 +1,7 @@
 """Exact rational linear algebra and the certified small-prime engine."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -18,13 +19,14 @@ from hessllt.linalg import (
     blocked_rref,
     certified_integer_nullspace,
     crt_pair,
+    exact_product,
     integerize,
     lift_vector,
     nullspace_small,
     rational_reconstruct,
 )
 from hessllt.permco import _staircase_columns, coinvariant_closed_form_check
-from oracles import back_substitute_by_full_copy, frac_rref, ideal_span_columns
+from oracles import back_substitute_by_full_copy, frac_rref, ideal_span_columns, matmul_by_python_ints
 
 P = SMALL_PRIMES[0]
 
@@ -393,8 +395,9 @@ def doubling_chain(k):
 
 
 class TestFloatVerification:
-    """certified_integer_nullspace checks A @ V == 0 in float64 when
-    peak |V| * max row sum |A| < 2**53, in int64 otherwise.  On both sides
+    """certified_integer_nullspace checks A @ V == 0 through exact_product:
+    in float64 when peak |V| * max row sum |A| < 2**53, in Python ints
+    otherwise.  On both sides
     of the bound, V with its single large entry off by one is refused; past
     it, float64 would have accepted that V."""
 
@@ -429,6 +432,80 @@ class TestFloatVerification:
     def test_fraction_lifts_are_integerized(self):
         # the canonical kernel column of [[7, -12]] is (12/7, 1); scaled, (12, 7)
         assert certified_integer_nullspace(np.array([[7, -12]])).tolist() == [[12], [7]]
+
+
+EXACT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint64, object)
+
+
+@st.composite
+def integer_arrays(draw, shape):
+    """An array of one of EXACT_DTYPES, object entries within 2**70; its
+    entries are small or anywhere in range, so products fall on both sides
+    of the float64 bound."""
+    dtype = draw(st.sampled_from(EXACT_DTYPES))
+    lo, hi = (-2**70, 2**70) if dtype is object else (int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))
+    entry = st.integers(lo, hi) | st.integers(max(lo, -3), min(hi, 3))
+    values = draw(st.lists(entry, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+def product_bound(A, V):
+    """max(peak |V|, 1) * max row sum |A| in Python ints: below 2**53 the
+    product runs in float64."""
+    peak = max((abs(int(x)) for x in V.flat), default=0)
+    return max(peak, 1) * max((sum(abs(int(x)) for x in row) for row in A.tolist()), default=0)
+
+
+class TestExactProduct:
+    """exact_product against the Python-int matmul of the oracles, on every
+    integer dtype, on both sides of its float64 bound, and on empty shapes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3)).flatmap(
+        lambda s: st.tuples(integer_arrays(s[:2]), integer_arrays(s[1:]))))
+    def test_matches_python_ints(self, pair):
+        A, V = pair
+        got = exact_product(A, V)
+        assert got.shape == (len(A), V.shape[1])
+        assert got.tolist() == matmul_by_python_ints(A, V)
+        assert got.dtype == (np.int64 if product_bound(A, V) < 2**53 else object)
+        if V.shape[1]:
+            assert exact_product(A, V[:, 0]).tolist() == got[:, 0].tolist()
+
+    @pytest.mark.parametrize("A, V, route", [
+        ([[1]], [[2**53 - 1]], np.int64),
+        ([[1]], [[2**53]], object),
+        ([[1, 1]], [[2**53], [1]], object),  # float64 reads 2**53 + 1 as 2**53
+        ([[3, -1]], [[2**51], [2**51]], object),  # past the bound by the row sum alone
+        ([[1]], [[-2**63]], object),  # the int64 minimum, whose np.abs is negative
+        ([[-2**63, -2**63]], [[1], [1]], object),
+    ])
+    def test_both_sides_of_the_bound(self, A, V, route):
+        A, V = np.array(A, dtype=np.int64), np.array(V, dtype=np.int64)
+        for a, v in ((A, V), (A.astype(object), V.astype(object))):
+            got = exact_product(a, v)
+            assert got.dtype == route
+            assert got.tolist() == matmul_by_python_ints(A, V)
+
+    def test_object_entries_past_int64(self):
+        A = np.array([[2**70, -1], [0, 3]], dtype=object)
+        V = np.array([[2**64 + 1], [2**80]], dtype=object)
+        assert exact_product(A, V).tolist() == [[2**134 + 2**70 - 2**80], [3 * 2**80]]
+
+    @pytest.mark.parametrize("a, v", [((0, 3), (3, 2)), ((2, 0), (0, 2)), ((2, 3), (3, 0)), ((0, 0), (0, 0))])
+    def test_empty_shapes(self, a, v):
+        for dtype in (np.int8, np.uint64, object):
+            got = exact_product(np.ones(a, dtype=dtype), np.ones(v, dtype=dtype))
+            assert got.shape == (a[0], v[1]) and got.dtype == np.int64 and not got.any()
+
+    def test_row_blocks(self):
+        # more rows than one block of _CHUNK entries holds, on both routes
+        rng = np.random.default_rng(5)
+        A = rng.integers(-9, 10, size=(3 * linalg._CHUNK // 40 + 7, 40))
+        V = rng.integers(-9, 10, size=(40, 3))
+        assert exact_product(A, V).tolist() == (A @ V).tolist()
+        big = exact_product(A, V.astype(object) * 2**60)
+        assert big.dtype == object and big.tolist() == (A.astype(object) @ V.astype(object) * 2**60).tolist()
 
 
 class TestReduce:
