@@ -786,8 +786,9 @@ class TestExactVerification:
     @pytest.mark.parametrize("coords", [np.array([100, 100, 0, -56], dtype=np.int8),
                                         np.array([200, 56, 0, 0], dtype=np.uint8)])
     def test_narrow_dtypes_are_checked_exactly(self, coords):
-        # t_1 (t_1 - t_2) * 100 at (1, 2) and -56 t_2 at (2, 1): the sums by
-        # image monomial, 200 and -56 at t_1, agree mod 256 only
+        # 100 t_1 + 100 t_2 at (1, 2) and -56 t_2 at (2, 1) read 200 t_1 and
+        # -56 t_1 after t_2 := t_1 (the uint8 class: 256 t_1 and 0), equal
+        # mod 256 only
         mx, _ = models("2,2")
         with pytest.raises(VerificationError, match=re.escape(
                 "degree-1 congruence on edge ((1, 2), (2, 1)) with label t_2 - t_1")):
