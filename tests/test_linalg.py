@@ -415,6 +415,10 @@ class TestFloatVerification:
         V = certified_integer_nullspace(doubling_chain(k))
         assert V.dtype == np.int64 and V[:, 0].tolist() == [2**j for j in reversed(range(k + 1))]
 
+    def test_kernel_past_int64_stays_exact(self):
+        V = certified_integer_nullspace(doubling_chain(64))
+        assert V.dtype == object and V[:, 0].tolist() == [2**j for j in reversed(range(65))]
+
     @pytest.mark.parametrize("k", [BELOW, ABOVE])
     def test_off_by_one_is_refused(self, monkeypatch, k):
         real = linalg.lift_vector
